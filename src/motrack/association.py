@@ -17,7 +17,7 @@ from typing import Mapping, Union
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BoundingBox, iou
+from .geometry import BoundingBox, boxes_array, iou, iou_matrix
 from .kinematics import (
     STATE_DIM,
     KalmanTrackState,
@@ -201,22 +201,71 @@ class TrackerConfig:
             raise ValueError(f"max_age must be >= 0, got {self.max_age}")
 
 
+def _appearance_matrix(
+    tracks: list[Track],
+    candidates: list[DetectionCandidate],
+) -> np.ndarray:
+    """candidate_affinity for every (track, candidate) pair, as one matrix.
+
+    Cosine affinities come from one matmul of the stacked track memories
+    against the stacked embeddings of the candidates without a scalar
+    s_mask; scalar s_mask values then overwrite their column and mapping
+    entries the rows of the tracks they name.
+    """
+    appearance = np.zeros((len(tracks), len(candidates)))
+    cols, mapped = [], []  # candidates compared by cosine / with a mapping s_mask
+    for j, cand in enumerate(candidates):
+        if cand.s_mask is None or isinstance(cand.s_mask, Mapping):
+            if cand.embedding is not None:
+                cols.append(j)
+            if cand.s_mask is not None:
+                mapped.append(j)
+        else:
+            appearance[:, j] = float(cand.s_mask)
+    rows = [i for i, t in enumerate(tracks) if t.memory is not None]
+    if rows and cols:
+        memories = [tracks[i].memory for i in rows]
+        embeddings = [candidates[j].embedding for j in cols]
+        if len({v.shape for v in memories + embeddings}) > 1:
+            # Mixed dimensions: the per-pair path raises on the first pair
+            # that needs them compared.
+            return np.array([[candidate_affinity(t, c) for c in candidates] for t in tracks])
+        mem, emb = np.array(memories), np.array(embeddings)
+        na = np.linalg.norm(mem, axis=1)
+        nb = np.linalg.norm(emb, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos = (mem @ emb.T) / np.outer(na, nb)
+        cosine = np.minimum(np.maximum(0.5 * (1.0 + cos), 0.0), 1.0)
+        cosine[(na == 0.0)[:, np.newaxis] | (nb == 0.0)[np.newaxis, :]] = 0.0
+        appearance[np.array(rows)[:, np.newaxis], cols] = cosine
+    for j in mapped:
+        s_mask = candidates[j].s_mask
+        for i, track in enumerate(tracks):
+            if track.id in s_mask:
+                appearance[i, j] = float(s_mask[track.id])
+    return appearance
+
+
 def _score_matrices(
     tracks: list[Track],
     candidates: list[DetectionCandidate],
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    fused = np.zeros((len(tracks), len(candidates)))
-    motion = np.zeros((len(tracks), len(candidates)))
-    for i, track in enumerate(tracks):
+    """(fused, motion) score matrices of every (track, candidate) pair.
+
+    motion is the IoU of each track's prediction against each candidate
+    box; fused is alpha * appearance + (1 - alpha) * motion.
+    """
+    for track in tracks:
         if track.predicted_box is None:
             raise ValueError(f"track {track.id} has no prediction for this frame")
-        for j, cand in enumerate(candidates):
-            s_kf = motion_consistency_score(track.predicted_box, cand.box)
-            s_mask = candidate_affinity(track, cand)
-            motion[i, j] = s_kf
-            fused[i, j] = fused_score(s_mask, s_kf, alpha)
-    if fused.size and not np.all(np.isfinite(fused)):
+    alpha = _check_score(alpha, "alpha")
+    motion = iou_matrix(
+        boxes_array(t.predicted_box for t in tracks),
+        boxes_array(c.box for c in candidates),
+    )
+    fused = alpha * _appearance_matrix(tracks, candidates) + (1.0 - alpha) * motion
+    if not np.all(np.isfinite(fused)):
         raise ValueError("association scores contain non-finite entries")
     return fused, motion
 
@@ -297,12 +346,6 @@ class TrackerState:
     next_id: int = 1
     frame_index: int = 0
 
-    def track_by_id(self, track_id: int) -> Track:
-        for track in self.tracks:
-            if track.id == track_id:
-                return track
-        raise KeyError(track_id)
-
 
 def _spawn_track(state: TrackerState, candidate: DetectionCandidate) -> Track:
     cfg = state.config
@@ -354,9 +397,10 @@ def step_tracker(
         track.age += 1
 
     result = associate_frame(state.tracks, frame, cfg)
+    by_id = {track.id: track for track in state.tracks}
 
     for m in result.matches:
-        track = state.track_by_id(m.track_id)
+        track = by_id[m.track_id]
         cand = frame[m.candidate_index]
         reliable = is_reliable(cand.s_obj, cfg.kinematics)
         track.kalman = kf_gated_update(track.kalman, cand.box, reliable, cfg.kinematics)
@@ -380,7 +424,7 @@ def step_tracker(
 
     retired: set[int] = set()
     for track_id in result.unmatched_tracks:
-        track = state.track_by_id(track_id)
+        track = by_id[track_id]
         track.misses += 1
         if track.status == TENTATIVE or track.misses > cfg.max_age:
             retired.add(track_id)

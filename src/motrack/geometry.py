@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -60,6 +62,31 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
         return 0.0
     inter = ix * iy
     return min(inter / (a.area + b.area - inter), 1.0)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of (n, 4) and (m, 4) arrays of (x, y, w, h) rows, shape (n, m).
+
+    Every entry equals ``iou`` of the two boxes bit for bit: the same
+    (x + w) edge arithmetic, exactly 1 for equal rows, 0 for disjoint or
+    edge-sharing boxes, and the ratio clamped at 1.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, 4)
+    b = np.asarray(b, dtype=float).reshape(-1, 4)
+    ax, ay, aw, ah = (col[:, np.newaxis] for col in a.T)
+    bx, by, bw, bh = b.T
+    # Clipping the overlap at +0 zeroes disjoint and edge-sharing pairs.
+    ix = np.maximum(np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx), 0.0)
+    iy = np.maximum(np.minimum(ay + ah, by + bh) - np.maximum(ay, by), 0.0)
+    inter = ix * iy
+    out = np.minimum(inter / (aw * ah + bw * bh - inter), 1.0)
+    out[(ax == bx) & (ay == by) & (aw == bw) & (ah == bh)] = 1.0
+    return out
+
+
+def boxes_array(boxes) -> np.ndarray:
+    """Stack BoundingBoxes into an (n, 4) array of (x, y, w, h) rows."""
+    return np.array([box.as_tuple() for box in boxes], dtype=float).reshape(-1, 4)
 
 
 def center(a: BoundingBox) -> tuple[float, float]:

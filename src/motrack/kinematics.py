@@ -9,7 +9,7 @@ coasts on its prediction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,23 +23,17 @@ OBS_DIM = 4
 MIN_EXTENT = 1e-3
 
 
-def _transition_matrix() -> np.ndarray:
-    f = np.eye(STATE_DIM)
-    for i in range(OBS_DIM):
-        f[i, i + OBS_DIM] = 1.0
-    return f
-
-
-def _observation_matrix() -> np.ndarray:
-    h = np.zeros((OBS_DIM, STATE_DIM))
-    h[:OBS_DIM, :OBS_DIM] = np.eye(OBS_DIM)
-    return h
-
-
-TRANSITION = _transition_matrix()
-OBSERVATION = _observation_matrix()
-TRANSITION.setflags(write=False)
-OBSERVATION.setflags(write=False)
+_POS = np.arange(OBS_DIM)
+_VEL = _POS + OBS_DIM
+# Flat indices of the entries a filter covariance can hold: the position
+# variances, the velocity variances, then each position-velocity covariance
+# in both orders.
+_BLOCK_FLAT = np.concatenate([
+    _POS * (STATE_DIM + 1),
+    _VEL * (STATE_DIM + 1),
+    _POS * STATE_DIM + _VEL,
+    _VEL * STATE_DIM + _POS,
+])
 
 
 @dataclass(frozen=True)
@@ -73,13 +67,31 @@ class KalmanTrackState:
 
     A plain value: every operation returns a fresh state, so instances are
     freely transferable between threads.
+
+    The covariance couples each observed component only with its own
+    velocity: ``kf_init`` builds diagonal P, Q and R, and the
+    constant-velocity model with its position-only observation keeps that
+    structure. ``kf_predict`` and ``kf_gated_update`` rely on it and run
+    four independent two-state filters, one per axis, on plain floats.
     """
 
     state: np.ndarray            # (8,) [x, y, w, h, vx, vy, vw, vh]
-    covariance: np.ndarray       # (8, 8) symmetric PSD
+    covariance: np.ndarray       # (8, 8) symmetric PSD, per-axis blocks only
     counter: int                 # consecutive reliable associations
-    process_noise: np.ndarray    # (8, 8) Q
-    observation_noise: np.ndarray  # (4, 4) R
+    process_noise: np.ndarray    # (8, 8) Q, diagonal
+    observation_noise: np.ndarray  # (4, 4) R, diagonal
+
+
+def _axis_blocks(s: KalmanTrackState) -> tuple[list[float], list[float], list[float]]:
+    """Per-axis position variances, velocity variances and their covariances."""
+    v = s.covariance.ravel()[_BLOCK_FLAT].tolist()
+    return v[:OBS_DIM], v[OBS_DIM:2 * OBS_DIM], v[2 * OBS_DIM:3 * OBS_DIM]
+
+
+def _covariance(pos_var: list[float], vel_var: list[float], cross: list[float]) -> np.ndarray:
+    cov = np.zeros((STATE_DIM, STATE_DIM))
+    cov.put(_BLOCK_FLAT, pos_var + vel_var + cross + cross)
+    return cov
 
 
 def kf_init(z: BoundingBox, config: KinematicsConfig) -> KalmanTrackState:
@@ -110,14 +122,10 @@ def kf_init(z: BoundingBox, config: KinematicsConfig) -> KalmanTrackState:
     )
 
 
-def predicted_box(state: np.ndarray) -> BoundingBox:
-    """Observation projection of a state vector, extents floored at MIN_EXTENT."""
-    return BoundingBox(
-        float(state[0]),
-        float(state[1]),
-        max(float(state[2]), MIN_EXTENT),
-        max(float(state[3]), MIN_EXTENT),
-    )
+# Per axis, the formulas below are the dense products F P F' + Q and, with
+# gain K = P H' / (p_pp + r), the Joseph form (I - K H) P (I - K H)' + K R K',
+# each symmetrised, written out without their zero terms and in the same
+# order of operations. The Joseph form keeps the covariance PSD under roundoff.
 
 
 def kf_predict(s: KalmanTrackState) -> tuple[KalmanTrackState, BoundingBox]:
@@ -125,10 +133,19 @@ def kf_predict(s: KalmanTrackState) -> tuple[KalmanTrackState, BoundingBox]:
 
     Returns the advanced state and the predicted observation box.
     """
-    state = TRANSITION @ s.state
-    cov = TRANSITION @ s.covariance @ TRANSITION.T + s.process_noise
-    cov = (cov + cov.T) / 2.0
-    return replace(s, state=state, covariance=cov), predicted_box(state)
+    x = s.state.tolist()
+    pos_var, vel_var, cross = _axis_blocks(s)
+    q = s.process_noise.diagonal().tolist()
+    for i in range(OBS_DIM):
+        pv_vv = cross[i] + vel_var[i]
+        pos_var[i] = ((pos_var[i] + cross[i]) + pv_vv) + q[i]
+        cross[i] = pv_vv
+        vel_var[i] = vel_var[i] + q[i + OBS_DIM]
+        x[i] = x[i] + x[i + OBS_DIM]
+    state = np.array(x)
+    box = BoundingBox(x[0], x[1], max(x[2], MIN_EXTENT), max(x[3], MIN_EXTENT))
+    cov = _covariance(pos_var, vel_var, cross)
+    return KalmanTrackState(state, cov, s.counter, s.process_noise, s.observation_noise), box
 
 
 def kf_gated_update(
@@ -149,24 +166,30 @@ def kf_gated_update(
     """
     counter = s.counter + 1 if reliable else 0
     if counter < config.tau_kf:
-        return replace(s, counter=counter)
+        return KalmanTrackState(s.state, s.covariance, counter, s.process_noise, s.observation_noise)
 
-    obs = np.array([z.x, z.y, z.w, z.h])
-    innovation = obs - s.state[:OBS_DIM]
-
-    # H selects the first four components, so HP and PH' are row/column slices.
-    p = s.covariance
-    innovation_cov = p[:OBS_DIM, :OBS_DIM] + s.observation_noise
-    gain = np.linalg.solve(innovation_cov.T, p[:, :OBS_DIM].T).T
-
-    state = s.state + gain @ innovation
-
-    # Joseph form keeps the covariance symmetric PSD under roundoff.
-    ikh = np.eye(STATE_DIM) - gain @ OBSERVATION
-    cov = ikh @ p @ ikh.T + gain @ s.observation_noise @ gain.T
-    cov = (cov + cov.T) / 2.0
-
-    return replace(s, state=state, covariance=cov, counter=counter)
+    x = s.state.tolist()
+    pos_var, vel_var, cross = _axis_blocks(s)
+    r = s.observation_noise.diagonal().tolist()
+    obs = z.as_tuple()
+    for i in range(OBS_DIM):
+        p_pp, p_pv, p_vv, r_i = pos_var[i], cross[i], vel_var[i], r[i]
+        inv_s = 1.0 / (p_pp + r_i)
+        k_p, k_v = p_pp * inv_s, p_pv * inv_s
+        innovation = obs[i] - x[i]
+        x[i] = x[i] + k_p * innovation
+        x[i + OBS_DIM] = x[i + OBS_DIM] + k_v * innovation
+        g = 1.0 - k_p
+        m_pp, m_pv = g * p_pp, g * p_pv
+        m_vp, m_vv = -k_v * p_pp + p_pv, -k_v * p_pv + p_vv
+        kr_p, kr_v = k_p * r_i, k_v * r_i
+        pos_var[i] = m_pp * g + kr_p * k_p
+        upper = (m_pp * -k_v + m_pv) + kr_p * k_v
+        lower = m_vp * g + kr_v * k_p
+        cross[i] = (upper + lower) / 2.0
+        vel_var[i] = (m_vp * -k_v + m_vv) + kr_v * k_v
+    cov = _covariance(pos_var, vel_var, cross)
+    return KalmanTrackState(np.array(x), cov, counter, s.process_noise, s.observation_noise)
 
 
 def is_reliable(s_obj: float, config: KinematicsConfig) -> bool:

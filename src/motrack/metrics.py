@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BoundingBox, iou
+from .geometry import BoundingBox, boxes_array, iou, iou_matrix
 
 DEFAULT_IOU_THRESHOLD = 0.5
 HOTA_ALPHAS = tuple(k / 20.0 for k in range(1, 20))
@@ -72,11 +72,7 @@ class TrajectorySet:
 
 
 def _iou_matrix(boxes_a: list[BoundingBox], boxes_b: list[BoundingBox]) -> np.ndarray:
-    m = np.zeros((len(boxes_a), len(boxes_b)))
-    for i, a in enumerate(boxes_a):
-        for j, b in enumerate(boxes_b):
-            m[i, j] = iou(a, b)
-    return m
+    return iou_matrix(boxes_array(boxes_a), boxes_array(boxes_b))
 
 
 @dataclass(frozen=True)
@@ -190,10 +186,11 @@ def identity_metrics(
         hmap = hyp.at(frame)
         if not hmap:
             continue
-        for g, gbox in gmap.items():
-            for h, hbox in hmap.items():
-                if iou(gbox, hbox) >= iou_threshold:
-                    overlap[g_index[g], h_index[h]] += 1
+        gids = [g_index[g] for g in gmap]
+        hids = [h_index[h] for h in hmap]
+        sim = _iou_matrix(list(gmap.values()), list(hmap.values()))
+        # Identities are unique within a frame, so no index repeats.
+        overlap[np.ix_(gids, hids)] += sim >= iou_threshold
 
     rows, cols = linear_sum_assignment(overlap, maximize=True)
     idtp = int(overlap[rows, cols].sum())

@@ -13,6 +13,7 @@ by (frame, candidate index): ``frame,cand,s_mask_or_dash[,e0,...,e_{dim-1}]``.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -64,6 +65,8 @@ def _parse_rows(path: str | Path) -> list[tuple[int, int, BoundingBox, float]]:
             conf = float(parts[6])
         except ValueError as exc:
             raise MotParseError(f"{path}:{lineno}: malformed line {raw!r}") from exc
+        if not math.isfinite(conf):
+            raise MotParseError(f"{path}:{lineno}: conf must be finite, got {parts[6].strip()!r}")
         try:
             box = BoundingBox(x, y, w, h)
         except ValueError as exc:
@@ -93,7 +96,8 @@ def load_detections(
     The id column is ignored, conf becomes the objectness score (clamped to
     [0, 1]). When a sidecar exists (explicit path, or the detection path
     with an .aff suffix), its affinities and embeddings attach by
-    (frame, candidate index).
+    (frame, candidate index); an entry that matches no detection is an
+    error.
     """
     side: dict[tuple[int, int], tuple[float | None, np.ndarray | None]] = {}
     sidecar = Path(sidecar) if sidecar is not None else sidecar_path(path)
@@ -103,13 +107,18 @@ def load_detections(
     frames: dict[int, list[DetectionCandidate]] = {}
     for frame, _ident, box, conf in _parse_rows(path):
         bucket = frames.setdefault(frame, [])
-        s_mask, embedding = side.get((frame, len(bucket)), (None, None))
+        s_mask, embedding = side.pop((frame, len(bucket)), (None, None))
         bucket.append(DetectionCandidate(
             box=box,
             s_obj=min(max(conf, 0.0), 1.0),
             s_mask=s_mask,
             embedding=embedding,
         ))
+    if side:
+        frame, cand = next(iter(side))
+        raise MotParseError(
+            f"{sidecar}: entry for frame {frame}, candidate {cand} matches no detection in {path}"
+        )
     return frames
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motrack import (
     CONFIRMED,
@@ -22,7 +24,7 @@ from motrack import (
     step_tracker,
     temporal_buffer_update,
 )
-from motrack.association import candidate_affinity, cosine_affinity
+from motrack.association import _score_matrices, candidate_affinity, cosine_affinity
 
 from oracles import best_matching_score, ema_closed_form
 
@@ -130,6 +132,88 @@ class TestCosineFallback:
         assert candidate_affinity(track, by_scalar) == 0.7
         assert candidate_affinity(track, by_row) == 0.4
         assert candidate_affinity(track, by_fallback) == pytest.approx(1.0)
+
+
+@st.composite
+def scoring_frames(draw):
+    """Tracks and candidates with every kind of appearance input.
+
+    Tracks have a memory, a zero memory or none; candidates a scalar
+    s_mask, a per-track mapping (naming some live and some unknown track
+    ids) or none, and an embedding, a zero embedding or none.
+    """
+    dim = draw(st.integers(1, 6))
+    unit = st.floats(0.0, 1.0)
+    coord = st.floats(0.0, 60.0)
+    extent = st.floats(1.0, 40.0)
+
+    def box():
+        return BoundingBox(draw(coord), draw(coord), draw(extent), draw(extent))
+
+    def vector():
+        kind = draw(st.sampled_from(("none", "zero", "random")))
+        if kind == "none":
+            return None
+        if kind == "zero":
+            return np.zeros(dim)
+        return np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim)))
+
+    n_tracks = draw(st.integers(0, 5))
+    tracks = []
+    for track_id in draw(st.permutations(range(1, 9)))[:n_tracks]:
+        track = Track(id=track_id, kalman=kf_init(box(), KinematicsConfig()))
+        track.predicted_box = box()
+        track.memory = vector()
+        tracks.append(track)
+    candidates = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("none", "scalar", "mapping")))
+        if kind == "scalar":
+            s_mask = draw(unit)
+        elif kind == "mapping":
+            s_mask = draw(st.dictionaries(st.integers(1, 10), unit, max_size=4))
+        else:
+            s_mask = None
+        candidates.append(DetectionCandidate(box(), s_obj=0.9, s_mask=s_mask, embedding=vector()))
+    return tracks, candidates, draw(unit)
+
+
+class TestScoreMatrices:
+    @settings(max_examples=300, deadline=None)
+    @given(scoring_frames())
+    def test_matches_per_pair_scalar_path(self, frame):
+        tracks, candidates, alpha = frame
+        fused, motion = _score_matrices(tracks, candidates, alpha)
+        assert fused.shape == motion.shape == (len(tracks), len(candidates))
+        for i, t in enumerate(tracks):
+            for j, c in enumerate(candidates):
+                s_kf = motion_consistency_score(t.predicted_box, c.box)
+                assert motion[i, j] == s_kf
+                expected = fused_score(candidate_affinity(t, c), s_kf, alpha)
+                assert fused[i, j] == pytest.approx(expected, abs=1e-12, rel=0)
+
+    def test_dimension_mismatch_rejected(self):
+        track = make_track(1, (0, 0, 10, 10))
+        track.memory = np.ones(3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            _score_matrices([track], [cand((0, 0, 10, 10), embedding=np.ones(2))], 0.5)
+
+    def test_mismatch_ignored_where_scalar_mask_decides(self):
+        track = make_track(1, (0, 0, 10, 10))
+        track.memory = np.ones(3)
+        candidates = [
+            cand((0, 0, 10, 10), s_mask=0.25, embedding=np.ones(2)),
+            cand((0, 0, 10, 10), s_mask={1: 0.75}, embedding=np.ones(2)),
+        ]
+        fused, _ = _score_matrices([track], candidates, 1.0)
+        assert fused.tolist() == [[0.25, 0.75]]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_scores_rejected(self):
+        track = make_track(1, (0, 0, 10, 10))
+        track.memory = np.full(2, 1e200)
+        with pytest.raises(ValueError, match="non-finite"):
+            _score_matrices([track], [cand((0, 0, 10, 10), embedding=np.full(2, 1e200))], 0.5)
 
 
 class TestAssociateFrame:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from motrack import BoundingBox, center, iou
+from motrack import BoundingBox, center, iou, iou_matrix
+from motrack.geometry import boxes_array
 
 from oracles import pixel_count_iou
 
@@ -76,3 +79,77 @@ def test_rejects_degenerate_extents(w, h):
 def test_rejects_non_finite_coordinates(bad):
     with pytest.raises(ValueError):
         BoundingBox(bad, 0, 10, 10)
+
+
+# --- iou_matrix: differential against the scalar iou -------------------------
+
+_SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+
+
+@st.composite
+def box_sets(draw, max_size=6):
+    """Random boxes at one scale, plus copies, one-ulp shifts, edge neighbours
+    and nested boxes."""
+    scale = draw(st.sampled_from(_SCALES))
+    coord = st.floats(-100.0, 100.0)
+    extent = st.floats(0.01, 100.0)
+    boxes = [
+        BoundingBox(draw(coord) * scale, draw(coord) * scale,
+                    draw(extent) * scale, draw(extent) * scale)
+        for _ in range(draw(st.integers(0, max_size)))
+    ]
+    derived = []
+    for box in boxes:
+        kind = draw(st.sampled_from(("none", "equal", "ulp", "right", "below", "nested")))
+        if kind == "equal":
+            derived.append(BoundingBox(*box.as_tuple()))
+        elif kind == "ulp":
+            derived.append(BoundingBox(float(np.nextafter(box.x, math.inf)), box.y, box.w, box.h))
+        elif kind == "right":
+            derived.append(BoundingBox(box.right, box.y, box.w, box.h))
+        elif kind == "below":
+            derived.append(BoundingBox(box.x, box.bottom, box.w, box.h))
+        elif kind == "nested":
+            derived.append(BoundingBox(box.x + box.w / 4, box.y + box.h / 4, box.w / 2, box.h / 2))
+    boxes += derived
+    return draw(st.permutations(boxes)) if boxes else boxes
+
+
+def _scalar_matrix(boxes_a, boxes_b):
+    return np.array([[iou(a, b) for b in boxes_b] for a in boxes_a]).reshape(
+        len(boxes_a), len(boxes_b)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_sets(), box_sets())
+def test_iou_matrix_equals_scalar_iou_bit_for_bit(boxes_a, boxes_b):
+    # boxes_a against itself too, so every box meets its own copy.
+    boxes_b = boxes_a + boxes_b
+    got = iou_matrix(boxes_array(boxes_a), boxes_array(boxes_b))
+    want = _scalar_matrix(boxes_a, boxes_b)
+    assert got.shape == (len(boxes_a), len(boxes_b))
+    assert got.tobytes() == want.tobytes()
+    assert np.all(np.diag(got) == 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_sets(), box_sets())
+def test_iou_matrix_symmetric_and_bounded(boxes_a, boxes_b):
+    a, b = boxes_array(boxes_a), boxes_array(boxes_b)
+    ab = iou_matrix(a, b)
+    assert np.array_equal(ab, iou_matrix(b, a).T)
+    assert np.all((ab >= 0.0) & (ab <= 1.0))
+
+
+def test_iou_matrix_edges_and_empty_shapes():
+    a = boxes_array([BoundingBox(0, 0, 10, 10)])
+    b = boxes_array([BoundingBox(10, 0, 10, 10), BoundingBox(0, 0, 10, 10), BoundingBox(2, 2, 5, 5)])
+    assert iou_matrix(a, b).tolist() == [[0.0, 1.0, 0.25]]
+    # One ulp apart: the edge arithmetic overshoots and the ratio is clamped.
+    near = [BoundingBox(76.2280082457942, 44.538719405480144, 0.2050920622204236, 36.10484761380505),
+            BoundingBox(76.2280082457942, 44.53871940548015, 0.2050920622204236, 36.10484761380505)]
+    assert iou_matrix(boxes_array(near[:1]), boxes_array(near[1:])).tolist() == [[1.0]]
+    assert iou(*near) == 1.0
+    assert iou_matrix(a, boxes_array([])).shape == (1, 0)
+    assert iou_matrix(boxes_array([]), b).shape == (0, 3)

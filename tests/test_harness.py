@@ -161,6 +161,30 @@ class TestMotIo:
         det.write_text("1,-1,0,0,10,10,37.5,-1,-1,-1\n")
         assert load_detections(det)[1][0].s_obj == 1.0
 
+    @pytest.mark.parametrize("conf", ["nan", "inf", "-inf"])
+    def test_non_finite_conf_rejected_with_location(self, tmp_path, conf):
+        det = tmp_path / "d.txt"
+        det.write_text(f"1,-1,0,0,10,10,0.9,-1,-1,-1\n2,-1,0,0,10,10,{conf},-1,-1,-1\n")
+        with pytest.raises(MotParseError, match=rf"d\.txt:2: conf must be finite, got '{conf}'"):
+            load_detections(det)
+
+    @pytest.mark.parametrize("entry", ["3,0,0.5", "1,2,0.5", "1,-1,0.5"])
+    def test_unmatched_sidecar_entry_rejected(self, tmp_path, entry):
+        det = tmp_path / "d.txt"
+        det.write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n1,-1,20,0,10,10,0.8,-1,-1,-1\n")
+        aff = tmp_path / "d.aff"
+        aff.write_text(f"aff 1 0\n1,0,0.25\n{entry}\n1,1,0.75\n")
+        frame, cand = entry.split(",")[:2]
+        with pytest.raises(MotParseError, match=rf"d\.aff: entry for frame {frame}, candidate {cand} matches"):
+            load_detections(det)
+
+    def test_track_cli_fails_on_unmatched_sidecar_entry(self, tmp_path, capsys):
+        det = tmp_path / "d.txt"
+        det.write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n")
+        (tmp_path / "d.aff").write_text("aff 1 0\n2,0,0.5\n")
+        assert main(["track", "--det", str(det), "--out", str(tmp_path / "hyp.txt")]) != 0
+        assert "matches no detection" in capsys.readouterr().err
+
 
 class TestTrackFrames:
     def test_gap_frames_treated_as_empty(self):

@@ -175,6 +175,30 @@ def test_matches_dense_oracle_over_long_sequences():
         assert s.counter == oracle.counter
 
 
+def test_dense_filter_keeps_per_axis_covariance_blocks():
+    """The dense oracle never fills a covariance entry outside the per-axis
+    (position, velocity) blocks, the structure kf_predict/kf_gated_update
+    compute on."""
+    rng = np.random.default_rng(29)
+    axis = np.arange(8) % 4
+    outside = axis[:, None] != axis[None, :]
+    oracle = DenseKalmanOracle((10.0, 20.0, 30.0, 40.0))
+    for _ in range(300):
+        oracle.predict()
+        assert not oracle.P[outside].any()
+        z = tuple(float(v) for v in rng.uniform(1, 100, 4))
+        oracle.gated_update(z, bool(rng.uniform() < 0.8), 1)
+        assert not oracle.P[outside].any()
+
+
+def test_gate_closed_keeps_state_object():
+    cfg = KinematicsConfig(tau_kf=2)
+    s, box = kf_predict(make_state(config=cfg))
+    held = kf_gated_update(s, box, True, cfg)
+    assert held.counter == 1
+    assert held.state is s.state and held.covariance is s.covariance
+
+
 def test_negative_tau_rejected():
     with pytest.raises(ValueError):
         KinematicsConfig(tau_kf=-1)
