@@ -3,17 +3,22 @@
 Implements the CLEAR events (MOTA, FP, FN, ID switches) with
 persist-then-complete frame matching, the global identity metrics
 (IDF1/IDP/IDR) via a maximum-overlap identity assignment, and HOTA with its
-alpha sweep. All matching uses IoU as the localisation similarity.
+alpha sweep. All matching uses IoU as the localisation similarity; each
+frame's IoU matrix is built once and shared by the three families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BoundingBox, boxes_array, iou, iou_matrix
+# `iou` is not called here since every frame goes through `iou_matrix`, but it
+# stays a module name: the benchmark's layer probes count calls to
+# `metrics.iou` (and `metrics.linear_sum_assignment`) by rebinding them.
+from .geometry import BoundingBox, boxes_array, iou, iou_matrix  # noqa: F401
 
 DEFAULT_IOU_THRESHOLD = 0.5
 HOTA_ALPHAS = tuple(k / 20.0 for k in range(1, 20))
@@ -71,8 +76,49 @@ class TrajectorySet:
         return len(self._frames)
 
 
-def _iou_matrix(boxes_a: list[BoundingBox], boxes_b: list[BoundingBox]) -> np.ndarray:
-    return iou_matrix(boxes_array(boxes_a), boxes_array(boxes_b))
+class _FrameTable(NamedTuple):
+    """Every frame of two trajectory sets, scored once for all metric families.
+
+    ``g_index``/``h_index`` map each identity to its position among the
+    sorted identities of its set. ``rows`` holds, per frame of the union in
+    increasing order, the GT and hypothesis indices of that frame (sorted)
+    and their IoU matrix.
+    """
+
+    g_index: dict[int, int]
+    h_index: dict[int, int]
+    rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _stack_frames(ts: TrajectorySet, index: dict[int, int], frames: list[int]):
+    """Identity indices and (x, y, w, h) rows of ``ts`` in frame, identity
+    order, and the offset where each of ``frames`` starts (plus the end)."""
+    ids: list[int] = []
+    boxes: list[BoundingBox] = []
+    starts = [0]
+    for frame in frames:
+        per_frame = ts.at(frame)
+        for identity in sorted(per_frame):
+            ids.append(index[identity])
+            boxes.append(per_frame[identity])
+        starts.append(len(ids))
+    return np.array(ids, dtype=int), boxes_array(boxes), starts
+
+
+def _frame_table(gt: TrajectorySet, hyp: TrajectorySet) -> _FrameTable:
+    g_index = {g: i for i, g in enumerate(gt.identities())}
+    h_index = {h: j for j, h in enumerate(hyp.identities())}
+    frames = sorted(set(gt.frames) | set(hyp.frames))
+    g_ids, g_boxes, g_starts = _stack_frames(gt, g_index, frames)
+    h_ids, h_boxes, h_starts = _stack_frames(hyp, h_index, frames)
+    rows = []
+    for g0, g1, h0, h1 in zip(g_starts, g_starts[1:], h_starts, h_starts[1:]):
+        if g0 < g1 and h0 < h1:
+            sim = iou_matrix(g_boxes[g0:g1], h_boxes[h0:h1])
+        else:
+            sim = np.zeros((g1 - g0, h1 - h0))
+        rows.append((g_ids[g0:g1], h_ids[h0:h1], sim))
+    return _FrameTable(g_index, h_index, rows)
 
 
 @dataclass(frozen=True)
@@ -90,6 +136,8 @@ def clear_metrics(
     gt: TrajectorySet,
     hyp: TrajectorySet,
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
+    *,
+    frames: _FrameTable | None = None,
 ) -> ClearResult:
     """CLEAR accumulation over all frames.
 
@@ -98,46 +146,53 @@ def clear_metrics(
     one-to-one matching. A completed match whose ground-truth identity had
     a different last-known correspondence counts as an ID switch. Unmatched
     hypotheses are false positives, unmatched ground truths false negatives.
+    ``frames`` is the two sets' frame table when the caller already has it.
     """
     if not 0 < iou_threshold < 1:
         raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
+    if frames is None:
+        frames = _frame_table(gt, hyp)
 
-    last: dict[int, int] = {}
+    last: dict[int, int] = {}  # GT index -> hypothesis index last matched
     fp = fn = ids = 0
-    frames = sorted(set(gt.frames) | set(hyp.frames))
-    for frame in frames:
-        gmap = gt.at(frame)
-        hmap = hyp.at(frame)
-        gids = sorted(gmap)
-        hids = sorted(hmap)
+    for gids, hids, sim in frames.rows:
+        n_g, n_h = len(gids), len(hids)
+        if not (n_g and n_h):
+            fn += n_g
+            fp += n_h
+            continue
+        g_list = gids.tolist()
+        h_list = hids.tolist()
+        col_of = {h: c for c, h in enumerate(h_list)}
 
-        matched_g: set[int] = set()
-        matched_h: set[int] = set()
-        for g in gids:
-            h = last.get(g)
-            if h is not None and h in hmap and h not in matched_h:
-                if iou(gmap[g], hmap[h]) >= iou_threshold:
-                    matched_g.add(g)
-                    matched_h.add(h)
+        matched_rows: set[int] = set()
+        matched_cols: set[int] = set()
+        for r, g in enumerate(g_list):
+            c = col_of.get(last.get(g))
+            if c is not None and c not in matched_cols and sim[r, c] >= iou_threshold:
+                matched_rows.add(r)
+                matched_cols.add(c)
 
-        rem_g = [g for g in gids if g not in matched_g]
-        rem_h = [h for h in hids if h not in matched_h]
-        if rem_g and rem_h:
-            sim = _iou_matrix([gmap[g] for g in rem_g], [hmap[h] for h in rem_h])
-            admissible = sim >= iou_threshold
-            rows, cols = linear_sum_assignment(np.where(admissible, sim, 0.0), maximize=True)
+        rem_rows = [r for r in range(n_g) if r not in matched_rows]
+        rem_cols = [c for c in range(n_h) if c not in matched_cols]
+        n_matched = len(matched_rows)
+        if rem_rows and rem_cols:
+            rem_sim = sim[np.ix_(rem_rows, rem_cols)]
+            admissible = rem_sim >= iou_threshold
+            rows, cols = linear_sum_assignment(
+                np.where(admissible, rem_sim, 0.0), maximize=True
+            )
             for r, c in zip(rows, cols):
                 if not admissible[r, c]:
                     continue
-                g, h = rem_g[r], rem_h[c]
+                g, h = g_list[rem_rows[r]], h_list[rem_cols[c]]
                 if g in last and last[g] != h:
                     ids += 1
                 last[g] = h
-                matched_g.add(g)
-                matched_h.add(h)
+                n_matched += 1
 
-        fn += len(gids) - len(matched_g)
-        fp += len(hids) - len(matched_h)
+        fn += n_g - n_matched
+        fp += n_h - n_matched
 
     total_gt = gt.total_boxes()
     mota = None if total_gt == 0 else 1.0 - (fp + fn + ids) / total_gt
@@ -158,12 +213,15 @@ def identity_metrics(
     gt: TrajectorySet,
     hyp: TrajectorySet,
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
+    *,
+    frames: _FrameTable | None = None,
 ) -> IdentityResult:
     """IDF1/IDP/IDR from the optimal global identity assignment.
 
     Counts, for every (gt identity, hyp identity) pair, the frames in which
     both are present and overlap above the threshold; the one-to-one
     identity assignment maximising the total count defines IDTP.
+    ``frames`` is the two sets' frame table when the caller already has it.
     """
     if not 0 < iou_threshold < 1:
         raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
@@ -172,29 +230,20 @@ def identity_metrics(
     total_hyp = hyp.total_boxes()
     if total_gt == 0:
         return IdentityResult(idf1=None, idp=None, idr=None, idtp=0)
-
-    gt_ids = gt.identities()
-    hyp_ids = hyp.identities()
-    if not hyp_ids:
+    if total_hyp == 0:
         return IdentityResult(idf1=0.0, idp=0.0, idr=0.0, idtp=0)
+    if frames is None:
+        frames = _frame_table(gt, hyp)
 
-    g_index = {g: i for i, g in enumerate(gt_ids)}
-    h_index = {h: j for j, h in enumerate(hyp_ids)}
-    overlap = np.zeros((len(gt_ids), len(hyp_ids)))
-    for frame in gt.frames:
-        gmap = gt.at(frame)
-        hmap = hyp.at(frame)
-        if not hmap:
-            continue
-        gids = [g_index[g] for g in gmap]
-        hids = [h_index[h] for h in hmap]
-        sim = _iou_matrix(list(gmap.values()), list(hmap.values()))
-        # Identities are unique within a frame, so no index repeats.
-        overlap[np.ix_(gids, hids)] += sim >= iou_threshold
+    overlap = np.zeros((len(frames.g_index), len(frames.h_index)))
+    for gids, hids, sim in frames.rows:
+        if sim.size:
+            # Identities are unique within a frame, so no index repeats.
+            overlap[gids[:, np.newaxis], hids] += sim >= iou_threshold
 
     rows, cols = linear_sum_assignment(overlap, maximize=True)
     idtp = int(overlap[rows, cols].sum())
-    idp = idtp / total_hyp if total_hyp else 0.0
+    idp = idtp / total_hyp
     idr = idtp / total_gt
     idf1 = 2.0 * idtp / (total_gt + total_hyp)
     return IdentityResult(idf1=idf1, idp=idp, idr=idr, idtp=idtp)
@@ -213,6 +262,8 @@ def hota(
     gt: TrajectorySet,
     hyp: TrajectorySet,
     alphas: tuple[float, ...] = HOTA_ALPHAS,
+    *,
+    frames: _FrameTable | None = None,
 ) -> HotaResult:
     """HOTA averaged over the localisation-threshold sweep.
 
@@ -222,72 +273,57 @@ def hota(
     whose IoU clears alpha count as TP and feed the association accuracy
     AssA, while DetA is the detection Jaccard. HOTA_alpha is the geometric
     mean of the two, and the reported values average over alphas.
+    ``frames`` is the two sets' frame table when the caller already has it.
     """
     total_gt = gt.total_boxes()
+    total_hyp = hyp.total_boxes()
     if total_gt == 0:
         return HotaResult(hota=None, deta=None, assa=None)
-    if hyp.total_boxes() == 0:
+    if total_hyp == 0:
         return HotaResult(hota=0.0, deta=0.0, assa=0.0)
+    if frames is None:
+        frames = _frame_table(gt, hyp)
 
-    gt_ids = gt.identities()
-    hyp_ids = hyp.identities()
-    g_index = {g: i for i, g in enumerate(gt_ids)}
-    h_index = {h: j for j, h in enumerate(hyp_ids)}
-    n_g, n_h = len(gt_ids), len(hyp_ids)
-
-    frames = sorted(set(gt.frames) | set(hyp.frames))
-    per_frame: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    n_g, n_h = len(frames.g_index), len(frames.h_index)
     gt_counts = np.zeros(n_g)
     hyp_counts = np.zeros(n_h)
     potential = np.zeros((n_g, n_h))
-    for frame in frames:
-        gmap = gt.at(frame)
-        hmap = hyp.at(frame)
-        gids = np.array([g_index[g] for g in sorted(gmap)], dtype=int)
-        hids = np.array([h_index[h] for h in sorted(hmap)], dtype=int)
-        sim = _iou_matrix(
-            [gmap[g] for g in sorted(gmap)], [hmap[h] for h in sorted(hmap)]
-        )
-        per_frame.append((gids, hids, sim))
+    for gids, hids, sim in frames.rows:
         gt_counts[gids] += 1
         hyp_counts[hids] += 1
         if sim.size:
             denom = sim.sum(axis=0, keepdims=True) + sim.sum(axis=1, keepdims=True) - sim
             soft = np.where(denom > _EPS, sim / np.maximum(denom, _EPS), 0.0)
-            potential[np.ix_(gids, hids)] += soft
+            potential[gids[:, np.newaxis], hids] += soft
 
     alignment = potential / np.maximum(
         gt_counts[:, np.newaxis] + hyp_counts[np.newaxis, :] - potential, _EPS
     )
 
-    n_alpha = len(alphas)
-    tp = np.zeros(n_alpha)
-    fp = np.zeros(n_alpha)
-    fn = np.zeros(n_alpha)
-    matches = np.zeros((n_alpha, n_g, n_h))
-    for gids, hids, sim in per_frame:
-        if sim.size == 0:
-            fn += len(gids)
-            fp += len(hids)
-            continue
-        score = alignment[np.ix_(gids, hids)] * sim
-        rows, cols = linear_sum_assignment(score, maximize=True)
-        pair_sims = sim[rows, cols]
-        for a, alpha in enumerate(alphas):
-            keep = pair_sims >= alpha - _EPS
-            n_match = int(keep.sum())
-            tp[a] += n_match
-            fn[a] += len(gids) - n_match
-            fp[a] += len(hids) - n_match
-            matches[a][gids[rows[keep]], hids[cols[keep]]] += 1
+    # One matching per frame; each matched pair's IoU then decides, for
+    # every alpha at once, whether the pair is a TP at that alpha.
+    pair_cells = [np.zeros(0, dtype=int)]  # g * n_h + h of each matched pair
+    pair_sims = [np.zeros(0)]
+    for gids, hids, sim in frames.rows:
+        if sim.size:
+            score = alignment[gids[:, np.newaxis], hids] * sim
+            rows, cols = linear_sum_assignment(score, maximize=True)
+            pair_cells.append(gids[rows] * n_h + hids[cols])
+            pair_sims.append(sim[rows, cols])
+    pair_cells = np.concatenate(pair_cells)
+    keep = np.concatenate(pair_sims) >= np.asarray(alphas, dtype=float)[:, np.newaxis] - _EPS
 
+    n_alpha = len(alphas)
+    tp = keep.sum(axis=1).astype(float)
+    fn = total_gt - tp
+    fp = total_hyp - tp
     deta = tp / np.maximum(tp + fn + fp, 1.0)
+    union = gt_counts[:, np.newaxis] + hyp_counts[np.newaxis, :]
     assa = np.zeros(n_alpha)
     for a in range(n_alpha):
-        pair_jaccard = matches[a] / np.maximum(
-            gt_counts[:, np.newaxis] + hyp_counts[np.newaxis, :] - matches[a], 1.0
-        )
-        assa[a] = (matches[a] * pair_jaccard).sum() / max(tp[a], 1.0)
+        matches = np.bincount(pair_cells[keep[a]], minlength=n_g * n_h).reshape(n_g, n_h)
+        pair_jaccard = matches / np.maximum(union - matches, 1.0)
+        assa[a] = (matches * pair_jaccard).sum() / max(tp[a], 1.0)
     hota_curve = np.sqrt(deta * assa)
 
     return HotaResult(
@@ -351,12 +387,15 @@ def evaluate(
 ) -> EvalReport:
     """Run all metric families and collect one report.
 
-    ``with_hota=False`` skips the alpha sweep, which dominates runtime on
-    large seed sweeps that only consume CLEAR and identity scores.
+    Each frame's GT x hypothesis IoU is built once and shared by CLEAR,
+    identity and HOTA. ``with_hota=False`` skips HOTA, whose per-frame
+    matching is the costliest family on large seed sweeps that only consume
+    CLEAR and identity scores.
     """
-    clear = clear_metrics(gt, hyp, iou_threshold)
-    ident = identity_metrics(gt, hyp, iou_threshold)
-    h = hota(gt, hyp) if with_hota else HotaResult(None, None, None)
+    frames = _frame_table(gt, hyp)
+    clear = clear_metrics(gt, hyp, iou_threshold, frames=frames)
+    ident = identity_metrics(gt, hyp, iou_threshold, frames=frames)
+    h = hota(gt, hyp, frames=frames) if with_hota else HotaResult(None, None, None)
     return EvalReport(
         mota=clear.mota,
         idf1=ident.idf1,

@@ -78,8 +78,11 @@ def run_suite(
     jobs: int = 1,
     with_hota: bool = True,
 ) -> dict[tuple[str, int], EvalReport]:
-    """Evaluate every (scenario, seed) cell; results are keyed, so the merge
-    order (and any thread schedule) cannot affect the outcome."""
+    """Evaluate every (scenario, seed) cell on ``jobs`` worker threads (at
+    least 1); results are keyed, so the merge order (and any thread
+    schedule) cannot affect the outcome."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if scenarios is None:
         scenarios = standard_suite()
     seeds = list(seeds)
@@ -89,15 +92,12 @@ def run_suite(
         name, seed, scenario = task
         return (name, seed), run_scenario(scenario, run_cfg, with_hota=with_hota)
 
-    if jobs <= 1:
+    if jobs == 1:
         results = dict(map(run, tasks))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = dict(pool.map(run, tasks))
     return results
-
-
-_MEAN_FIELDS = ("mota", "idf1", "idp", "idr", "ids", "fp", "fn", "hota", "deta", "assa")
 
 
 def mean_metrics(reports: dict[tuple[str, int], EvalReport]) -> dict[str, dict[str, float]]:
@@ -108,7 +108,7 @@ def mean_metrics(reports: dict[tuple[str, int], EvalReport]) -> dict[str, dict[s
     table: dict[str, dict[str, float]] = {}
     for name, rows in by_name.items():
         agg: dict[str, float] = {"runs": float(len(rows))}
-        for metric in _MEAN_FIELDS:
+        for metric in EvalReport._FIELDS:
             values = [getattr(r, metric) for r in rows if getattr(r, metric) is not None]
             if values:
                 agg[metric] = sum(values) / len(values)
@@ -195,7 +195,7 @@ def format_sweep_report(results) -> str:
         for name in sorted(table):
             agg = table[name]
             metrics = " ".join(
-                f"{metric}={agg[metric]:.6f}" for metric in _MEAN_FIELDS if metric in agg
+                f"{metric}={agg[metric]:.6f}" for metric in EvalReport._FIELDS if metric in agg
             )
             lines.append(f"  {name} runs={int(agg['runs'])} {metrics}")
     return "\n".join(lines)

@@ -5,7 +5,9 @@ production code: explicit dense matrices and matrix inverses for the Kalman
 filter, pure-Python loops and an unshifted softmax for the attention
 scorer, pixel counting for IoU, permutation search for assignment, and a
 dictionary-based HOTA. None of it imports from motrack's internals beyond
-plain data values.
+plain data values, except the per-metric evaluation loops at the end: they
+are the reference for the shared per-frame evaluation and call the public
+IoU kernels on purpose, so that the comparison can be exact.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from motrack.geometry import boxes_array, iou, iou_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -285,3 +290,159 @@ def hota_oracle(gt_records, hyp_records, alphas) -> tuple[float, float, float]:
         hotas.append(math.sqrt(deta * assa))
     n = len(alphas)
     return sum(hotas) / n, sum(detas) / n, sum(assas) / n
+
+
+# ---------------------------------------------------------------------------
+# Per-metric evaluation loops
+#
+# CLEAR, identity and HOTA as each built its own per-frame IoU: CLEAR checks
+# persistence with scalar IoU and completes on a sub-matrix, and HOTA counts
+# every alpha in a per-frame loop. `evaluate` must equal these exactly.
+
+_EPS = 1e-12
+
+
+def _sub_iou_matrix(boxes_a, boxes_b) -> np.ndarray:
+    return iou_matrix(boxes_array(boxes_a), boxes_array(boxes_b))
+
+
+def clear_loop_oracle(gt, hyp, iou_threshold) -> tuple[float | None, int, int, int, int]:
+    """(mota, fp, fn, ids, total_gt) by persist-then-complete frame matching."""
+    last: dict[int, int] = {}
+    fp = fn = ids = 0
+    for frame in sorted(set(gt.frames) | set(hyp.frames)):
+        gmap = gt.at(frame)
+        hmap = hyp.at(frame)
+        gids = sorted(gmap)
+        hids = sorted(hmap)
+
+        matched_g: set[int] = set()
+        matched_h: set[int] = set()
+        for g in gids:
+            h = last.get(g)
+            if h is not None and h in hmap and h not in matched_h:
+                if iou(gmap[g], hmap[h]) >= iou_threshold:
+                    matched_g.add(g)
+                    matched_h.add(h)
+
+        rem_g = [g for g in gids if g not in matched_g]
+        rem_h = [h for h in hids if h not in matched_h]
+        if rem_g and rem_h:
+            sim = _sub_iou_matrix([gmap[g] for g in rem_g], [hmap[h] for h in rem_h])
+            admissible = sim >= iou_threshold
+            rows, cols = linear_sum_assignment(np.where(admissible, sim, 0.0), maximize=True)
+            for r, c in zip(rows, cols):
+                if not admissible[r, c]:
+                    continue
+                g, h = rem_g[r], rem_h[c]
+                if g in last and last[g] != h:
+                    ids += 1
+                last[g] = h
+                matched_g.add(g)
+                matched_h.add(h)
+
+        fn += len(gids) - len(matched_g)
+        fp += len(hids) - len(matched_h)
+
+    total_gt = gt.total_boxes()
+    mota = None if total_gt == 0 else 1.0 - (fp + fn + ids) / total_gt
+    return mota, fp, fn, ids, total_gt
+
+
+def identity_loop_oracle(gt, hyp, iou_threshold) -> tuple[float | None, float | None, float | None, int]:
+    """(idf1, idp, idr, idtp) from per-frame overlap counts and one assignment."""
+    total_gt = gt.total_boxes()
+    total_hyp = hyp.total_boxes()
+    if total_gt == 0:
+        return None, None, None, 0
+    gt_ids = gt.identities()
+    hyp_ids = hyp.identities()
+    if not hyp_ids:
+        return 0.0, 0.0, 0.0, 0
+
+    g_index = {g: i for i, g in enumerate(gt_ids)}
+    h_index = {h: j for j, h in enumerate(hyp_ids)}
+    overlap = np.zeros((len(gt_ids), len(hyp_ids)))
+    for frame in gt.frames:
+        gmap = gt.at(frame)
+        hmap = hyp.at(frame)
+        if not hmap:
+            continue
+        gids = [g_index[g] for g in gmap]
+        hids = [h_index[h] for h in hmap]
+        sim = _sub_iou_matrix(list(gmap.values()), list(hmap.values()))
+        overlap[np.ix_(gids, hids)] += sim >= iou_threshold
+
+    rows, cols = linear_sum_assignment(overlap, maximize=True)
+    idtp = int(overlap[rows, cols].sum())
+    idp = idtp / total_hyp if total_hyp else 0.0
+    idr = idtp / total_gt
+    idf1 = 2.0 * idtp / (total_gt + total_hyp)
+    return idf1, idp, idr, idtp
+
+
+def hota_loop_oracle(gt, hyp, alphas) -> tuple[float | None, float | None, float | None]:
+    """(hota, deta, assa) with one matching per frame and a per-alpha count loop."""
+    if gt.total_boxes() == 0:
+        return None, None, None
+    if hyp.total_boxes() == 0:
+        return 0.0, 0.0, 0.0
+
+    gt_ids = gt.identities()
+    hyp_ids = hyp.identities()
+    g_index = {g: i for i, g in enumerate(gt_ids)}
+    h_index = {h: j for j, h in enumerate(hyp_ids)}
+    n_g, n_h = len(gt_ids), len(hyp_ids)
+
+    per_frame = []
+    gt_counts = np.zeros(n_g)
+    hyp_counts = np.zeros(n_h)
+    potential = np.zeros((n_g, n_h))
+    for frame in sorted(set(gt.frames) | set(hyp.frames)):
+        gmap = gt.at(frame)
+        hmap = hyp.at(frame)
+        gids = np.array([g_index[g] for g in sorted(gmap)], dtype=int)
+        hids = np.array([h_index[h] for h in sorted(hmap)], dtype=int)
+        sim = _sub_iou_matrix([gmap[g] for g in sorted(gmap)], [hmap[h] for h in sorted(hmap)])
+        per_frame.append((gids, hids, sim))
+        gt_counts[gids] += 1
+        hyp_counts[hids] += 1
+        if sim.size:
+            denom = sim.sum(axis=0, keepdims=True) + sim.sum(axis=1, keepdims=True) - sim
+            soft = np.where(denom > _EPS, sim / np.maximum(denom, _EPS), 0.0)
+            potential[np.ix_(gids, hids)] += soft
+
+    alignment = potential / np.maximum(
+        gt_counts[:, np.newaxis] + hyp_counts[np.newaxis, :] - potential, _EPS
+    )
+
+    n_alpha = len(alphas)
+    tp = np.zeros(n_alpha)
+    fp = np.zeros(n_alpha)
+    fn = np.zeros(n_alpha)
+    matches = np.zeros((n_alpha, n_g, n_h))
+    for gids, hids, sim in per_frame:
+        if sim.size == 0:
+            fn += len(gids)
+            fp += len(hids)
+            continue
+        score = alignment[np.ix_(gids, hids)] * sim
+        rows, cols = linear_sum_assignment(score, maximize=True)
+        pair_sims = sim[rows, cols]
+        for a, alpha in enumerate(alphas):
+            keep = pair_sims >= alpha - _EPS
+            n_match = int(keep.sum())
+            tp[a] += n_match
+            fn[a] += len(gids) - n_match
+            fp[a] += len(hids) - n_match
+            matches[a][gids[rows[keep]], hids[cols[keep]]] += 1
+
+    deta = tp / np.maximum(tp + fn + fp, 1.0)
+    assa = np.zeros(n_alpha)
+    for a in range(n_alpha):
+        pair_jaccard = matches[a] / np.maximum(
+            gt_counts[:, np.newaxis] + hyp_counts[np.newaxis, :] - matches[a], 1.0
+        )
+        assa[a] = (matches[a] * pair_jaccard).sum() / max(tp[a], 1.0)
+    hota_curve = np.sqrt(deta * assa)
+    return float(hota_curve.mean()), float(deta.mean()), float(assa.mean())

@@ -319,6 +319,21 @@ class TestCli:
         assert ids["full"] < ids["appearance_only"]
 
 
+class TestJobsValidation:
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_run_suite_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_suite(RunConfig(), seeds=range(1), jobs=jobs)
+
+    @pytest.mark.parametrize("command", ["sweep", "ablate"])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_cli_rejects_jobs_below_one(self, command, jobs, capsys):
+        assert main([command, "--seeds", "1", "--no-hota", "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert f"jobs must be at least 1, got {jobs}" in captured.err
+        assert captured.out == ""
+
+
 class TestThreadedSuiteDeterminism:
     def test_run_suite_identical_across_jobs(self):
         from motrack.simulator import standard_suite

@@ -1,11 +1,15 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from motrack import BoundingBox, TrajectorySet, clear_metrics, evaluate, hota, identity_metrics
-from motrack.metrics import HOTA_ALPHAS
+from motrack.metrics import HOTA_ALPHAS, EvalReport
 
 from fixtures import as_records, empty_hyp, gt_box, half_hyp, perfect_gt, perfect_hyp, swap_hyp
-from oracles import hota_oracle
+from oracles import clear_loop_oracle, hota_loop_oracle, hota_oracle, identity_loop_oracle
 
 
 class TestTrajectorySet:
@@ -209,3 +213,171 @@ class TestEvalReport:
         report = evaluate(perfect_gt(), perfect_hyp(), with_hota=False)
         assert report.hota is None
         assert report.mota == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Shared per-frame evaluation against the per-metric loops
+
+_FRAME = st.integers(1, 12)
+_ID = st.integers(1, 5)
+# Small integer boxes overlap often, with exact rational IoUs.
+_GRID_BOX = st.builds(
+    BoundingBox,
+    st.integers(0, 8).map(float),
+    st.integers(0, 4).map(float),
+    st.integers(1, 6).map(float),
+    st.integers(1, 4).map(float),
+)
+
+
+def _put(ts: TrajectorySet, frame: int, identity: int, box: BoundingBox) -> None:
+    if identity not in ts.at(frame):
+        ts.add(frame, identity, box)
+
+
+@st.composite
+def _trajectory_pairs(draw):
+    """Random GT/hypothesis sets: frames and ids in either set alone, ids
+    that start late, hypothesis copies of GT boxes (IoU exactly 1) and
+    pairs whose IoU is exactly k/20 (0.5 and every HOTA alpha)."""
+    gt, hyp = TrajectorySet(), TrajectorySet()
+    for frame, g, box in draw(st.lists(st.tuples(_FRAME, _ID, _GRID_BOX), max_size=30)):
+        _put(gt, frame, g, box)
+    for frame, h, box in draw(st.lists(st.tuples(_FRAME, _ID, _GRID_BOX), max_size=30)):
+        _put(hyp, frame, 100 + h, box)
+    for frame, _g, box in list(gt.records()):
+        if draw(st.booleans()):
+            _put(hyp, frame, 100 + draw(_ID), box)
+    ratio_pairs = st.tuples(_FRAME, _ID, _ID, st.integers(1, 20))
+    for frame, g, h, k in draw(st.lists(ratio_pairs, max_size=8)):
+        # (x, 50, 20, 1) against (x, 50, k, 1): intersection k, union 20.
+        x = 100.0 + 40.0 * g
+        _put(gt, frame, g, BoundingBox(x, 50.0, 20.0, 1.0))
+        _put(hyp, frame, 100 + h, BoundingBox(x, 50.0, float(k), 1.0))
+    return gt, hyp
+
+
+def _loop_report(gt, hyp, iou_threshold) -> EvalReport:
+    mota, fp, fn, ids, total_gt = clear_loop_oracle(gt, hyp, iou_threshold)
+    idf1, idp, idr, _idtp = identity_loop_oracle(gt, hyp, iou_threshold)
+    h, deta, assa = hota_loop_oracle(gt, hyp, HOTA_ALPHAS)
+    return EvalReport(
+        mota=mota, idf1=idf1, idp=idp, idr=idr, ids=ids, fp=fp, fn=fn,
+        hota=h, deta=deta, assa=assa, total_gt=total_gt, total_hyp=hyp.total_boxes(),
+    )
+
+
+def _assert_equals_loops(gt, hyp, iou_threshold):
+    assert evaluate(gt, hyp, iou_threshold) == _loop_report(gt, hyp, iou_threshold)
+    # Called alone, each family builds its own frame table.
+    assert astuple(clear_metrics(gt, hyp, iou_threshold)) == clear_loop_oracle(
+        gt, hyp, iou_threshold
+    )
+    assert astuple(identity_metrics(gt, hyp, iou_threshold)) == identity_loop_oracle(
+        gt, hyp, iou_threshold
+    )
+    assert astuple(hota(gt, hyp)) == hota_loop_oracle(gt, hyp, HOTA_ALPHAS)
+
+
+class TestSharedFrameTableDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(_trajectory_pairs(), st.sampled_from((0.5, 0.05, 0.25, 0.75, 0.95)))
+    def test_evaluate_equals_per_metric_loops(self, pair, iou_threshold):
+        gt, hyp = pair
+        _assert_equals_loops(gt, hyp, iou_threshold)
+
+    @pytest.mark.parametrize("make_hyp", [perfect_hyp, swap_hyp, half_hyp, empty_hyp])
+    def test_fixtures_equal_per_metric_loops(self, make_hyp):
+        _assert_equals_loops(perfect_gt(), make_hyp(), 0.5)
+
+    def test_frames_in_one_set_only_and_late_ids(self):
+        gt = TrajectorySet.from_records(
+            [(f, 1, gt_box(1, f)) for f in range(1, 7)]
+            + [(f, 2, gt_box(2, f)) for f in range(5, 11)]
+        )
+        hyp = TrajectorySet.from_records(
+            [(f, 101, gt_box(1, f)) for f in range(3, 9)]
+            + [(f, 109, gt_box(2, f)) for f in range(8, 14)]
+        )
+        _assert_equals_loops(gt, hyp, 0.5)
+        _assert_equals_loops(hyp, gt, 0.5)
+
+    def test_iou_exactly_on_threshold_and_alphas(self):
+        gt, hyp = TrajectorySet(), TrajectorySet()
+        for k in range(1, 21):
+            gt.add(k, 1, BoundingBox(0.0, 0.0, 20.0, 1.0))
+            hyp.add(k, 101, BoundingBox(0.0, 0.0, float(k), 1.0))
+        assert clear_metrics(gt, hyp).fp == 9  # IoU k/20 >= 0.5 from k = 10 on
+        _assert_equals_loops(gt, hyp, 0.5)
+
+    def test_persistence_at_exactly_the_threshold(self):
+        # gt 1 keeps hyp 101 at IoU exactly 0.5 although 102 overlaps fully.
+        box = BoundingBox(0.0, 0.0, 20.0, 1.0)
+        gt = TrajectorySet.from_records([(1, 1, box), (2, 1, box)])
+        hyp = TrajectorySet.from_records([
+            (1, 101, box),
+            (2, 101, BoundingBox(0.0, 0.0, 10.0, 1.0)),
+            (2, 102, box),
+        ])
+        res = clear_metrics(gt, hyp)
+        assert (res.ids, res.fp, res.fn) == (0, 1, 0)
+        _assert_equals_loops(gt, hyp, 0.5)
+
+    def test_contested_persistence_goes_to_the_lower_gt_id(self):
+        # gts 1 and 2 both last matched hyp 101; in frame 3 (gt 2 inserted
+        # first) gt 1 keeps it, and gt 2 cannot take 102 (IoU 0.43).
+        g1, g2 = BoundingBox(0.0, 0.0, 10.0, 10.0), BoundingBox(2.0, 0.0, 10.0, 10.0)
+        h1, h2 = BoundingBox(1.0, 0.0, 10.0, 10.0), BoundingBox(-2.0, 0.0, 10.0, 10.0)
+        gt = TrajectorySet.from_records([(1, 1, g1), (2, 2, g2), (3, 2, g2), (3, 1, g1)])
+        hyp = TrajectorySet.from_records([(1, 101, h1), (2, 101, h1), (3, 101, h1), (3, 102, h2)])
+        res = clear_metrics(gt, hyp)
+        assert (res.ids, res.fp, res.fn) == (0, 1, 1)
+        _assert_equals_loops(gt, hyp, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Metric invariants on random trajectories
+
+
+@st.composite
+def _disjoint_trajectories(draw):
+    """Non-empty GT where every identity keeps its own 100 px column, so no
+    two boxes of one frame overlap; each track spans a contiguous range."""
+    gt = TrajectorySet()
+    n_ids = draw(st.integers(1, 5))
+    for identity in range(1, n_ids + 1):
+        first = draw(st.integers(1, 15))
+        last = draw(st.integers(first, 20))
+        for frame in range(first, last + 1):
+            box = BoundingBox(
+                100.0 * identity + draw(st.floats(0.0, 40.0)),
+                draw(st.floats(0.0, 40.0)),
+                draw(st.floats(1.0, 50.0)),
+                draw(st.floats(1.0, 50.0)),
+            )
+            gt.add(frame, identity, box)
+    return gt
+
+
+class TestMetricInvariants:
+    @settings(max_examples=100, deadline=None)
+    @given(_disjoint_trajectories())
+    def test_perfect_hypothesis_scores_one(self, gt):
+        hyp = _relabel(gt, {g: 500 + g for g in gt.identities()})
+        report = evaluate(gt, hyp)
+        assert (report.mota, report.idf1, report.hota) == (1.0, 1.0, 1.0)
+        assert (report.ids, report.fp, report.fn) == (0, 0, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_disjoint_trajectories(), st.data())
+    def test_relabelling_a_track_from_frame_k_adds_one_switch(self, gt, data):
+        spans = {g: [f for f, i, _ in gt.records() if i == g] for g in gt.identities()}
+        movable = sorted(g for g, frames in spans.items() if len(frames) > 1)
+        assume(movable)
+        target = data.draw(st.sampled_from(movable))
+        k = data.draw(st.sampled_from(spans[target][1:]))
+        hyp = TrajectorySet.from_records(
+            (f, 999 if (i == target and f >= k) else i, box) for f, i, box in gt.records()
+        )
+        res = clear_metrics(gt, hyp)
+        assert (res.ids, res.fp, res.fn) == (1, 0, 0)

@@ -8,13 +8,15 @@ a behaviour change to explain, not a digest to update.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from motrack import RunConfig
+from motrack import RunConfig, generate, scenario_by_name
 from motrack.cli import main
-from motrack.runner import run_suite
+from motrack.mot_io import write_trajectories
+from motrack.runner import run_suite, track_frames
 
 DATA = Path(__file__).parent / "data"
 
@@ -35,6 +37,13 @@ SUITE_DIGESTS = {
     "fastmotion4": "9e8e5d114cf31acc470ab143f982300429951c5db59409017d6e2cf15fdd5cfa",
 }
 
+# sha256 of the `motrack eval --format kv` output on a generated pair: the
+# crowd8_occl20 ground truth (seed 0, 600 frames) and the default tracker's
+# hypothesis on its detections, both written as MOT files. Recorded while
+# CLEAR, identity and HOTA still each built their own per-frame IoU.
+EVAL_SCENARIO = ("crowd8_occl20", 0, 600)
+EVAL_DIGEST = "67c291d663a8bf01124513e0ea5b1550d031d65db230e0cb00c556b17994d9ae"
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -54,3 +63,14 @@ def test_standard_suite_reports_unchanged():
         lines.setdefault(name, []).append(f"{seed} {report!r}")
     digests = {name: _sha256("\n".join(rows).encode()) for name, rows in lines.items()}
     assert digests == SUITE_DIGESTS
+
+
+def test_eval_kv_output_unchanged(tmp_path, capsys):
+    name, seed, n_frames = EVAL_SCENARIO
+    gt, frames = generate(replace(scenario_by_name(name), seed=seed, n_frames=n_frames))
+    gt_path, hyp_path = tmp_path / "gt.txt", tmp_path / "hyp.txt"
+    write_trajectories(gt_path, gt)
+    write_trajectories(hyp_path, track_frames(frames, RunConfig()))
+    assert main(["eval", "--gt", str(gt_path), "--hyp", str(hyp_path), "--format", "kv"]) == 0
+    out = capsys.readouterr().out
+    assert _sha256(out.encode()) == EVAL_DIGEST, out
