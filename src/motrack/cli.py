@@ -14,7 +14,6 @@ from .mot_io import (
     atomic_write_text,
     load_detections,
     load_trajectories,
-    trajectory_lines,
     write_detections,
     write_trajectories,
 )
@@ -91,7 +90,7 @@ def _cmd_simulate(args) -> int:
     stem = f"{args.scenario}_seed{args.seed}"
     gt_path = out_dir / f"{stem}_gt.txt"
     det_path = out_dir / f"{stem}_det.txt"
-    atomic_write_text(gt_path, trajectory_lines(gt.records()))
+    write_trajectories(gt_path, gt)
     write_detections(det_path, frames)
     print(f"wrote {gt_path}")
     print(f"wrote {det_path} (+ sidecar)")

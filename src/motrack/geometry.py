@@ -64,24 +64,32 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return min(inter / (a.area + b.area - inter), 1.0)
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of (n, 4) and (m, 4) arrays of (x, y, w, h) rows, shape (n, m).
+def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Element-wise IoU of two broadcastable (..., 4) arrays of (x, y, w, h) rows.
 
-    Every entry equals ``iou`` of the two boxes bit for bit: the same
+    Every entry equals ``iou`` of its two boxes bit for bit: the same
     (x + w) edge arithmetic, exactly 1 for equal rows, 0 for disjoint or
     edge-sharing boxes, and the ratio clamped at 1.
     """
-    a = np.asarray(a, dtype=float).reshape(-1, 4)
-    b = np.asarray(b, dtype=float).reshape(-1, 4)
-    ax, ay, aw, ah = (col[:, np.newaxis] for col in a.T)
-    bx, by, bw, bh = b.T
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ax, ay, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bx, by, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     # Clipping the overlap at +0 zeroes disjoint and edge-sharing pairs.
     ix = np.maximum(np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx), 0.0)
     iy = np.maximum(np.minimum(ay + ah, by + bh) - np.maximum(ay, by), 0.0)
     inter = ix * iy
-    out = np.minimum(inter / (aw * ah + bw * bh - inter), 1.0)
+    out = np.asarray(np.minimum(inter / (aw * ah + bw * bh - inter), 1.0))
     out[(ax == bx) & (ay == by) & (aw == bw) & (ah == bh)] = 1.0
     return out
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of (n, 4) and (m, 4) arrays of (x, y, w, h) rows, shape (n, m),
+    each entry bit-equal to ``iou`` (see ``iou_pairs``)."""
+    a = np.asarray(a, dtype=float).reshape(-1, 4)
+    b = np.asarray(b, dtype=float).reshape(-1, 4)
+    return iou_pairs(a[:, np.newaxis], b[np.newaxis])
 
 
 def boxes_array(boxes) -> np.ndarray:

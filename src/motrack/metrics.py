@@ -15,10 +15,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-# `iou` is not called here since every frame goes through `iou_matrix`, but it
+# `iou` is not called here since every frame goes through `iou_pairs`, but it
 # stays a module name: the benchmark's layer probes count calls to
 # `metrics.iou` (and `metrics.linear_sum_assignment`) by rebinding them.
-from .geometry import BoundingBox, boxes_array, iou, iou_matrix  # noqa: F401
+from .geometry import BoundingBox, iou, iou_pairs  # noqa: F401
 
 DEFAULT_IOU_THRESHOLD = 0.5
 HOTA_ALPHAS = tuple(k / 20.0 for k in range(1, 20))
@@ -26,14 +26,26 @@ _EPS = 1e-12
 
 
 class TrajectorySet:
-    """Per-frame mapping of identity to box, for one ground-truth or hypothesis run.
+    """Boxes of one ground-truth or hypothesis run, keyed by (frame, identity).
 
-    Within one frame each identity appears at most once; frames are exposed
-    in increasing order regardless of insertion order.
+    Stored as three columns sorted by (frame, identity): ``frame`` (n,) and
+    ``ident`` (n,) int64, ``boxes`` (n, 4) float64 (x, y, w, h) rows. Within
+    one frame each identity appears at most once; frames are exposed in
+    increasing order regardless of insertion order. ``add`` appends to flat
+    per-column lists, which are merged into the sorted columns on the next
+    read.
     """
 
     def __init__(self) -> None:
-        self._frames: dict[int, dict[int, BoundingBox]] = {}
+        self._store(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, 4)))
+        self._added: tuple[list, ...] = ([], [], [], [], [], [])  # frame, ident, x, y, w, h
+        # Per-frame ids for add's duplicate check; None until an add needs them.
+        self._ids_at: dict[int, set[int]] | None = None
+
+    def _store(self, frame: np.ndarray, ident: np.ndarray, boxes: np.ndarray) -> None:
+        for column in (frame, ident, boxes):
+            column.flags.writeable = False
+        self._frame, self._ident, self._boxes = frame, ident, boxes
 
     @classmethod
     def from_records(cls, records) -> "TrajectorySet":
@@ -43,37 +55,80 @@ class TrajectorySet:
             ts.add(frame, identity, box)
         return ts
 
+    @classmethod
+    def from_columns(cls, frame, ident, boxes) -> "TrajectorySet":
+        """Build from copies of columns sorted by (frame, identity), as
+        ``columns`` returns them; a repeated or out-of-order (frame, identity)
+        is an error."""
+        frame = np.array(frame, dtype=np.int64).reshape(-1)
+        ident = np.array(ident, dtype=np.int64).reshape(-1)
+        boxes = np.array(boxes, dtype=float).reshape(-1, 4)
+        if not len(frame) == len(ident) == len(boxes):
+            raise ValueError(
+                f"column lengths differ: {len(frame)} frames, {len(ident)} ids, {len(boxes)} boxes"
+            )
+        step = np.diff(frame)
+        if np.any((step < 0) | ((step == 0) & (np.diff(ident) <= 0))):
+            raise ValueError("columns must be sorted by (frame, identity) without repeats")
+        ts = cls()
+        ts._store(frame, ident, boxes)
+        return ts
+
     def add(self, frame: int, identity: int, box: BoundingBox) -> None:
-        per_frame = self._frames.setdefault(int(frame), {})
-        if identity in per_frame:
+        frame, identity = int(frame), int(identity)
+        if self._ids_at is None:
+            self._ids_at = {}
+            for f, i in zip(self._frame.tolist(), self._ident.tolist()):
+                self._ids_at.setdefault(f, set()).add(i)
+        ids = self._ids_at.setdefault(frame, set())
+        if identity in ids:
             raise ValueError(f"identity {identity} appears twice in frame {frame}")
-        per_frame[int(identity)] = box
+        ids.add(identity)
+        frames, idents, xs, ys, ws, hs = self._added
+        frames.append(frame)
+        idents.append(identity)
+        xs.append(box.x)
+        ys.append(box.y)
+        ws.append(box.w)
+        hs.append(box.h)
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(frame, ident, boxes)`` sorted by (frame, identity)."""
+        frames, idents, xs, ys, ws, hs = self._added
+        if frames:
+            frame = np.concatenate([self._frame, np.array(frames, dtype=np.int64)])
+            ident = np.concatenate([self._ident, np.array(idents, dtype=np.int64)])
+            boxes = np.concatenate([self._boxes, np.column_stack([xs, ys, ws, hs])])
+            order = np.lexsort((ident, frame))
+            self._store(frame[order], ident[order], boxes[order])
+            for column in self._added:
+                column.clear()
+            self._ids_at = None  # rebuilt from the columns by the next add
+        return self._frame, self._ident, self._boxes
 
     @property
     def frames(self) -> list[int]:
-        return sorted(self._frames)
+        return np.unique(self.columns()[0]).tolist()
 
     def at(self, frame: int) -> dict[int, BoundingBox]:
-        return self._frames.get(frame, {})
+        frames, idents, boxes = self.columns()
+        lo, hi = np.searchsorted(frames, frame), np.searchsorted(frames, frame, side="right")
+        return {i: BoundingBox(*b) for i, b in zip(idents[lo:hi].tolist(), boxes[lo:hi].tolist())}
 
     def identities(self) -> list[int]:
-        seen: set[int] = set()
-        for per_frame in self._frames.values():
-            seen.update(per_frame)
-        return sorted(seen)
+        return np.unique(self.columns()[1]).tolist()
 
     def total_boxes(self) -> int:
-        return sum(len(per_frame) for per_frame in self._frames.values())
+        return len(self._frame) + len(self._added[0])
 
     def records(self):
         """Iterate (frame, identity, box) in frame order, identity order."""
-        for frame in self.frames:
-            per_frame = self._frames[frame]
-            for identity in sorted(per_frame):
-                yield frame, identity, per_frame[identity]
+        frames, idents, boxes = self.columns()
+        for frame, identity, box in zip(frames.tolist(), idents.tolist(), boxes.tolist()):
+            yield frame, identity, BoundingBox(*box)
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return len(self.frames)
 
 
 class _FrameTable(NamedTuple):
@@ -90,34 +145,46 @@ class _FrameTable(NamedTuple):
     rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _stack_frames(ts: TrajectorySet, index: dict[int, int], frames: list[int]):
-    """Identity indices and (x, y, w, h) rows of ``ts`` in frame, identity
-    order, and the offset where each of ``frames`` starts (plus the end)."""
-    ids: list[int] = []
-    boxes: list[BoundingBox] = []
-    starts = [0]
-    for frame in frames:
-        per_frame = ts.at(frame)
-        for identity in sorted(per_frame):
-            ids.append(index[identity])
-            boxes.append(per_frame[identity])
-        starts.append(len(ids))
-    return np.array(ids, dtype=int), boxes_array(boxes), starts
+# Pairs scored per `iou_pairs` call: bounds the table's scratch memory on
+# long sequences while keeping the number of calls small.
+_PAIR_BLOCK = 16384
 
 
 def _frame_table(gt: TrajectorySet, hyp: TrajectorySet) -> _FrameTable:
-    g_index = {g: i for i, g in enumerate(gt.identities())}
-    h_index = {h: j for j, h in enumerate(hyp.identities())}
-    frames = sorted(set(gt.frames) | set(hyp.frames))
-    g_ids, g_boxes, g_starts = _stack_frames(gt, g_index, frames)
-    h_ids, h_boxes, h_starts = _stack_frames(hyp, h_index, frames)
+    g_frame, g_ident, g_boxes = gt.columns()
+    h_frame, h_ident, h_boxes = hyp.columns()
+    g_ids, g_idx = np.unique(g_ident, return_inverse=True)
+    h_ids, h_idx = np.unique(h_ident, return_inverse=True)
+    frames = np.union1d(g_frame, h_frame)
+    # Rows of frames[k] are [g_lo[k], g_lo[k + 1]) (and likewise for hyp).
+    g_lo = np.append(np.searchsorted(g_frame, frames), len(g_frame))
+    h_lo = np.append(np.searchsorted(h_frame, frames), len(h_frame))
+    n_h = np.diff(h_lo)
+    n_pairs = np.diff(g_lo) * n_h
+    pair_end = np.cumsum(n_pairs)
+    pair_start = pair_end - n_pairs
+    g_bounds, h_bounds = g_lo.tolist(), h_lo.tolist()
+
     rows = []
-    for g0, g1, h0, h1 in zip(g_starts, g_starts[1:], h_starts, h_starts[1:]):
-        if g0 < g1 and h0 < h1:
-            sim = iou_matrix(g_boxes[g0:g1], h_boxes[h0:h1])
-        else:
-            sim = np.zeros((g1 - g0, h1 - h0))
-        rows.append((g_ids[g0:g1], h_ids[h0:h1], sim))
+    k0 = 0
+    while k0 < len(frames):
+        # One iou_pairs call scores every pair of frames k0..k1-1, which hold
+        # at most _PAIR_BLOCK pairs unless frame k0 alone has more.
+        k1 = max(int(np.searchsorted(pair_end, pair_start[k0] + _PAIR_BLOCK, side="right")), k0 + 1)
+        owner = np.repeat(np.arange(k0, k1), n_pairs[k0:k1])
+        local = np.arange(pair_start[k0], pair_end[k1 - 1]) - pair_start[owner]
+        sim = iou_pairs(g_boxes[g_lo[owner] + local // n_h[owner]],
+                        h_boxes[h_lo[owner] + local % n_h[owner]])
+        offset = 0
+        for g0, g1, h0, h1 in zip(g_bounds[k0:k1], g_bounds[k0 + 1:k1 + 1],
+                                  h_bounds[k0:k1], h_bounds[k0 + 1:k1 + 1]):
+            size = (g1 - g0) * (h1 - h0)
+            rows.append((g_idx[g0:g1], h_idx[h0:h1],
+                         sim[offset:offset + size].reshape(g1 - g0, h1 - h0)))
+            offset += size
+        k0 = k1
+    g_index = {g: i for i, g in enumerate(g_ids.tolist())}
+    h_index = {h: j for j, h in enumerate(h_ids.tolist())}
     return _FrameTable(g_index, h_index, rows)
 
 

@@ -2,9 +2,13 @@
 
 Data lines are ``frame,id,left,top,width,height,conf,a,b,c``; lines with
 id = -1 are detections, non-negative ids trajectory boxes. Frames need not
-be sorted in the file; they are grouped on load. Floats are written with
-their shortest round-trip representation so write -> read -> write is
-byte-identical.
+be sorted in the file; they are grouped on load. A file is parsed in one
+pass into frame, id, box and conf columns, and the first bad line in file
+order is a MotParseError naming ``file:line``: a malformed or non-finite
+field, a box with a non-positive extent, a negative id or a repeated
+(frame, id) in a trajectory file, or a frame before 1 in a detection file.
+Floats are written with their shortest round-trip representation so
+write -> read -> write is byte-identical.
 
 The sidecar ``<name>.aff`` (version header ``aff 1 <dim>``) attaches an
 optional scalar appearance affinity and an optional embedding to detections
@@ -13,11 +17,10 @@ by (frame, candidate index): ``frame,cand,s_mask_or_dash[,e0,...,e_{dim-1}]``.
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,42 +52,103 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _parse_rows(path: str | Path) -> list[tuple[int, int, BoundingBox, float]]:
-    rows = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
+class _Columns(NamedTuple):
+    """The data lines of a MOT file as columns, in file order."""
+
+    frame: np.ndarray  # (n,) int64
+    ident: np.ndarray  # (n,) int64
+    boxes: np.ndarray  # (n, 4) float64 (left, top, width, height)
+    conf: np.ndarray  # (n,) float64
+    line: np.ndarray  # (n,) 1-based line number in the file
+
+
+def _parse_columns(path: str | Path) -> _Columns:
+    """Parse every data line into columns; blank lines are skipped.
+
+    The first bad line, in file order, is a MotParseError naming
+    ``path:line``: too few fields or an unparsable number, a non-finite
+    conf, a frame or id outside int64, or a box ``BoundingBox`` rejects.
+    """
+    raw_lines = Path(path).read_text().splitlines()
+    frame, ident, xs, ys, ws, hs, confs, linenos = columns = ([], [], [], [], [], [], [], [])
+    error = cause = None
+    for lineno, raw in enumerate(raw_lines, start=1):
+        parts = raw.split(",")
         if len(parts) < 7:
-            raise MotParseError(f"{path}:{lineno}: expected at least 7 fields, got {len(parts)}")
+            if not raw.strip():
+                continue
+            error = f"{path}:{lineno}: expected at least 7 fields, got {len(parts)}"
+            break
         try:
-            frame = int(parts[0])
-            ident = int(float(parts[1]))
-            x, y, w, h = (float(p) for p in parts[2:6])
-            conf = float(parts[6])
-        except ValueError as exc:
-            raise MotParseError(f"{path}:{lineno}: malformed line {raw!r}") from exc
-        if not math.isfinite(conf):
-            raise MotParseError(f"{path}:{lineno}: conf must be finite, got {parts[6].strip()!r}")
+            f = int(parts[0])
+            i = int(float(parts[1]))
+            x = float(parts[2])
+            y = float(parts[3])
+            w = float(parts[4])
+            h = float(parts[5])
+            c = float(parts[6])
+        except (ValueError, OverflowError) as exc:
+            error, cause = f"{path}:{lineno}: malformed line {raw!r}", exc
+            break
+        frame.append(f)
+        ident.append(i)
+        xs.append(x)
+        ys.append(y)
+        ws.append(w)
+        hs.append(h)
+        confs.append(c)
+        linenos.append(lineno)
+
+    try:
+        frame_col, ident_col = np.array(frame, dtype=np.int64), np.array(ident, dtype=np.int64)
+    except OverflowError:  # the rows from the first too-wide one on are dropped
+        r = next(r for r, pair in enumerate(zip(frame, ident))
+                 if not all(-2**63 <= v < 2**63 for v in pair))
+        error, cause = f"{path}:{linenos[r]}: frame or id outside int64", None
+        for column in columns:
+            del column[r:]
+        frame_col, ident_col = np.array(frame, dtype=np.int64), np.array(ident, dtype=np.int64)
+    # The loop stopped at the first line it could not parse; the rows before
+    # it are checked here, so a bad value on an earlier line is still first.
+    boxes = np.column_stack([xs, ys, ws, hs]) if xs else np.zeros((0, 4))
+    conf = np.array(confs, dtype=float)
+    bad = ~np.isfinite(conf) | ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2] <= 0) | (boxes[:, 3] <= 0)
+    if bad.any():
+        r = int(np.argmax(bad))
+        where = f"{path}:{linenos[r]}"
+        if not np.isfinite(conf[r]):
+            field = raw_lines[linenos[r] - 1].strip().split(",")[6].strip()
+            raise MotParseError(f"{where}: conf must be finite, got {field!r}")
         try:
-            box = BoundingBox(x, y, w, h)
+            BoundingBox(*boxes[r].tolist())
         except ValueError as exc:
-            raise MotParseError(f"{path}:{lineno}: {exc}") from exc
-        rows.append((frame, ident, box, conf))
-    return rows
+            raise MotParseError(f"{where}: {exc}") from exc
+    if error is not None:
+        raise MotParseError(error) from cause
+    return _Columns(frame_col, ident_col, boxes, conf, np.array(linenos, dtype=np.int64))
+
+
+def _trajectory_set(path: str | Path, rows: _Columns) -> TrajectorySet:
+    """The trajectory set of parsed rows; the first line (in file order) with a
+    negative id or a (frame, id) already seen is a MotParseError."""
+    order = np.lexsort((rows.ident, rows.frame))  # stable: file order among equals
+    frame, ident = rows.frame[order], rows.ident[order]
+    bad = rows.ident < 0
+    bad[order[1:][(frame[1:] == frame[:-1]) & (ident[1:] == ident[:-1])]] = True
+    if bad.any():
+        r = int(np.argmax(bad))
+        f, i = int(rows.frame[r]), int(rows.ident[r])
+        if i < 0:
+            problem = f"id {i} marks a detection line; use load_detections"
+        else:
+            problem = f"identity {i} appears twice in frame {f}"
+        raise MotParseError(f"{path}:{rows.line[r]}: {problem}")
+    return TrajectorySet.from_columns(frame, ident, rows.boxes[order])
 
 
 def load_trajectories(path: str | Path) -> TrajectorySet:
     """Read a ground-truth or hypothesis file keyed by identity."""
-    ts = TrajectorySet()
-    for frame, ident, box, _conf in _parse_rows(path):
-        if ident < 0:
-            raise MotParseError(
-                f"{path}: id {ident} marks a detection line; use load_detections"
-            )
-        ts.add(frame, ident, box)
-    return ts
+    return _trajectory_set(path, _parse_columns(path))
 
 
 def load_detections(
@@ -94,22 +158,27 @@ def load_detections(
     """Read a detection file into per-frame candidate lists.
 
     The id column is ignored, conf becomes the objectness score (clamped to
-    [0, 1]). When a sidecar exists (explicit path, or the detection path
-    with an .aff suffix), its affinities and embeddings attach by
-    (frame, candidate index); an entry that matches no detection is an
-    error.
+    [0, 1]), and frames are numbered from 1. When a sidecar exists
+    (explicit path, or the detection path with an .aff suffix), its
+    affinities and embeddings attach by (frame, candidate index); an entry
+    that matches no detection is an error.
     """
     side: dict[tuple[int, int], tuple[float | None, np.ndarray | None]] = {}
     sidecar = Path(sidecar) if sidecar is not None else sidecar_path(path)
     if sidecar.exists():
         side = load_sidecar(sidecar)
 
+    rows = _parse_columns(path)
+    early = np.flatnonzero(rows.frame < 1)
+    if early.size:
+        r = early[0]
+        raise MotParseError(f"{path}:{rows.line[r]}: frame {rows.frame[r]} is before frame 1")
     frames: dict[int, list[DetectionCandidate]] = {}
-    for frame, _ident, box, conf in _parse_rows(path):
+    for frame, (x, y, w, h), conf in zip(rows.frame.tolist(), rows.boxes.tolist(), rows.conf.tolist()):
         bucket = frames.setdefault(frame, [])
         s_mask, embedding = side.pop((frame, len(bucket)), (None, None))
         bucket.append(DetectionCandidate(
-            box=box,
+            box=BoundingBox(x, y, w, h),
             s_obj=min(max(conf, 0.0), 1.0),
             s_mask=s_mask,
             embedding=embedding,
@@ -124,23 +193,31 @@ def load_detections(
 
 def parse_mot(path: str | Path):
     """Dispatch on the id column: detections (ids all -1) or trajectories."""
-    rows = _parse_rows(path)
-    if rows and all(ident < 0 for _f, ident, _b, _c in rows):
+    rows = _parse_columns(path)
+    if rows.ident.size and (rows.ident < 0).all():
         return load_detections(path)
-    return load_trajectories(path)
+    return _trajectory_set(path, rows)
 
 
-def trajectory_lines(records: Iterable[tuple[int, int, BoundingBox]], conf: float = 1.0) -> str:
-    lines = []
-    for frame, ident, box in records:
-        lines.append(
-            f"{frame},{ident},{_fmt(box.x)},{_fmt(box.y)},{_fmt(box.w)},{_fmt(box.h)},{_fmt(conf)},-1,-1,-1"
-        )
+def _trajectory_text(rows: Iterable[tuple], conf: float) -> str:
+    """MOT lines of (frame, id, x, y, w, h) rows; the one formatter behind
+    every trajectory file."""
+    c = _fmt(conf)
+    lines = [
+        f"{f},{i},{float(x)!r},{float(y)!r},{float(w)!r},{float(h)!r},{c},-1,-1,-1"
+        for f, i, x, y, w, h in rows
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def trajectory_lines(records: Iterable[tuple[int, int, BoundingBox]], conf: float = 1.0) -> str:
+    return _trajectory_text(((f, i, box.x, box.y, box.w, box.h) for f, i, box in records), conf)
+
+
 def write_trajectories(path: str | Path, ts: TrajectorySet) -> None:
-    atomic_write_text(path, trajectory_lines(ts.records()))
+    frame, ident, boxes = ts.columns()
+    rows = zip(frame.tolist(), ident.tolist(), *boxes.T.tolist())
+    atomic_write_text(path, _trajectory_text(rows, 1.0))
 
 
 def write_detections(path: str | Path, frames, write_aff: bool = True) -> None:

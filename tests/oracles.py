@@ -5,9 +5,11 @@ production code: explicit dense matrices and matrix inverses for the Kalman
 filter, pure-Python loops and an unshifted softmax for the attention
 scorer, pixel counting for IoU, permutation search for assignment, and a
 dictionary-based HOTA. None of it imports from motrack's internals beyond
-plain data values, except the per-metric evaluation loops at the end: they
-are the reference for the shared per-frame evaluation and call the public
-IoU kernels on purpose, so that the comparison can be exact.
+plain data values, except the per-metric evaluation loops and the MOT
+loaders at the end: they are the references for the shared per-frame
+evaluation and the column parser, and call the public IoU kernels and
+BoundingBox/DetectionCandidate validation on purpose, so that the
+comparison can be exact.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from motrack.geometry import boxes_array, iou, iou_matrix
+from motrack.association import DetectionCandidate
+from motrack.geometry import BoundingBox, boxes_array, iou, iou_matrix
+from motrack.mot_io import MotParseError, load_sidecar, sidecar_path
 
 
 # ---------------------------------------------------------------------------
@@ -446,3 +450,121 @@ def hota_loop_oracle(gt, hyp, alphas) -> tuple[float | None, float | None, float
         assa[a] = (matches[a] * pair_jaccard).sum() / max(tp[a], 1.0)
     hota_curve = np.sqrt(deta * assa)
     return float(hota_curve.mean()), float(deta.mean()), float(assa.mean())
+
+
+def frame_table_loop_oracle(gt, hyp) -> list[tuple[list[int], list[int], np.ndarray]]:
+    """Per frame of the union: GT and hypothesis identity indices and one
+    ``iou_matrix`` of that frame's boxes in identity order."""
+    g_index = {g: i for i, g in enumerate(gt.identities())}
+    h_index = {h: j for j, h in enumerate(hyp.identities())}
+    rows = []
+    for frame in sorted(set(gt.frames) | set(hyp.frames)):
+        gmap = gt.at(frame)
+        hmap = hyp.at(frame)
+        rows.append((
+            [g_index[g] for g in sorted(gmap)],
+            [h_index[h] for h in sorted(hmap)],
+            _sub_iou_matrix([gmap[g] for g in sorted(gmap)], [hmap[h] for h in sorted(hmap)]),
+        ))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# MOT file loading
+#
+# The dict-backed trajectory set and the per-line loaders that built one
+# validated BoundingBox per line. The columnar TrajectorySet and the column
+# parser must give the same sets, candidates and first-bad-line errors.
+
+
+class DictTrajectorySet:
+    """Per-frame mapping of identity to box."""
+
+    def __init__(self) -> None:
+        self._frames: dict[int, dict[int, BoundingBox]] = {}
+
+    def add(self, frame: int, identity: int, box: BoundingBox) -> None:
+        per_frame = self._frames.setdefault(int(frame), {})
+        if identity in per_frame:
+            raise ValueError(f"identity {identity} appears twice in frame {frame}")
+        per_frame[int(identity)] = box
+
+    @property
+    def frames(self) -> list[int]:
+        return sorted(self._frames)
+
+    def at(self, frame: int) -> dict[int, BoundingBox]:
+        return self._frames.get(frame, {})
+
+    def identities(self) -> list[int]:
+        seen: set[int] = set()
+        for per_frame in self._frames.values():
+            seen.update(per_frame)
+        return sorted(seen)
+
+    def total_boxes(self) -> int:
+        return sum(len(per_frame) for per_frame in self._frames.values())
+
+    def records(self):
+        for frame in self.frames:
+            per_frame = self._frames[frame]
+            for identity in sorted(per_frame):
+                yield frame, identity, per_frame[identity]
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+
+def parse_rows_oracle(path) -> list[tuple[int, int, BoundingBox, float]]:
+    rows = []
+    for lineno, raw in enumerate(open(path).read().splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) < 7:
+            raise MotParseError(f"{path}:{lineno}: expected at least 7 fields, got {len(parts)}")
+        try:
+            frame = int(parts[0])
+            ident = int(float(parts[1]))
+            x, y, w, h = (float(p) for p in parts[2:6])
+            conf = float(parts[6])
+        except ValueError as exc:
+            raise MotParseError(f"{path}:{lineno}: malformed line {raw!r}") from exc
+        if not math.isfinite(conf):
+            raise MotParseError(f"{path}:{lineno}: conf must be finite, got {parts[6].strip()!r}")
+        try:
+            box = BoundingBox(x, y, w, h)
+        except ValueError as exc:
+            raise MotParseError(f"{path}:{lineno}: {exc}") from exc
+        rows.append((frame, ident, box, conf))
+    return rows
+
+
+def load_trajectories_oracle(path) -> DictTrajectorySet:
+    ts = DictTrajectorySet()
+    for frame, ident, box, _conf in parse_rows_oracle(path):
+        if ident < 0:
+            raise MotParseError(f"{path}: id {ident} marks a detection line; use load_detections")
+        ts.add(frame, ident, box)
+    return ts
+
+
+def load_detections_oracle(path, sidecar=None) -> dict[int, list[DetectionCandidate]]:
+    side = {}
+    sidecar = sidecar if sidecar is not None else sidecar_path(path)
+    if sidecar.exists():
+        side = load_sidecar(sidecar)
+    frames: dict[int, list[DetectionCandidate]] = {}
+    for frame, _ident, box, conf in parse_rows_oracle(path):
+        bucket = frames.setdefault(frame, [])
+        s_mask, embedding = side.pop((frame, len(bucket)), (None, None))
+        bucket.append(DetectionCandidate(
+            box=box, s_obj=min(max(conf, 0.0), 1.0), s_mask=s_mask, embedding=embedding,
+        ))
+    if side:
+        frame, cand = next(iter(side))
+        raise MotParseError(
+            f"{sidecar}: entry for frame {frame}, candidate {cand} matches no detection in {path}"
+        )
+    return frames

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motrack import BoundingBox, center, iou, iou_matrix
-from motrack.geometry import boxes_array
+from motrack.geometry import boxes_array, iou_pairs
 
 from oracles import pixel_count_iou
 
@@ -140,6 +140,21 @@ def test_iou_matrix_symmetric_and_bounded(boxes_a, boxes_b):
     ab = iou_matrix(a, b)
     assert np.array_equal(ab, iou_matrix(b, a).T)
     assert np.all((ab >= 0.0) & (ab <= 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_sets(), box_sets())
+def test_iou_pairs_equals_scalar_iou_bit_for_bit(boxes_a, boxes_b):
+    # Flat pair arrays, as the metrics' frame table scores them.
+    boxes_b = boxes_a + boxes_b
+    pairs = [(a, b) for a in boxes_a for b in boxes_b]
+    got = iou_pairs(boxes_array(a for a, _ in pairs), boxes_array(b for _, b in pairs))
+    want = np.array([iou(a, b) for a, b in pairs], dtype=float)
+    assert got.shape == (len(pairs),)
+    assert got.tobytes() == want.tobytes()
+    for a, b in pairs[:3]:
+        one = iou_pairs(np.array(a.as_tuple()), np.array(b.as_tuple()))
+        assert one.shape == () and float(one) == iou(a, b)
 
 
 def test_iou_matrix_edges_and_empty_shapes():

@@ -186,6 +186,41 @@ class TestMotIo:
         assert "matches no detection" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("lines, line, message", [
+        (["1,3,0,0,10,10,1", "2,3,0,0,10,10,1", "1,3,5,5,10,10,1"], 3,
+         "identity 3 appears twice in frame 1"),
+        (["1,3,0,0,10,10,1", "", "1,-1,0,0,10,10,1"], 3,
+         "id -1 marks a detection line; use load_detections"),
+        (["1,inf,0,0,10,10,1"], 1, "malformed line '1,inf,0,0,10,10,1'"),
+        (["1,1,0,0,10,10,1", "99999999999999999999,1,0,0,10,10,1"], 2, "frame or id outside int64"),
+    ])
+    def test_rejected_trajectory_line_named_by_loader_and_eval(
+        self, tmp_path, capsys, lines, line, message
+    ):
+        path = tmp_path / "traj.txt"
+        path.write_text("\n".join(lines) + "\n")
+        expected = f"{path}:{line}: {message}"
+        with pytest.raises(MotParseError) as info:
+            load_trajectories(path)
+        assert str(info.value) == expected
+        good = tmp_path / "good.txt"
+        good.write_text("1,1,0,0,10,10,1\n")
+        for gt, hyp in [(path, good), (good, path)]:
+            assert main(["eval", "--gt", str(gt), "--hyp", str(hyp)]) == 1
+            assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("frame", ["0", "-4"])
+    def test_detection_frame_before_one_named_by_loader_and_track(self, tmp_path, capsys, frame):
+        det = tmp_path / "d.txt"
+        det.write_text(f"1,-1,0,0,10,10,0.9,-1,-1,-1\n\n{frame},-1,0,0,10,10,0.9,-1,-1,-1\n")
+        expected = f"{det}:3: frame {frame} is before frame 1"
+        with pytest.raises(MotParseError) as info:
+            load_detections(det)
+        assert str(info.value) == expected
+        assert main(["track", "--det", str(det), "--out", str(tmp_path / "hyp.txt")]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (tmp_path / "hyp.txt").exists()
+
 class TestTrackFrames:
     def test_gap_frames_treated_as_empty(self):
         frames = {

@@ -1,4 +1,5 @@
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +7,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from motrack import BoundingBox, TrajectorySet, clear_metrics, evaluate, hota, identity_metrics
-from motrack.metrics import HOTA_ALPHAS, EvalReport
+from motrack import metrics
+from motrack.metrics import HOTA_ALPHAS, EvalReport, _frame_table
 
 from fixtures import as_records, empty_hyp, gt_box, half_hyp, perfect_gt, perfect_hyp, swap_hyp
-from oracles import clear_loop_oracle, hota_loop_oracle, hota_oracle, identity_loop_oracle
+from oracles import (
+    clear_loop_oracle,
+    frame_table_loop_oracle,
+    hota_loop_oracle,
+    hota_oracle,
+    identity_loop_oracle,
+)
 
 
 class TestTrajectorySet:
@@ -381,3 +389,60 @@ class TestMetricInvariants:
         )
         res = clear_metrics(gt, hyp)
         assert (res.ids, res.fp, res.fn) == (1, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# The frame table against a per-frame iou_matrix loop
+
+
+def _assert_table_equals_loop(gt, hyp):
+    table = _frame_table(gt, hyp)
+    assert table.g_index == {g: i for i, g in enumerate(gt.identities())}
+    assert table.h_index == {h: j for j, h in enumerate(hyp.identities())}
+    want = frame_table_loop_oracle(gt, hyp)
+    assert len(table.rows) == len(want)
+    for (gids, hids, sim), (want_g, want_h, want_sim) in zip(table.rows, want):
+        assert gids.tolist() == want_g
+        assert hids.tolist() == want_h
+        assert sim.shape == want_sim.shape
+        assert sim.tobytes() == want_sim.tobytes()
+
+
+def _random_set(rng, sizes, id_base=0) -> TrajectorySet:
+    ts = TrajectorySet()
+    for frame, n in sizes:
+        for ident in rng.permutation(3 * n)[:n]:
+            x, y = rng.uniform(0.0, 100.0, 2)
+            w, h = rng.uniform(5.0, 50.0, 2)
+            ts.add(frame, id_base + int(ident), BoundingBox(x, y, w, h))
+    return ts
+
+
+class TestFrameTable:
+    @settings(max_examples=200, deadline=None)
+    @given(_trajectory_pairs(), st.sampled_from((1, 2, 7, metrics._PAIR_BLOCK)))
+    def test_rows_equal_per_frame_iou_matrix(self, pair, block):
+        # Small blocks put block boundaries inside these small inputs.
+        with mock.patch.object(metrics, "_PAIR_BLOCK", block):
+            _assert_table_equals_loop(*pair)
+
+    def test_empty_sets_and_frames_in_one_set_only(self):
+        assert _frame_table(TrajectorySet(), TrajectorySet()).rows == []
+        rng = np.random.default_rng(3)
+        gt = _random_set(rng, [(1, 3), (2, 2), (3, 4)])
+        hyp = _random_set(rng, [(3, 2), (4, 3), (6, 1)], id_base=100)
+        for a, b in [(gt, TrajectorySet()), (TrajectorySet(), hyp), (gt, hyp), (hyp, gt)]:
+            _assert_table_equals_loop(a, b)
+        rows = _frame_table(gt, hyp).rows
+        assert [sim.shape for _g, _h, sim in rows] == [(3, 0), (2, 0), (4, 2), (0, 3), (0, 1)]
+
+    def test_inputs_crossing_block_boundaries(self):
+        rng = np.random.default_rng(11)
+        # 34 frames of 25 x 25 pairs, and one frame whose 130 x 130 pairs
+        # alone exceed a block.
+        sizes = [25] * 20 + [130] + [25] * 14
+        gt = _random_set(rng, list(enumerate(sizes, start=1)))
+        hyp = _random_set(rng, list(enumerate(sizes, start=1)), id_base=1000)
+        assert 130 * 130 > metrics._PAIR_BLOCK
+        assert sum(n * n for n in sizes) > 2 * metrics._PAIR_BLOCK
+        _assert_table_equals_loop(gt, hyp)

@@ -1,0 +1,283 @@
+"""MOT file loading and writing against the per-line loaders and the
+dict-backed trajectory set they filled (tests/oracles.py), plus the
+write -> read -> write byte identity of trajectory and detection files."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from motrack import BoundingBox, TrajectorySet
+from motrack.association import DetectionCandidate
+from motrack.mot_io import (
+    MotParseError,
+    load_detections,
+    load_trajectories,
+    sidecar_path,
+    write_detections,
+    write_trajectories,
+)
+
+from oracles import DictTrajectorySet, load_detections_oracle, load_trajectories_oracle
+
+_SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+_NUMBER = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+_BAD_NUMBER = st.sampled_from(["nan", "inf", "-inf", "0", "0.0", "-0.0", "-3.5", "1e999"])
+_BAD_LINE = st.sampled_from(["1,2,3", "7", "a,b,c,d,e,f,g", "1,2,3,4,x,6,1", "1.5,1,0,0,1,1,1"])
+
+
+def _pad(draw, text: str) -> str:
+    return draw(st.sampled_from(["", " ", "  "])) + text + draw(st.sampled_from(["", " ", "\t"]))
+
+
+@st.composite
+def mot_texts(draw, detections: bool):
+    """MOT file text: data lines with unsorted frames, padded fields, ids
+    written as ``3`` or ``3.0`` and 7 to 11 fields, plus blank lines. A
+    drawn share of files also holds repeated (frame, id) keys, negative ids,
+    short or malformed lines and nan/inf/zero/negative values."""
+    bad = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 20))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+            continue
+        if bad and draw(st.integers(0, 14)) == 0:
+            lines.append(draw(_BAD_LINE))
+            continue
+        frame = draw(st.integers(1, 6))
+        if detections:
+            ident = draw(st.sampled_from([-1, -1, -1, 0, 7]))
+        else:
+            ident = draw(st.integers(-1 if bad else 0, 5 if bad else 40))
+        id_text = draw(st.sampled_from([str(ident), f"{ident}.0"]))
+        values = [repr(draw(_NUMBER)), repr(draw(_NUMBER)),
+                  repr(draw(st.floats(0.01, 1e3))), repr(draw(st.floats(0.01, 1e3))),
+                  repr(draw(st.floats(-0.5, 1.5)))]
+        if bad and draw(st.integers(0, 9)) == 0:
+            values[draw(st.integers(0, 4))] = draw(_BAD_NUMBER)
+        tail = draw(st.sampled_from([[], ["-1", "-1", "-1"], ["-1", "-1", "-1", "x"]]))
+        fields = [str(frame), id_text, *values, *tail]
+        lines.append(",".join(_pad(draw, f) if draw(st.integers(0, 4)) == 0 else f for f in fields))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def sidecar_texts(draw):
+    """None (no sidecar), or entries by (frame, candidate index), some
+    matching no detection."""
+    if not draw(st.booleans()):
+        return None
+    dim = draw(st.integers(0, 3))
+    lines = [f"aff 1 {dim}"]
+    keys = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 3)), unique=True, max_size=6))
+    for frame, cand in keys:
+        fields = [str(frame), str(cand), draw(st.sampled_from(["-", "0.25", "1.0"]))]
+        if dim and draw(st.booleans()):
+            fields += [repr(draw(st.floats(-1, 1))) for _ in range(dim)]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(load, *args):
+    try:
+        return load(*args), None
+    except ValueError as exc:
+        return None, exc
+
+
+def _first_rejected_line(text: str) -> int:
+    """Line of the first negative id or repeated (frame, id), in file order."""
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        parts = raw.split(",")
+        key = (int(parts[0]), int(float(parts[1])))
+        if key[1] < 0 or key in seen:
+            return lineno
+        seen.add(key)
+    raise AssertionError("no rejected line")
+
+
+def _box_repr(box) -> str:
+    return repr(box.as_tuple())
+
+
+def _assert_same_set(new: TrajectorySet, old: DictTrajectorySet) -> None:
+    assert [(f, i, _box_repr(b)) for f, i, b in new.records()] == [
+        (f, i, _box_repr(b)) for f, i, b in old.records()
+    ]
+    assert new.frames == old.frames
+    assert new.identities() == old.identities()
+    assert new.total_boxes() == old.total_boxes()
+    assert len(new) == len(old)
+    for frame in old.frames + [0, max(old.frames, default=0) + 1]:
+        assert sorted((i, _box_repr(b)) for i, b in new.at(frame).items()) == sorted(
+            (i, _box_repr(b)) for i, b in old.at(frame).items()
+        )
+
+
+def _assert_same_candidates(new, old) -> None:
+    assert list(new) == list(old)
+    for frame in old:
+        assert len(new[frame]) == len(old[frame])
+        for a, b in zip(new[frame], old[frame]):
+            assert _box_repr(a.box) == _box_repr(b.box)
+            assert repr(a.s_obj) == repr(b.s_obj)
+            assert a.s_mask == b.s_mask
+            if b.embedding is None:
+                assert a.embedding is None
+            else:
+                assert a.embedding.tobytes() == b.embedding.tobytes()
+
+
+class TestLoadersAgainstPerLineOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(mot_texts(detections=False))
+    def test_load_trajectories(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "traj.txt"
+            path.write_text(text)
+            new, new_err = _outcome(load_trajectories, path)
+            old, old_err = _outcome(load_trajectories_oracle, path)
+        if old_err is None:
+            assert new_err is None, new_err
+            _assert_same_set(new, old)
+            return
+        assert isinstance(new_err, MotParseError)
+        message = str(old_err)
+        if not message.startswith(f"{path}:"):  # a repeated (frame, id): no location
+            message = f"{path}:{_first_rejected_line(text)}: {message}"
+        elif not message[len(f"{path}:")].isdigit():  # a negative id: no line number
+            message = f"{path}:{_first_rejected_line(text)}:{message[len(f'{path}:'):]}"
+        assert str(new_err) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(mot_texts(detections=True), sidecar_texts())
+    def test_load_detections(self, text, sidecar):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "det.txt"
+            path.write_text(text)
+            if sidecar is not None:
+                sidecar_path(path).write_text(sidecar)
+            new, new_err = _outcome(load_detections, path)
+            old, old_err = _outcome(load_detections_oracle, path)
+        if old_err is None:
+            assert new_err is None, new_err
+            _assert_same_candidates(new, old)
+        else:
+            assert isinstance(new_err, MotParseError)
+            assert str(new_err) == str(old_err)
+
+    def test_several_bad_lines_name_the_first(self, tmp_path):
+        # The malformed line 4 stops the per-line loop; the box at line 2 and
+        # the conf at line 3 are checked afterwards but come first.
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            "1,1,0,0,10,10,1\n1,2,0,0,0,10,1\n1,3,0,0,10,10,nan\n1,4,zz,0,10,10,1\n"
+        )
+        with pytest.raises(MotParseError, match=r"bad\.txt:2: box extents must be positive"):
+            load_trajectories(path)
+        path.write_text("1,1,0,0,10,10,1\n1,3,0,0,10,10,nan\n1,2,0,0,0,10,1\n1,4,zz\n")
+        with pytest.raises(MotParseError, match=r"bad\.txt:2: conf must be finite, got 'nan'"):
+            load_trajectories(path)
+
+
+_BOX = st.builds(BoundingBox, st.floats(-100, 100), st.floats(-100, 100),
+                 st.floats(0.01, 100), st.floats(0.01, 100))
+_RECORDS = st.lists(st.tuples(st.integers(-2, 9), st.integers(0, 6), _BOX), max_size=40)
+
+
+class TestTrajectorySetAgainstDictSet:
+    @settings(max_examples=300, deadline=None)
+    @given(_RECORDS, st.integers(1, 8))
+    def test_out_of_order_adds(self, records, every):
+        new, old = TrajectorySet(), DictTrajectorySet()
+        for n, (frame, ident, box) in enumerate(records):
+            _new, new_err = _outcome(new.add, frame, ident, box)
+            _old, old_err = _outcome(old.add, frame, ident, box)
+            assert str(new_err) == str(old_err)
+            if n % every == 0:  # reads between adds rebuild the sorted columns
+                _assert_same_set(new, old)
+        _assert_same_set(new, old)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_RECORDS, _RECORDS)
+    def test_add_onto_a_loaded_set(self, loaded, added):
+        unique = list({(f, i): (f, i, box) for f, i, box in loaded}.values())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "traj.txt"
+            write_trajectories(path, TrajectorySet.from_records(unique))
+            new, old = load_trajectories(path), load_trajectories_oracle(path)
+        for frame, ident, box in added:
+            _new, new_err = _outcome(new.add, frame, ident, box)
+            _old, old_err = _outcome(old.add, frame, ident, box)
+            assert str(new_err) == str(old_err)
+        _assert_same_set(new, old)
+
+    def test_from_columns_rejects_unsorted_or_repeated_keys(self):
+        box = [[0.0, 0.0, 1.0, 1.0]] * 2
+        TrajectorySet.from_columns([1, 1], [1, 2], box)
+        for frame, ident in [([1, 1], [2, 1]), ([2, 1], [1, 1]), ([1, 1], [3, 3])]:
+            with pytest.raises(ValueError, match="sorted"):
+                TrajectorySet.from_columns(frame, ident, box)
+        with pytest.raises(ValueError, match="lengths"):
+            TrajectorySet.from_columns([1], [1, 2], box)
+
+    def test_columns_are_read_only(self):
+        ts = TrajectorySet.from_records([(1, 1, BoundingBox(0, 0, 1, 1))])
+        for column in ts.columns():
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+
+@st.composite
+def _scaled_boxes(draw):
+    scale = draw(st.sampled_from(_SCALES))
+    return [
+        BoundingBox(draw(st.floats(-100, 100)) * scale, draw(st.floats(-100, 100)) * scale,
+                    draw(st.floats(0.01, 100)) * scale, draw(st.floats(0.01, 100)) * scale)
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+
+
+class TestWriteReadWriteRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(_scaled_boxes(), st.data())
+    def test_trajectories_byte_identical(self, boxes, data):
+        keys = data.draw(st.lists(st.tuples(st.integers(1, 50), st.integers(0, 9)),
+                                  min_size=len(boxes), max_size=len(boxes), unique=True))
+        ts = TrajectorySet.from_records((f, i, box) for (f, i), box in zip(keys, boxes))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+            write_trajectories(first, ts)
+            write_trajectories(second, load_trajectories(first))
+            assert second.read_bytes() == first.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_scaled_boxes(), st.integers(0, 3), st.data())
+    def test_detections_and_sidecar_byte_identical(self, boxes, dim, data):
+        frames: dict[int, list[DetectionCandidate]] = {}
+        for box in boxes:
+            embedding = None
+            if dim and data.draw(st.booleans()):
+                embedding = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=dim,
+                                                        max_size=dim)))
+            frames.setdefault(data.draw(st.integers(1, 5)), []).append(DetectionCandidate(
+                box=box,
+                s_obj=data.draw(st.floats(0.0, 1.0)),
+                s_mask=data.draw(st.none() | st.floats(0.0, 1.0)),
+                embedding=embedding,
+            ))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+            write_detections(first, frames)
+            write_detections(second, load_detections(first))
+            assert second.read_bytes() == first.read_bytes()
+            assert sidecar_path(first).exists() == sidecar_path(second).exists()
+            if sidecar_path(first).exists():
+                assert sidecar_path(second).read_bytes() == sidecar_path(first).read_bytes()

@@ -15,7 +15,7 @@ import pytest
 
 from motrack import RunConfig, generate, scenario_by_name
 from motrack.cli import main
-from motrack.mot_io import write_trajectories
+from motrack.mot_io import load_trajectories, write_trajectories
 from motrack.runner import run_suite, track_frames
 
 DATA = Path(__file__).parent / "data"
@@ -43,6 +43,13 @@ SUITE_DIGESTS = {
 # CLEAR, identity and HOTA still each built their own per-frame IoU.
 EVAL_SCENARIO = ("crowd8_occl20", 0, 600)
 EVAL_DIGEST = "67c291d663a8bf01124513e0ea5b1550d031d65db230e0cb00c556b17994d9ae"
+
+# sha256 of `write_trajectories(load_trajectories(f))` for the same pair's
+# two files, recorded while loading still built one BoundingBox per line.
+RELOAD_DIGESTS = {
+    "gt": "c5de38ae927ac0683d163d9d63edc4785ce38505fd98982b054c78ec659f1871",
+    "hyp": "4589abb64efb52fd3c7c73f32e96aff8858d3c3980d840a739f75bba35f3b4e3",
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -74,3 +81,15 @@ def test_eval_kv_output_unchanged(tmp_path, capsys):
     assert main(["eval", "--gt", str(gt_path), "--hyp", str(hyp_path), "--format", "kv"]) == 0
     out = capsys.readouterr().out
     assert _sha256(out.encode()) == EVAL_DIGEST, out
+
+
+def test_eval_pair_reload_output_unchanged(tmp_path):
+    name, seed, n_frames = EVAL_SCENARIO
+    gt, frames = generate(replace(scenario_by_name(name), seed=seed, n_frames=n_frames))
+    digests = {}
+    for label, ts in (("gt", gt), ("hyp", track_frames(frames, RunConfig()))):
+        first, second = tmp_path / f"{label}.txt", tmp_path / f"{label}2.txt"
+        write_trajectories(first, ts)
+        write_trajectories(second, load_trajectories(first))
+        digests[label] = _sha256(second.read_bytes())
+    assert digests == RELOAD_DIGESTS
