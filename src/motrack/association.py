@@ -19,7 +19,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .geometry import BoundingBox, boxes_array, iou, iou_matrix
 from .kinematics import (
-    STATE_DIM,
     KalmanTrackState,
     KinematicsConfig,
     is_reliable,
@@ -27,11 +26,12 @@ from .kinematics import (
     kf_init,
     kf_predict,
 )
-from .temporal_memory import MotionQueue
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
 LOST = "lost"
+
+MODES = ("hungarian", "greedy")
 
 AffinityValue = Union[float, Mapping[int, float], None]
 
@@ -82,12 +82,9 @@ class Track:
     id: int
     kalman: KalmanTrackState
     status: str = TENTATIVE
-    age: int = 0
     misses: int = 0
     hits: int = 1
     memory: np.ndarray | None = None
-    last_gamma: float | None = None
-    queue: MotionQueue = field(default_factory=lambda: MotionQueue(8, STATE_DIM))
     predicted_box: BoundingBox | None = None
     last_box: BoundingBox | None = None
     last_score: float | None = None
@@ -179,21 +176,30 @@ class AssociationResult:
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """Association, buffer, and lifecycle tuning; kinematics nested."""
+    """Association, buffer, and lifecycle tuning; kinematics nested. Each
+    field's metadata holds its config-file key and doc string."""
 
-    alpha: float = 0.5
-    mode: str = "hungarian"   # or "greedy" (independent per-track argmax)
-    tau_match: float = 0.1
-    tau_gamma: float = 0.9
-    tau_birth: float = 0.6
-    n_init: int = 3
-    max_age: int = 30
-    queue_len: int = 8
+    alpha: float = field(default=0.5, metadata={
+        "key": "assoc.alpha", "doc": "weight of appearance affinity in the fused score"})
+    mode: str = field(default="hungarian", metadata={
+        "key": "assoc.mode", "choices": MODES, "doc": "assignment mode"})
+    tau_match: float = field(default=0.1, metadata={
+        "key": "assoc.tau_match", "doc": "minimum fused score for an admissible match"})
+    tau_gamma: float = field(default=0.9, metadata={
+        "key": "buffer.tau_gamma",
+        "doc": "cap on motion confidence in the appearance-buffer decay"})
+    tau_birth: float = field(default=0.6, metadata={
+        "key": "lifecycle.tau_birth",
+        "doc": "objectness needed for an unmatched candidate to spawn a track"})
+    n_init: int = field(default=3, metadata={
+        "key": "lifecycle.n_init", "doc": "consecutive hits before a tentative track confirms"})
+    max_age: int = field(default=30, metadata={
+        "key": "lifecycle.max_age", "doc": "coasting frames before a track retires"})
     kinematics: KinematicsConfig = field(default_factory=KinematicsConfig)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("hungarian", "greedy"):
-            raise ValueError(f"mode must be 'hungarian' or 'greedy', got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         _check_score(self.alpha, "alpha")
         if self.n_init < 1:
             raise ValueError(f"n_init must be >= 1, got {self.n_init}")
@@ -349,19 +355,16 @@ class TrackerState:
 
 def _spawn_track(state: TrackerState, candidate: DetectionCandidate) -> Track:
     cfg = state.config
-    kalman = kf_init(candidate.box, cfg.kinematics)
     track = Track(
         id=state.next_id,
-        kalman=kalman,
+        kalman=kf_init(candidate.box, cfg.kinematics),
         status=CONFIRMED if cfg.n_init <= 1 else TENTATIVE,
         hits=1,
-        queue=MotionQueue(cfg.queue_len, STATE_DIM),
         last_box=candidate.box,
         last_score=None,
     )
     if candidate.embedding is not None:
         track.memory = candidate.embedding.copy()
-    track.queue.push(kalman.state)
     state.next_id += 1
     return track
 
@@ -373,11 +376,11 @@ def step_tracker(
 ) -> tuple[TrackerState, list[TrackOutput]]:
     """Advance the tracker by one frame of candidates.
 
-    Runs predict -> associate -> gated update (+ appearance buffer and
-    motion queue) for matches, then lifecycle: unmatched candidates above
-    tau_birth spawn tentative tracks, tentative tracks confirm after n_init
-    consecutive hits, tracks whose misses exceed max_age retire, and the
-    rest coast as lost on their predictions.
+    Runs predict -> associate -> gated update (+ appearance buffer) for
+    matches, then lifecycle: unmatched candidates above tau_birth spawn
+    tentative tracks, tentative tracks confirm after n_init consecutive
+    hits, tracks whose misses exceed max_age retire, and the rest coast as
+    lost on their predictions.
 
     frame_index defaults to the next frame; passing an explicit index that
     does not advance time raises ValueError. The state is mutated in place
@@ -394,7 +397,6 @@ def step_tracker(
 
     for track in state.tracks:
         track.kalman, track.predicted_box = kf_predict(track.kalman)
-        track.age += 1
 
     result = associate_frame(state.tracks, frame, cfg)
     by_id = {track.id: track for track in state.tracks}
@@ -408,10 +410,9 @@ def step_tracker(
             if track.memory is None:
                 track.memory = cand.embedding.copy()
             else:
-                track.memory, track.last_gamma = temporal_buffer_update(
+                track.memory, _ = temporal_buffer_update(
                     track.memory, cand.embedding, m.motion_score, cfg.tau_gamma
                 )
-        track.queue.push(track.kalman.state)
         track.misses = 0
         track.hits += 1
         if track.status == TENTATIVE:

@@ -1,18 +1,22 @@
 """Flat ``key = value`` run configuration covering every tunable in the engine.
 
-Unknown keys are rejected and every value is type-checked at load time; each
-key has a documented default so an empty config file is a complete one.
+Each tunable is declared once, as a dataclass field whose metadata holds its
+config-file key and doc string: the tracker's own ``TrackerConfig`` and
+``KinematicsConfig`` fields, nested under ``RunConfig.tracker``, and
+RunConfig's run-level fields. The key registry is derived from those fields.
+Unknown keys are rejected and every value is parsed and validated at load
+time; each key has a default, so an empty config file is a complete one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
+from functools import reduce
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .association import TrackerConfig
-from .kinematics import KinematicsConfig
 
 
 class ConfigError(ValueError):
@@ -66,74 +70,49 @@ def _parse_choice(*choices: str) -> Callable[[str], str]:
     return parse
 
 
-def _parse_str(text: str) -> str:
-    return text
-
-
-@dataclass(frozen=True)
-class KeySpec:
-    attr: str
-    parse: Callable[[str], Any]
-    doc: str
-
-
-KEY_SPECS: dict[str, KeySpec] = {
-    "kf.tau_kf": KeySpec("kf_tau_kf", _parse_gate, "reliable frames required before a Kalman correction fires; 'inf' disables corrections"),
-    "kf.tau_obj": KeySpec("kf_tau_obj", _parse_float, "objectness threshold for a reliable observation"),
-    "kf.pos_noise": KeySpec("kf_pos_noise", _parse_float, "process-noise std multiplier on position components (relative to box size)"),
-    "kf.vel_noise": KeySpec("kf_vel_noise", _parse_float, "process-noise std multiplier on velocity components"),
-    "kf.obs_noise": KeySpec("kf_obs_noise", _parse_float, "observation-noise std multiplier"),
-    "assoc.alpha": KeySpec("assoc_alpha", _parse_float, "weight of appearance affinity in the fused score"),
-    "assoc.mode": KeySpec("assoc_mode", _parse_choice("hungarian", "greedy"), "assignment mode"),
-    "assoc.tau_match": KeySpec("assoc_tau_match", _parse_float, "minimum fused score for an admissible match"),
-    "buffer.tau_gamma": KeySpec("buffer_tau_gamma", _parse_float, "cap on motion confidence in the appearance-buffer decay"),
-    "lifecycle.tau_birth": KeySpec("lifecycle_tau_birth", _parse_float, "objectness needed for an unmatched candidate to spawn a track"),
-    "lifecycle.n_init": KeySpec("lifecycle_n_init", _parse_int, "consecutive hits before a tentative track confirms"),
-    "lifecycle.max_age": KeySpec("lifecycle_max_age", _parse_int, "coasting frames before a track retires"),
-    "cache.k": KeySpec("cache_k", _parse_int, "memory frames kept by the cache selector"),
-    "cache.reduce": KeySpec("cache_reduce", _parse_choice("column", "row", "full"), "reduction axis of the self-attention consistency branch"),
-    "queue.T": KeySpec("queue_t", _parse_int, "capacity of the per-track motion queue"),
-    "embed.dim": KeySpec("embed_dim", _parse_int, "embedding dimension used by the simulator and seeded weights"),
-    "eval.iou_threshold": KeySpec("eval_iou_threshold", _parse_float, "IoU threshold for CLEAR and identity matching"),
-    "output.include_lost": KeySpec("output_include_lost", _parse_bool, "emit coasting tracks' predicted boxes in hypothesis output"),
-    "output.include_tentative": KeySpec("output_include_tentative", _parse_bool, "emit not-yet-confirmed tracks in hypothesis output"),
-    "paths.det": KeySpec("paths_det", _parse_str, "default detection file for 'track'"),
-    "paths.gt": KeySpec("paths_gt", _parse_str, "default ground-truth file for 'eval'"),
-    "paths.out": KeySpec("paths_out", _parse_str, "default output file for 'track'"),
-    "paths.out_dir": KeySpec("paths_out_dir", _parse_str, "default output directory for 'simulate'"),
+_PARSERS: dict[type, Callable[[str], Any]] = {
+    float: _parse_float, int: _parse_int, bool: _parse_bool, str: str,
 }
+
+
+def _parser(f: Field) -> Callable[[str], Any]:
+    """Value parser of a keyed field: a choice, a gate count, or by default type."""
+    if "choices" in f.metadata:
+        return _parse_choice(*f.metadata["choices"])
+    if f.metadata.get("int_or_inf"):
+        return _parse_gate
+    return _PARSERS[type(f.default)]
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    kf_tau_kf: float = 3.0
-    kf_tau_obj: float = 0.5
-    kf_pos_noise: float = 0.05
-    kf_vel_noise: float = 0.05
-    kf_obs_noise: float = 0.1
-    assoc_alpha: float = 0.5
-    assoc_mode: str = "hungarian"
-    assoc_tau_match: float = 0.1
-    buffer_tau_gamma: float = 0.9
-    lifecycle_tau_birth: float = 0.6
-    lifecycle_n_init: int = 3
-    lifecycle_max_age: int = 30
-    cache_k: int = 4
-    cache_reduce: str = "column"
-    queue_t: int = 8
-    embed_dim: int = 16
-    eval_iou_threshold: float = 0.5
-    output_include_lost: bool = False
-    output_include_tentative: bool = False
-    paths_det: str = ""
-    paths_gt: str = ""
-    paths_out: str = ""
-    paths_out_dir: str = ""
+    """The tracker's tunables plus the run-level settings of the CLI and harness."""
+
+    tracker: TrackerConfig = field(default_factory=TrackerConfig)
+    embed_dim: int = field(default=16, metadata={
+        "key": "embed.dim", "doc": "embedding dimension used by the simulator and seeded weights"})
+    eval_iou_threshold: float = field(default=0.5, metadata={
+        "key": "eval.iou_threshold", "doc": "IoU threshold for CLEAR and identity matching"})
+    output_include_lost: bool = field(default=False, metadata={
+        "key": "output.include_lost",
+        "doc": "emit coasting tracks' predicted boxes in hypothesis output"})
+    output_include_tentative: bool = field(default=False, metadata={
+        "key": "output.include_tentative",
+        "doc": "emit not-yet-confirmed tracks in hypothesis output"})
+    paths_det: str = field(default="", metadata={
+        "key": "paths.det", "doc": "default detection file for 'track'"})
+    paths_gt: str = field(default="", metadata={
+        "key": "paths.gt", "doc": "default ground-truth file for 'eval'"})
+    paths_out: str = field(default="", metadata={
+        "key": "paths.out", "doc": "default output file for 'track'"})
+    paths_out_dir: str = field(default="", metadata={
+        "key": "paths.out_dir", "doc": "default output directory for 'simulate'"})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        """Parse a line-oriented ``key = value`` file; '#' starts a comment."""
-        pairs: dict[str, str] = {}
+        """Parse a line-oriented ``key = value`` file; '#' starts a comment.
+        The first bad line is a ConfigError naming its ``file:line``."""
+        cfg, seen = cls(), set()
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -141,56 +120,54 @@ class RunConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in pairs:
+            if key in seen:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            pairs[key] = value
-        try:
-            return cls().with_overrides(pairs)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+            seen.add(key)
+            try:
+                cfg = cfg.with_overrides({key: value})
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        return cfg
 
     def with_overrides(self, pairs: dict[str, str]) -> "RunConfig":
-        """Apply ``key -> value-string`` overrides, validating each one."""
-        updates: dict[str, Any] = {}
+        """Apply ``key -> value-string`` overrides, parsing and range-checking
+        each one; a bad key or value is a ConfigError naming the key."""
+        cfg = self
         for key, value in pairs.items():
-            spec = KEY_SPECS.get(key)
-            if spec is None:
+            entry = _KEYS.get(key)
+            if entry is None:
                 raise ConfigError(f"unknown config key {key!r}")
+            path, f = entry
             try:
-                updates[spec.attr] = spec.parse(value)
-            except ConfigError as exc:
+                cfg = _replace_at(cfg, path, _parser(f)(value))
+            except ValueError as exc:  # a parse error or a __post_init__ range check
                 raise ConfigError(f"key {key!r}: {exc}") from exc
-        return replace(self, **updates)
-
-    def kinematics(self) -> KinematicsConfig:
-        return KinematicsConfig(
-            tau_kf=self.kf_tau_kf,
-            tau_obj=self.kf_tau_obj,
-            pos_noise=self.kf_pos_noise,
-            vel_noise=self.kf_vel_noise,
-            obs_noise=self.kf_obs_noise,
-        )
-
-    def tracker(self) -> TrackerConfig:
-        return TrackerConfig(
-            alpha=self.assoc_alpha,
-            mode=self.assoc_mode,
-            tau_match=self.assoc_tau_match,
-            tau_gamma=self.buffer_tau_gamma,
-            tau_birth=self.lifecycle_tau_birth,
-            n_init=self.lifecycle_n_init,
-            max_age=self.lifecycle_max_age,
-            queue_len=self.queue_t,
-            kinematics=self.kinematics(),
-        )
+        return cfg
 
     def describe(self) -> str:
         """Documented key table with current values."""
-        lines = []
-        for key, spec in KEY_SPECS.items():
-            lines.append(f"{key} = {getattr(self, spec.attr)!r}  # {spec.doc}")
-        return "\n".join(lines)
+        return "\n".join(
+            f"{key} = {reduce(getattr, path, self)!r}  # {f.metadata['doc']}"
+            for key, (path, f) in _KEYS.items()
+        )
 
 
-# Every registry entry must map onto a dataclass field.
-assert {spec.attr for spec in KEY_SPECS.values()} == {f.name for f in fields(RunConfig)}
+def _replace_at(obj: Any, path: tuple[str, ...], value: Any) -> Any:
+    """A copy of obj with the field reached by the attribute path set to value."""
+    name, rest = path[0], path[1:]
+    return replace(obj, **{name: _replace_at(getattr(obj, name), rest, value) if rest else value})
+
+
+def _walk(cls: type, path: tuple[str, ...] = ()) -> Iterator[tuple[str, tuple[str, ...], Field]]:
+    """(key, attribute path, field) of every keyed field under a config
+    dataclass; a field without a key is a nested config dataclass."""
+    for f in fields(cls):
+        if "key" in f.metadata:
+            yield f.metadata["key"], path + (f.name,), f
+        else:
+            yield from _walk(f.default_factory, path + (f.name,))
+
+
+_KEYS: dict[str, tuple[tuple[str, ...], Field]] = {
+    key: (path, f) for key, path, f in _walk(RunConfig)
+}

@@ -9,7 +9,7 @@ coasts on its prediction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,23 +38,21 @@ _BLOCK_FLAT = np.concatenate([
 
 @dataclass(frozen=True)
 class KinematicsConfig:
-    """Filter tuning knobs.
+    """Filter tuning knobs. Each field's metadata holds its config-file key
+    and doc string; tau_kf = 0 lets every correction fire."""
 
-    tau_kf: consecutive reliable associations required before a Kalman
-        correction fires; 0 means corrections always fire, ``math.inf``
-        disables them entirely.
-    tau_obj: objectness threshold above which an observation counts as
-        reliable.
-    pos_noise / vel_noise / obs_noise: standard-deviation multipliers
-        relative to box width/height for the process and observation
-        noise models.
-    """
-
-    tau_kf: float = 3
-    tau_obj: float = 0.5
-    pos_noise: float = 0.05
-    vel_noise: float = 0.05
-    obs_noise: float = 0.1
+    tau_kf: float = field(default=3.0, metadata={
+        "key": "kf.tau_kf", "int_or_inf": True,
+        "doc": "reliable frames required before a Kalman correction fires; 'inf' disables corrections"})
+    tau_obj: float = field(default=0.5, metadata={
+        "key": "kf.tau_obj", "doc": "objectness threshold for a reliable observation"})
+    pos_noise: float = field(default=0.05, metadata={
+        "key": "kf.pos_noise",
+        "doc": "process-noise std multiplier on position components (relative to box size)"})
+    vel_noise: float = field(default=0.05, metadata={
+        "key": "kf.vel_noise", "doc": "process-noise std multiplier on velocity components"})
+    obs_noise: float = field(default=0.1, metadata={
+        "key": "kf.obs_noise", "doc": "observation-noise std multiplier"})
 
     def __post_init__(self) -> None:
         if self.tau_kf < 0:

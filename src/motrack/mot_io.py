@@ -128,9 +128,11 @@ def _parse_columns(path: str | Path) -> _Columns:
     return _Columns(frame_col, ident_col, boxes, conf, np.array(linenos, dtype=np.int64))
 
 
-def _trajectory_set(path: str | Path, rows: _Columns) -> TrajectorySet:
-    """The trajectory set of parsed rows; the first line (in file order) with a
-    negative id or a (frame, id) already seen is a MotParseError."""
+def load_trajectories(path: str | Path) -> TrajectorySet:
+    """Read a ground-truth or hypothesis file keyed by identity; the first
+    line (in file order) with a negative id or a (frame, id) already seen is
+    a MotParseError."""
+    rows = _parse_columns(path)
     order = np.lexsort((rows.ident, rows.frame))  # stable: file order among equals
     frame, ident = rows.frame[order], rows.ident[order]
     bad = rows.ident < 0
@@ -144,11 +146,6 @@ def _trajectory_set(path: str | Path, rows: _Columns) -> TrajectorySet:
             problem = f"identity {i} appears twice in frame {f}"
         raise MotParseError(f"{path}:{rows.line[r]}: {problem}")
     return TrajectorySet.from_columns(frame, ident, rows.boxes[order])
-
-
-def load_trajectories(path: str | Path) -> TrajectorySet:
-    """Read a ground-truth or hypothesis file keyed by identity."""
-    return _trajectory_set(path, _parse_columns(path))
 
 
 def load_detections(
@@ -189,14 +186,6 @@ def load_detections(
             f"{sidecar}: entry for frame {frame}, candidate {cand} matches no detection in {path}"
         )
     return frames
-
-
-def parse_mot(path: str | Path):
-    """Dispatch on the id column: detections (ids all -1) or trajectories."""
-    rows = _parse_columns(path)
-    if rows.ident.size and (rows.ident < 0).all():
-        return load_detections(path)
-    return _trajectory_set(path, rows)
 
 
 def _trajectory_text(rows: Iterable[tuple], conf: float) -> str:

@@ -50,7 +50,7 @@ def track_frames(
     if run_cfg.output_include_tentative:
         included.add(TENTATIVE)
 
-    state = TrackerState(config=run_cfg.tracker())
+    state = TrackerState(config=run_cfg.tracker)
     hypothesis = TrajectorySet()
     for frame, candidates in stream:
         state, outputs = step_tracker(state, candidates, frame_index=frame)
@@ -172,19 +172,19 @@ def run_sweep(
     """Evaluate the cartesian product of grid values over the suite.
 
     Returns one (cell-assignment, per-scenario means) entry per grid cell,
-    in deterministic lexicographic cell order.
+    in deterministic lexicographic cell order. Every cell's config is built
+    before any cell runs, so a bad grid value fails before any work.
     """
     seeds = list(seeds)
     keys = sorted(grid)
     cells = [dict(zip(keys, combo)) for combo in product(*(grid[k] for k in keys))]
     if not cells:
         cells = [{}]
-    results = []
-    for cell in cells:
-        cfg = base.with_overrides(cell)
-        reports = run_suite(cfg, scenarios, seeds, jobs, with_hota)
-        results.append((cell, mean_metrics(reports)))
-    return results
+    configs = [base.with_overrides(cell) for cell in cells]
+    return [
+        (cell, mean_metrics(run_suite(cfg, scenarios, seeds, jobs, with_hota)))
+        for cell, cfg in zip(cells, configs)
+    ]
 
 
 def format_sweep_report(results) -> str:

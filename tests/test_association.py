@@ -421,22 +421,12 @@ class TestStepTracker:
         assert np.array_equal(state.tracks[0].memory, e1)
         state, _ = step_tracker(state, [cand((0, 0, 20, 20), embedding=e2)])
         track = state.tracks[0]
-        assert track.last_gamma is not None
         expected, _ = temporal_buffer_update(e1, e2, 1.0, config.tau_gamma)
         # the match IoU is not exactly 1 (the filter is still converging), so
         # just check the buffer moved strictly toward the new key
         assert 0.0 < track.memory[1] < 1.0
         assert track.memory[0] + track.memory[1] == pytest.approx(1.0)
         del expected
-
-    def test_queue_collects_associated_states(self):
-        config = TrackerConfig(n_init=1, queue_len=4, kinematics=KinematicsConfig(tau_kf=0))
-        state = TrackerState(config=config)
-        for f in range(6):
-            state, _ = step_tracker(state, [cand((5.0 * f, 0, 20, 20))])
-        track = state.tracks[0]
-        assert len(track.queue) == 4
-        assert track.queue.states().shape == (4, 8)
 
 
 class TestModeReductions:

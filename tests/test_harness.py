@@ -1,21 +1,22 @@
 import math
+from dataclasses import fields, is_dataclass
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from motrack import BoundingBox, ConfigError, RunConfig, TrajectorySet
+from motrack import BoundingBox, ConfigError, RunConfig, runner
 from motrack.cli import main
 from motrack.mot_io import (
     MotParseError,
     load_detections,
     load_sidecar,
     load_trajectories,
-    parse_mot,
     sidecar_path,
     write_detections,
     write_trajectories,
 )
-from motrack.runner import PRESETS, preset_config, run_suite, track_frames
+from motrack.runner import PRESETS, preset_config, run_suite, run_sweep, track_frames
 from motrack.simulator import generate, scenario_by_name
 
 from fixtures import perfect_gt
@@ -24,8 +25,8 @@ from fixtures import perfect_gt
 class TestRunConfig:
     def test_defaults_cover_every_key(self):
         cfg = RunConfig()
-        assert cfg.kf_tau_kf == 3.0
-        assert cfg.assoc_mode == "hungarian"
+        assert cfg.tracker.kinematics.tau_kf == 3.0
+        assert cfg.tracker.mode == "hungarian"
         assert "kf.tau_kf" in cfg.describe()
 
     def test_file_round_trip(self, tmp_path):
@@ -38,9 +39,9 @@ class TestRunConfig:
             "output.include_lost = true\n"
         )
         cfg = RunConfig.from_file(path)
-        assert cfg.assoc_alpha == 0.25
-        assert math.isinf(cfg.kf_tau_kf)
-        assert cfg.lifecycle_max_age == 12
+        assert cfg.tracker.alpha == 0.25
+        assert math.isinf(cfg.tracker.kinematics.tau_kf)
+        assert cfg.tracker.max_age == 12
         assert cfg.output_include_lost is True
 
     def test_empty_file_is_complete(self, tmp_path):
@@ -72,18 +73,97 @@ class TestRunConfig:
 
     def test_builds_tracker_configs(self):
         cfg = RunConfig().with_overrides({"assoc.alpha": "0.7", "kf.tau_obj": "0.4"})
-        tracker = cfg.tracker()
+        tracker = cfg.tracker
         assert tracker.alpha == 0.7
         assert tracker.kinematics.tau_obj == 0.4
 
     def test_presets(self):
         base = RunConfig()
         app = preset_config(base, "appearance_only")
-        assert app.assoc_alpha == 1.0 and math.isinf(app.kf_tau_kf)
-        assert preset_config(base, "motion_only").assoc_alpha == 0.0
+        assert app.tracker.alpha == 1.0 and math.isinf(app.tracker.kinematics.tau_kf)
+        assert preset_config(base, "motion_only").tracker.alpha == 0.0
         assert set(PRESETS) == {"full", "no_motion_gate", "appearance_only", "motion_only"}
         with pytest.raises(KeyError):
             preset_config(base, "bogus")
+
+
+def keyed_fields(cls, path=()):
+    """(key, attribute path, field) of every config field, nested ones expanded."""
+    out = []
+    for f in fields(cls):
+        if "key" in f.metadata:
+            out.append((f.metadata["key"], path + (f.name,), f))
+        else:
+            assert is_dataclass(f.default_factory), f"{cls.__name__}.{f.name} has no key"
+            out.extend(keyed_fields(f.default_factory, path + (f.name,)))
+    return out
+
+
+def other_value(f):
+    """A valid config-file value differing from the field's default, and its parse."""
+    if "choices" in f.metadata:
+        text = next(c for c in f.metadata["choices"] if c != f.default)
+        return text, text
+    if f.metadata.get("int_or_inf"):
+        return "7", 7.0
+    if isinstance(f.default, bool):
+        return str(not f.default).lower(), not f.default
+    if isinstance(f.default, int):
+        return str(f.default + 2), f.default + 2
+    if isinstance(f.default, float):
+        return "0.25", 0.25
+    return "some/file.txt", "some/file.txt"
+
+
+class TestConfigRegistry:
+    def test_every_field_has_exactly_one_key(self):
+        keys = [key for key, _, _ in keyed_fields(RunConfig)]
+        assert len(keys) == len(set(keys)) == 20
+
+    @pytest.mark.parametrize(
+        "key,path,f", [pytest.param(*entry, id=entry[0]) for entry in keyed_fields(RunConfig)]
+    )
+    def test_file_key_reaches_its_field(self, tmp_path, key, path, f):
+        text, expected = other_value(f)
+        cfg_path = tmp_path / "one.cfg"
+        cfg_path.write_text(f"{key} = {text}\n")
+        cfg = RunConfig.from_file(cfg_path)
+        assert reduce(getattr, path, RunConfig()) != expected
+        assert reduce(getattr, path, cfg) == expected
+        assert cfg.describe() != RunConfig().describe()
+
+    def test_describe_lists_each_key_once(self):
+        listed = [line.split(" = ", 1)[0] for line in RunConfig().describe().splitlines()]
+        assert listed == [key for key, _, _ in keyed_fields(RunConfig)]
+
+    @pytest.mark.parametrize("key", ["queue.T", "cache.k", "cache.reduce"])
+    def test_removed_keys_unknown(self, key):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            RunConfig().with_overrides({key: "4"})
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("assoc.alpha", "1.5", "alpha must be in"),
+        ("lifecycle.n_init", "0", "n_init must be >= 1"),
+        ("lifecycle.max_age", "-1", "max_age must be >= 0"),
+    ])
+    def test_out_of_range_value_names_key_and_line(self, tmp_path, capsys, key, value, message):
+        with pytest.raises(ConfigError, match=f"key '{key}': {message}"):
+            RunConfig().with_overrides({key: value})
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# run\nassoc.mode = greedy\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"bad.cfg:3: key '{key}': {message}"):
+            RunConfig.from_file(path)
+        assert main(["track", "--config", str(path), "--det", "d.txt", "--out", "o.txt"]) == 1
+        assert f"bad.cfg:3: key '{key}'" in capsys.readouterr().err
+
+    def test_sweep_builds_every_cell_before_running(self, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(runner, "run_suite", lambda *args, **kwargs: ran.append(args) or {})
+        with pytest.raises(ConfigError, match="key 'assoc.alpha': alpha must be in"):
+            run_sweep(RunConfig(), {"assoc.alpha": ["0.5", "1.5"]}, seeds=range(1))
+        assert main(["sweep", "--grid", "assoc.alpha=0.5,1.5", "--seeds", "3", "--no-hota"]) == 1
+        assert "key 'assoc.alpha'" in capsys.readouterr().err
+        assert ran == []
 
 
 class TestMotIo:
@@ -110,15 +190,6 @@ class TestMotIo:
             "5,1,0,0,10,10,1,-1,-1,-1\n1,1,0,0,10,10,1,-1,-1,-1\n3,1,0,0,10,10,1,-1,-1,-1\n"
         )
         assert load_trajectories(path).frames == [1, 3, 5]
-
-    def test_parse_mot_dispatches_on_id(self, tmp_path):
-        det = tmp_path / "det.txt"
-        det.write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n")
-        out = parse_mot(det)
-        assert isinstance(out, dict) and 1 in out
-        gt = tmp_path / "gt.txt"
-        gt.write_text("1,2,0,0,10,10,1,-1,-1,-1\n")
-        assert isinstance(parse_mot(gt), TrajectorySet)
 
     def test_write_then_read_round_trip_bit_identical(self, tmp_path):
         gt, frames = generate(scenario_by_name("crossing2"))
