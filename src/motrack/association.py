@@ -200,7 +200,8 @@ class TrackerConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        _check_score(self.alpha, "alpha")
+        for name in ("alpha", "tau_match", "tau_gamma", "tau_birth"):
+            _check_score(getattr(self, name), name)
         if self.n_init < 1:
             raise ValueError(f"n_init must be >= 1, got {self.n_init}")
         if self.max_age < 0:

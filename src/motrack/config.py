@@ -108,6 +108,12 @@ class RunConfig:
     paths_out_dir: str = field(default="", metadata={
         "key": "paths.out_dir", "doc": "default output directory for 'simulate'"})
 
+    def __post_init__(self) -> None:
+        if self.embed_dim < 1:
+            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if not 0 < self.eval_iou_threshold < 1:
+            raise ValueError(f"iou_threshold must be in (0, 1), got {self.eval_iou_threshold}")
+
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         """Parse a line-oriented ``key = value`` file; '#' starts a comment.

@@ -15,25 +15,11 @@ import numpy as np
 
 from .geometry import BoundingBox
 
-STATE_DIM = 8
 OBS_DIM = 4
 
 # Predicted extents are floored before box construction: velocity
 # extrapolation may drive w/h negative and IoU needs positive extents.
 MIN_EXTENT = 1e-3
-
-
-_POS = np.arange(OBS_DIM)
-_VEL = _POS + OBS_DIM
-# Flat indices of the entries a filter covariance can hold: the position
-# variances, the velocity variances, then each position-velocity covariance
-# in both orders.
-_BLOCK_FLAT = np.concatenate([
-    _POS * (STATE_DIM + 1),
-    _VEL * (STATE_DIM + 1),
-    _POS * STATE_DIM + _VEL,
-    _VEL * STATE_DIM + _POS,
-])
 
 
 @dataclass(frozen=True)
@@ -57,39 +43,46 @@ class KinematicsConfig:
     def __post_init__(self) -> None:
         if self.tau_kf < 0:
             raise ValueError(f"tau_kf must be >= 0, got {self.tau_kf}")
+        if not 0.0 <= self.tau_obj <= 1.0:
+            raise ValueError(f"tau_obj must be in [0, 1], got {self.tau_obj!r}")
+        for name in ("pos_noise", "vel_noise"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        if not 0.0 < self.obs_noise < math.inf:  # keeps the innovation variance p_pp + r > 0
+            raise ValueError(f"obs_noise must be finite and > 0, got {self.obs_noise!r}")
 
 
 @dataclass(frozen=True)
 class KalmanTrackState:
-    """Motion state, covariance, reliability counter, and noise models.
+    """Motion state, per-axis covariance, reliability counter, and noise.
 
     A plain value: every operation returns a fresh state, so instances are
-    freely transferable between threads.
-
-    The covariance couples each observed component only with its own
-    velocity: ``kf_init`` builds diagonal P, Q and R, and the
-    constant-velocity model with its position-only observation keeps that
-    structure. ``kf_predict`` and ``kf_gated_update`` rely on it and run
-    four independent two-state filters, one per axis, on plain floats.
+    freely transferable between threads. Diagonal P, Q and R at ``kf_init``
+    and the constant-velocity model with its position-only observation
+    couple each of x, y, w, h only with its own velocity, so the covariance
+    is stored as those four 2x2 blocks; ``covariance`` is the dense view.
     """
 
-    state: np.ndarray            # (8,) [x, y, w, h, vx, vy, vw, vh]
-    covariance: np.ndarray       # (8, 8) symmetric PSD, per-axis blocks only
-    counter: int                 # consecutive reliable associations
-    process_noise: np.ndarray    # (8, 8) Q, diagonal
-    observation_noise: np.ndarray  # (4, 4) R, diagonal
+    state: np.ndarray                        # (8,) [x, y, w, h, vx, vy, vw, vh]
+    pos_var: tuple[float, ...]               # 4 position variances
+    vel_var: tuple[float, ...]               # 4 velocity variances
+    cross: tuple[float, ...]                 # 4 position-velocity covariances
+    counter: int                             # consecutive reliable associations
+    q: tuple[float, ...]                     # 8 process-noise variances
+    r: tuple[float, ...]                     # 4 observation-noise variances
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """The dense (8, 8) covariance; zero outside the per-axis blocks."""
+        cov = np.diag(self.pos_var + self.vel_var)
+        axis = np.arange(OBS_DIM)
+        cov[axis, axis + OBS_DIM] = cov[axis + OBS_DIM, axis] = self.cross
+        return cov
 
 
-def _axis_blocks(s: KalmanTrackState) -> tuple[list[float], list[float], list[float]]:
-    """Per-axis position variances, velocity variances and their covariances."""
-    v = s.covariance.ravel()[_BLOCK_FLAT].tolist()
-    return v[:OBS_DIM], v[OBS_DIM:2 * OBS_DIM], v[2 * OBS_DIM:3 * OBS_DIM]
-
-
-def _covariance(pos_var: list[float], vel_var: list[float], cross: list[float]) -> np.ndarray:
-    cov = np.zeros((STATE_DIM, STATE_DIM))
-    cov.put(_BLOCK_FLAT, pos_var + vel_var + cross + cross)
-    return cov
+def _variances(scale: float, size: tuple[float, ...]) -> tuple[float, ...]:
+    """The variance ``(scale * s) ** 2`` for each size entry s."""
+    return tuple(std * std for std in (scale * s for s in size))
 
 
 def kf_init(z: BoundingBox, config: KinematicsConfig) -> KalmanTrackState:
@@ -100,23 +93,15 @@ def kf_init(z: BoundingBox, config: KinematicsConfig) -> KalmanTrackState:
     Velocity uncertainty is deliberately inflated relative to position
     uncertainty because nothing is known about motion yet.
     """
-    size = np.array([z.w, z.h, z.w, z.h])
-    state = np.array([z.x, z.y, z.w, z.h, 0.0, 0.0, 0.0, 0.0])
-
-    pos_std = 2.0 * config.pos_noise * size
-    vel_std = 10.0 * config.vel_noise * size
-    covariance = np.diag(np.concatenate([pos_std, vel_std]) ** 2)
-
-    q_std = np.concatenate([config.pos_noise * size, config.vel_noise * size])
-    process_noise = np.diag(q_std ** 2)
-    observation_noise = np.diag((config.obs_noise * size) ** 2)
-
+    w, h = float(z.w), float(z.h)
+    size = (w, h, w, h)
     return KalmanTrackState(
-        state=state,
-        covariance=covariance,
-        counter=0,
-        process_noise=process_noise,
-        observation_noise=observation_noise,
+        state=np.array([z.x, z.y, w, h, 0.0, 0.0, 0.0, 0.0]),
+        pos_var=_variances(2.0 * config.pos_noise, size),
+        vel_var=_variances(10.0 * config.vel_noise, size),
+        cross=(0.0,) * OBS_DIM, counter=0,
+        q=_variances(config.pos_noise, size) + _variances(config.vel_noise, size),
+        r=_variances(config.obs_noise, size),
     )
 
 
@@ -127,23 +112,19 @@ def kf_init(z: BoundingBox, config: KinematicsConfig) -> KalmanTrackState:
 
 
 def kf_predict(s: KalmanTrackState) -> tuple[KalmanTrackState, BoundingBox]:
-    """Advance the state one frame under the constant-velocity model.
-
-    Returns the advanced state and the predicted observation box.
-    """
+    """Advance the state one frame under the constant-velocity model; return
+    it with the predicted observation box."""
     x = s.state.tolist()
-    pos_var, vel_var, cross = _axis_blocks(s)
-    q = s.process_noise.diagonal().tolist()
+    pos_var, vel_var, cross = list(s.pos_var), list(s.vel_var), list(s.cross)
     for i in range(OBS_DIM):
         pv_vv = cross[i] + vel_var[i]
-        pos_var[i] = ((pos_var[i] + cross[i]) + pv_vv) + q[i]
+        pos_var[i] = ((pos_var[i] + cross[i]) + pv_vv) + s.q[i]
         cross[i] = pv_vv
-        vel_var[i] = vel_var[i] + q[i + OBS_DIM]
+        vel_var[i] = vel_var[i] + s.q[i + OBS_DIM]
         x[i] = x[i] + x[i + OBS_DIM]
-    state = np.array(x)
     box = BoundingBox(x[0], x[1], max(x[2], MIN_EXTENT), max(x[3], MIN_EXTENT))
-    cov = _covariance(pos_var, vel_var, cross)
-    return KalmanTrackState(state, cov, s.counter, s.process_noise, s.observation_noise), box
+    return KalmanTrackState(
+        np.array(x), tuple(pos_var), tuple(vel_var), tuple(cross), s.counter, s.q, s.r), box
 
 
 def kf_gated_update(
@@ -164,14 +145,13 @@ def kf_gated_update(
     """
     counter = s.counter + 1 if reliable else 0
     if counter < config.tau_kf:
-        return KalmanTrackState(s.state, s.covariance, counter, s.process_noise, s.observation_noise)
+        return KalmanTrackState(s.state, s.pos_var, s.vel_var, s.cross, counter, s.q, s.r)
 
     x = s.state.tolist()
-    pos_var, vel_var, cross = _axis_blocks(s)
-    r = s.observation_noise.diagonal().tolist()
+    pos_var, vel_var, cross = list(s.pos_var), list(s.vel_var), list(s.cross)
     obs = z.as_tuple()
     for i in range(OBS_DIM):
-        p_pp, p_pv, p_vv, r_i = pos_var[i], cross[i], vel_var[i], r[i]
+        p_pp, p_pv, p_vv, r_i = pos_var[i], cross[i], vel_var[i], s.r[i]
         inv_s = 1.0 / (p_pp + r_i)
         k_p, k_v = p_pp * inv_s, p_pv * inv_s
         innovation = obs[i] - x[i]
@@ -186,8 +166,8 @@ def kf_gated_update(
         lower = m_vp * g + kr_v * k_p
         cross[i] = (upper + lower) / 2.0
         vel_var[i] = (m_vp * -k_v + m_vv) + kr_v * k_v
-    cov = _covariance(pos_var, vel_var, cross)
-    return KalmanTrackState(np.array(x), cov, counter, s.process_noise, s.observation_noise)
+    return KalmanTrackState(
+        np.array(x), tuple(pos_var), tuple(vel_var), tuple(cross), counter, s.q, s.r)
 
 
 def is_reliable(s_obj: float, config: KinematicsConfig) -> bool:

@@ -126,16 +126,13 @@ def memory_cache_select(
     memory,
     proj: ProjectionPair,
     k: int,
-    reduce: str = "column",
 ) -> list[tuple[int, float]]:
     """Rank memory frames by dual-branch importance and keep the top k.
 
     Per-frame importance combines two branches: the cross-attention row of
-    the current frame over the memory frames (relevance to "now") and a
-    reduction of the memory self-attention matrix (internal consistency).
-    The default ``column`` reduction averages the attention each frame
-    receives; ``row`` averages attention paid, ``full`` adds the same grand
-    mean to every frame (leaving the ranking to the cross branch alone).
+    the current frame over the memory frames (relevance to "now") and the
+    column mean of the memory self-attention matrix, the attention each
+    frame receives from all memory frames (internal consistency).
 
     Returns:
         The k highest-scoring frame indices with their scores, descending by
@@ -150,17 +147,7 @@ def memory_cache_select(
         raise ValueError(f"k must be in [1, {n_frames}], got {k}")
 
     cross = attention_scores(cur, mem, proj)[0]
-    self_att = attention_scores(mem, mem, proj)
-    if reduce == "column":
-        consistency = self_att.mean(axis=0)
-    elif reduce == "row":
-        consistency = self_att.mean(axis=1)
-    elif reduce == "full":
-        consistency = np.full(n_frames, self_att.mean())
-    else:
-        raise ValueError(f"unknown reduce mode {reduce!r}")
-
-    scores = cross + consistency
+    scores = cross + attention_scores(mem, mem, proj).mean(axis=0)
     # argsort on (-score, index) gives descending score with lower-index ties first
     order = np.lexsort((np.arange(n_frames), -scores))
     return [(int(i), float(scores[i])) for i in order[:k]]

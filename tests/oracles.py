@@ -127,18 +127,12 @@ def attention_oracle(f_q, f_k, w_q, w_k) -> list[list[float]]:
     return out
 
 
-def memory_select_oracle(current, memory, w_q, w_k, k, reduce="column"):
+def memory_select_oracle(current, memory, w_q, w_k, k):
     """Brute-force dual-branch importance scoring and top-k selection."""
     cross = attention_oracle(current, memory, w_q, w_k)[0]
     self_att = attention_oracle(memory, memory, w_q, w_k)
     n = len(self_att)
-    if reduce == "column":
-        consistency = [sum(self_att[i][j] for i in range(n)) / n for j in range(n)]
-    elif reduce == "row":
-        consistency = [sum(self_att[j][i] for i in range(n)) / n for j in range(n)]
-    else:
-        grand = sum(sum(r) for r in self_att) / (n * n)
-        consistency = [grand] * n
+    consistency = [sum(self_att[i][j] for i in range(n)) / n for j in range(n)]
     scores = [cross[j] + consistency[j] for j in range(n)]
     order = sorted(range(n), key=lambda j: (-scores[j], j))
     return [(j, scores[j]) for j in order[:k]]

@@ -145,6 +145,19 @@ class TestConfigRegistry:
         ("assoc.alpha", "1.5", "alpha must be in"),
         ("lifecycle.n_init", "0", "n_init must be >= 1"),
         ("lifecycle.max_age", "-1", "max_age must be >= 0"),
+        ("assoc.tau_match", "5", "tau_match must be in"),
+        ("buffer.tau_gamma", "1.5", "tau_gamma must be in"),
+        ("lifecycle.tau_birth", "7", "tau_birth must be in"),
+        ("lifecycle.tau_birth", "-0.5", "tau_birth must be in"),
+        ("kf.tau_obj", "2", "tau_obj must be in"),
+        ("kf.tau_obj", "-0.1", "tau_obj must be in"),
+        ("kf.pos_noise", "-1", "pos_noise must be finite and >= 0"),
+        ("kf.vel_noise", "inf", "vel_noise must be finite and >= 0"),
+        ("kf.obs_noise", "0", "obs_noise must be finite and > 0"),
+        ("kf.obs_noise", "inf", "obs_noise must be finite and > 0"),
+        ("eval.iou_threshold", "1.5", r"iou_threshold must be in \(0, 1\)"),
+        ("eval.iou_threshold", "0", r"iou_threshold must be in \(0, 1\)"),
+        ("embed.dim", "0", "embed_dim must be >= 1"),
     ])
     def test_out_of_range_value_names_key_and_line(self, tmp_path, capsys, key, value, message):
         with pytest.raises(ConfigError, match=f"key '{key}': {message}"):

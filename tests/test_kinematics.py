@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motrack import BoundingBox, KinematicsConfig, kf_gated_update, kf_init, kf_predict
 
@@ -191,12 +193,61 @@ def test_dense_filter_keeps_per_axis_covariance_blocks():
         assert not oracle.P[outside].any()
 
 
+@st.composite
+def filter_runs(draw):
+    """A start box, a filter config with noise scales anywhere in their valid
+    ranges, and a frame stream of reliable, unreliable and coasting runs of up
+    to max_age (30) frames; each run observes the start box at its own offset."""
+    box = (
+        draw(st.floats(-500, 500)), draw(st.floats(-500, 500)),
+        draw(st.floats(1, 300)), draw(st.floats(1, 300)),
+    )
+    cfg = KinematicsConfig(
+        tau_kf=draw(st.sampled_from([0.0, 3.0, math.inf])),
+        pos_noise=draw(st.floats(0, 2)),
+        vel_noise=draw(st.floats(0, 2)),
+        obs_noise=draw(st.floats(1e-3, 2)),
+    )
+    run = st.tuples(
+        st.sampled_from(["reliable", "unreliable", "coast"]),
+        st.integers(1, 30),
+        st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.5, 2), st.floats(0.5, 2)),
+    )
+    return box, cfg, draw(st.lists(run, min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(filter_runs())
+def test_filter_stays_finite_psd_and_matches_dense_oracle(case):
+    box, cfg, runs = case
+    x, y, w, h = box
+    s = kf_init(BoundingBox(*box), cfg)
+    oracle = DenseKalmanOracle(box, cfg.pos_noise, cfg.vel_noise, cfg.obs_noise)
+    for kind, length, (dx, dy, sw, sh) in runs:
+        z = BoundingBox(x + dx, y + dy, w * sw, h * sh)
+        for _ in range(length):
+            s, _ = kf_predict(s)
+            oracle.predict()
+            if kind != "coast":
+                reliable = kind == "reliable"
+                s = kf_gated_update(s, z, reliable, cfg)
+                oracle.gated_update(z.as_tuple(), reliable, cfg.tau_kf)
+            assert np.all(np.isfinite(s.state))
+            for p_pp, p_vv, p_pv in zip(s.pos_var, s.vel_var, s.cross):
+                assert p_pp >= 0.0 and p_vv >= 0.0
+                assert p_pp * p_vv - p_pv * p_pv >= -1e-9 * max(p_pp * p_vv, p_pv * p_pv)
+            scale = np.abs(oracle.P).max()
+            np.testing.assert_allclose(s.covariance, oracle.P, rtol=1e-9, atol=1e-9 * scale)
+            assert s.counter == oracle.counter
+
+
 def test_gate_closed_keeps_state_object():
     cfg = KinematicsConfig(tau_kf=2)
     s, box = kf_predict(make_state(config=cfg))
     held = kf_gated_update(s, box, True, cfg)
     assert held.counter == 1
-    assert held.state is s.state and held.covariance is s.covariance
+    assert held.state is s.state
+    assert held.pos_var is s.pos_var and held.vel_var is s.vel_var and held.cross is s.cross
 
 
 def test_negative_tau_rejected():

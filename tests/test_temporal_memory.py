@@ -149,18 +149,6 @@ class TestMemoryCacheSelect:
             with pytest.raises(ValueError):
                 memory_cache_select(current, memory, proj, bad_k)
 
-    def test_reduce_modes(self):
-        rng = np.random.default_rng(15)
-        proj = random_proj(3, 16)
-        memory = rng.normal(size=(5, 3))
-        current = rng.normal(size=(1, 3))
-        for mode in ("column", "row", "full"):
-            ours = memory_cache_select(current, memory, proj, 5, reduce=mode)
-            ref = memory_select_oracle(current, memory, proj.w_q, proj.w_k, 5, reduce=mode)
-            assert [i for i, _ in ours] == [i for i, _ in ref]
-        with pytest.raises(ValueError):
-            memory_cache_select(current, memory, proj, 2, reduce="diagonal")
-
 
 class TestMotionQueue:
     def test_push_and_length(self):
