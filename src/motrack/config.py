@@ -17,6 +17,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from .association import TrackerConfig
+from .metrics import DEFAULT_IOU_THRESHOLD, check_iou_threshold
+from .simulator import DEFAULT_EMBED_DIM
 
 
 class ConfigError(ValueError):
@@ -89,9 +91,9 @@ class RunConfig:
     """The tracker's tunables plus the run-level settings of the CLI and harness."""
 
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    embed_dim: int = field(default=16, metadata={
+    embed_dim: int = field(default=DEFAULT_EMBED_DIM, metadata={
         "key": "embed.dim", "doc": "embedding dimension used by the simulator and seeded weights"})
-    eval_iou_threshold: float = field(default=0.5, metadata={
+    eval_iou_threshold: float = field(default=DEFAULT_IOU_THRESHOLD, metadata={
         "key": "eval.iou_threshold", "doc": "IoU threshold for CLEAR and identity matching"})
     output_include_lost: bool = field(default=False, metadata={
         "key": "output.include_lost",
@@ -111,8 +113,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if not 0 < self.eval_iou_threshold < 1:
-            raise ValueError(f"iou_threshold must be in (0, 1), got {self.eval_iou_threshold}")
+        check_iou_threshold(self.eval_iou_threshold)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":

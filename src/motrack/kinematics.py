@@ -9,6 +9,7 @@ coasts on its prediction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,13 +96,18 @@ def kf_init(z: BoundingBox, config: KinematicsConfig) -> KalmanTrackState:
     """
     w, h = float(z.w), float(z.h)
     size = (w, h, w, h)
+    pos_var = _variances(2.0 * config.pos_noise, size)
+    vel_var = _variances(10.0 * config.vel_noise, size)
+    q = _variances(config.pos_noise, size) + _variances(config.vel_noise, size)
+    r = _variances(config.obs_noise, size)
+    # The update divides by p_pp + r, so r must be invertible for a zero p_pp.
+    if not all(map(math.isfinite, pos_var + vel_var + q + r)) or min(r) < sys.float_info.min:
+        raise ValueError(f"kf.pos_noise = {config.pos_noise!r}, kf.vel_noise = {config.vel_noise!r} "
+                         f"and kf.obs_noise = {config.obs_noise!r} give a non-finite or zero noise "
+                         f"variance for box size {w!r} x {h!r}")
     return KalmanTrackState(
         state=np.array([z.x, z.y, w, h, 0.0, 0.0, 0.0, 0.0]),
-        pos_var=_variances(2.0 * config.pos_noise, size),
-        vel_var=_variances(10.0 * config.vel_noise, size),
-        cross=(0.0,) * OBS_DIM, counter=0,
-        q=_variances(config.pos_noise, size) + _variances(config.vel_noise, size),
-        r=_variances(config.obs_noise, size),
+        pos_var=pos_var, vel_var=vel_var, cross=(0.0,) * OBS_DIM, counter=0, q=q, r=r,
     )
 
 
@@ -169,9 +175,3 @@ def kf_gated_update(
     return KalmanTrackState(
         np.array(x), tuple(pos_var), tuple(vel_var), tuple(cross), counter, s.q, s.r)
 
-
-def is_reliable(s_obj: float, config: KinematicsConfig) -> bool:
-    """Reliability rule shared by the tracker: objectness meets tau_obj."""
-    if not math.isfinite(s_obj):
-        raise ValueError(f"objectness score must be finite, got {s_obj!r}")
-    return s_obj >= config.tau_obj

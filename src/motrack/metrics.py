@@ -199,6 +199,12 @@ class ClearResult:
     total_gt: int
 
 
+def check_iou_threshold(iou_threshold: float) -> None:
+    """The range rule of every CLEAR and identity IoU threshold: (0, 1)."""
+    if not 0 < iou_threshold < 1:
+        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
+
+
 def clear_metrics(
     gt: TrajectorySet,
     hyp: TrajectorySet,
@@ -215,8 +221,7 @@ def clear_metrics(
     hypotheses are false positives, unmatched ground truths false negatives.
     ``frames`` is the two sets' frame table when the caller already has it.
     """
-    if not 0 < iou_threshold < 1:
-        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
+    check_iou_threshold(iou_threshold)
     if frames is None:
         frames = _frame_table(gt, hyp)
 
@@ -290,8 +295,7 @@ def identity_metrics(
     identity assignment maximising the total count defines IDTP.
     ``frames`` is the two sets' frame table when the caller already has it.
     """
-    if not 0 < iou_threshold < 1:
-        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
+    check_iou_threshold(iou_threshold)
 
     total_gt = gt.total_boxes()
     total_hyp = hyp.total_boxes()

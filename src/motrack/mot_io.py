@@ -213,7 +213,8 @@ def write_detections(path: str | Path, frames, write_aff: bool = True) -> None:
     """Write per-frame candidates; companions with appearance data get a sidecar.
 
     ``frames`` is a mapping frame -> candidates or a list whose position i
-    holds frame i+1.
+    holds frame i+1. A per-track s_mask mapping has no sidecar form: it is a
+    ValueError naming its frame and candidate index, before any file is written.
     """
     items = _frame_items(frames)
     lines = []
@@ -221,15 +222,16 @@ def write_detections(path: str | Path, frames, write_aff: bool = True) -> None:
     dim = 0
     for frame, candidates in items:
         for j, cand in enumerate(candidates):
+            if isinstance(cand.s_mask, Mapping):
+                raise ValueError(f"frame {frame}, candidate {j}: a per-track s_mask has no sidecar form")
             box = cand.box
             lines.append(
                 f"{frame},-1,{_fmt(box.x)},{_fmt(box.y)},{_fmt(box.w)},{_fmt(box.h)},{_fmt(cand.s_obj)},-1,-1,-1"
             )
-            scalar_mask = float(cand.s_mask) if isinstance(cand.s_mask, (int, float)) else None
-            if scalar_mask is not None or cand.embedding is not None:
+            if cand.s_mask is not None or cand.embedding is not None:
                 if cand.embedding is not None:
                     dim = max(dim, cand.embedding.size)
-                aff_entries.append((frame, j, scalar_mask, cand.embedding))
+                aff_entries.append((frame, j, cand.s_mask, cand.embedding))
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
     if write_aff and aff_entries:
         write_sidecar(sidecar_path(path), aff_entries, dim)

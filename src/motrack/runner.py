@@ -130,12 +130,12 @@ def run_ablation(
     seeds: Iterable[int] = range(100),
     jobs: int = 1,
     with_hota: bool = True,
-    presets: Sequence[str] = ("full", "no_motion_gate", "appearance_only", "motion_only"),
 ) -> dict[str, dict[str, dict[str, float]]]:
-    """Mean metrics per preset per scenario: {preset: {scenario: {metric: mean}}}."""
+    """Mean metrics per preset per scenario, presets in PRESETS order:
+    {preset: {scenario: {metric: mean}}}."""
     seeds = list(seeds)
     out: dict[str, dict[str, dict[str, float]]] = {}
-    for preset in presets:
+    for preset in PRESETS:
         reports = run_suite(preset_config(base, preset), scenarios, seeds, jobs, with_hota)
         out[preset] = mean_metrics(reports)
     return out

@@ -31,6 +31,8 @@ MERGED_SOBJ = (0.30, 0.55)
 CLUTTER_SOBJ = (0.2, 0.7)
 MEAN_OCCLUSION_LEN = 6.0
 
+DEFAULT_EMBED_DIM = 16  # also the default of the embed.dim config key
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -51,7 +53,7 @@ class ScenarioConfig:
     fp_rate: float = 0.0                       # expected clutter detections per frame
     miss_rate: float = 0.0                     # per-detection drop probability
     affinity_fidelity: float = 1.0             # P(true agent has the closest signature)
-    embed_dim: int = 16
+    embed_dim: int = DEFAULT_EMBED_DIM
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -3,24 +3,31 @@
 Everything here is deliberately written on a different route from the
 production code: explicit dense matrices and matrix inverses for the Kalman
 filter, pure-Python loops and an unshifted softmax for the attention
-scorer, pixel counting for IoU, permutation search for assignment, and a
-dictionary-based HOTA. None of it imports from motrack's internals beyond
-plain data values, except the per-metric evaluation loops and the MOT
-loaders at the end: they are the references for the shared per-frame
-evaluation and the column parser, and call the public IoU kernels and
-BoundingBox/DetectionCandidate validation on purpose, so that the
-comparison can be exact.
+scorer, pixel counting for IoU, per-pair scalar scorers for association,
+permutation search for assignment, and a dictionary-based HOTA. None of it
+imports from motrack's internals beyond plain data values, except the
+per-pair scorers, the per-metric evaluation loops and the MOT loaders: they
+are the references for the tracker's per-frame score matrices, the shared
+per-frame evaluation and the column parser, and call the scalar ``iou``, the
+score range check, the public IoU kernels and BoundingBox/DetectionCandidate
+validation on purpose, so that the comparison can be exact.
+
+The per-pair scorers (``motion_consistency_score``, ``fused_score``,
+``cosine_affinity``, ``candidate_affinity``) were the library's own scalar
+path before the tracker scored each frame as whole matrices; they live here
+unchanged as that path's reference.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Mapping
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from motrack.association import DetectionCandidate
+from motrack.association import DetectionCandidate, Track, _check_score
 from motrack.geometry import BoundingBox, boxes_array, iou, iou_matrix
 from motrack.mot_io import MotParseError, load_sidecar, sidecar_path
 
@@ -136,6 +143,51 @@ def memory_select_oracle(current, memory, w_q, w_k, k):
     scores = [cross[j] + consistency[j] for j in range(n)]
     order = sorted(range(n), key=lambda j: (-scores[j], j))
     return [(j, scores[j]) for j in order[:k]]
+
+
+# ---------------------------------------------------------------------------
+# association: per-pair scores
+
+
+def motion_consistency_score(predicted: BoundingBox, candidate: BoundingBox) -> float:
+    """IoU between the motion-predicted box and a candidate box."""
+    return iou(predicted, candidate)
+
+
+def fused_score(s_mask: float, s_kf: float, alpha: float) -> float:
+    """Convex combination alpha * s_mask + (1 - alpha) * s_kf."""
+    s_mask = _check_score(s_mask, "s_mask")
+    s_kf = _check_score(s_kf, "s_kf")
+    alpha = _check_score(alpha, "alpha")
+    return alpha * s_mask + (1.0 - alpha) * s_kf
+
+
+def cosine_affinity(memory: np.ndarray | None, embedding: np.ndarray | None) -> float:
+    """Cosine similarity of buffer and embedding mapped to [0, 1]; 0 when unavailable."""
+    if memory is None or embedding is None:
+        return 0.0
+    if memory.shape != embedding.shape:
+        raise ValueError(
+            f"buffer/embedding dimension mismatch: {memory.shape} vs {embedding.shape}"
+        )
+    na = float(np.linalg.norm(memory))
+    nb = float(np.linalg.norm(embedding))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    cos = float(np.dot(memory, embedding) / (na * nb))
+    return min(max(0.5 * (1.0 + cos), 0.0), 1.0)
+
+
+def candidate_affinity(track: Track, candidate: DetectionCandidate) -> float:
+    """Resolve a candidate's appearance affinity for one track."""
+    s_mask = candidate.s_mask
+    if isinstance(s_mask, Mapping):
+        if track.id in s_mask:
+            return float(s_mask[track.id])
+        return cosine_affinity(track.memory, candidate.embedding)
+    if s_mask is not None:
+        return float(s_mask)
+    return cosine_affinity(track.memory, candidate.embedding)
 
 
 # ---------------------------------------------------------------------------

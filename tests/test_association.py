@@ -16,17 +16,22 @@ from motrack import (
     TrackerConfig,
     TrackerState,
     associate_frame,
-    fused_score,
     iou,
     kf_init,
     kf_predict,
-    motion_consistency_score,
     step_tracker,
     temporal_buffer_update,
 )
-from motrack.association import _score_matrices, candidate_affinity, cosine_affinity
+from motrack.association import _score_matrices
 
-from oracles import best_matching_score, ema_closed_form
+from oracles import (
+    best_matching_score,
+    candidate_affinity,
+    cosine_affinity,
+    ema_closed_form,
+    fused_score,
+    motion_consistency_score,
+)
 
 
 def make_track(track_id, box, config=None, predicted=True):
@@ -41,7 +46,42 @@ def cand(box, s_obj=0.9, s_mask=None, embedding=None):
     return DetectionCandidate(BoundingBox(*box), s_obj=s_obj, s_mask=s_mask, embedding=embedding)
 
 
+class TestDetectionCandidate:
+    def test_scores_stored_as_checked_floats(self):
+        box = BoundingBox(0, 0, 10, 10)
+        for s_obj, s_mask in [("0.9", "0.25"), (np.float32(0.5), np.int64(1)), (np.int64(0), 1)]:
+            c = DetectionCandidate(box, s_obj=s_obj, s_mask=s_mask)
+            assert type(c.s_obj) is float and c.s_obj == float(s_obj)
+            assert type(c.s_mask) is float and c.s_mask == float(s_mask)
+        c = DetectionCandidate(box, s_obj=np.float64(0.75), s_mask={3: "0.5", 4: np.float32(1.0)})
+        assert type(c.s_obj) is float
+        assert c.s_mask == {3: 0.5, 4: 1.0}
+        assert all(type(v) is float for v in c.s_mask.values())
+
+    @pytest.mark.parametrize("kwargs", [
+        {"s_obj": "abc"},
+        {"s_obj": "1.5"},
+        {"s_obj": 0.9, "s_mask": "abc"},
+        {"s_obj": 0.9, "s_mask": {2: "nan"}},
+    ])
+    def test_bad_scores_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            DetectionCandidate(BoundingBox(0, 0, 10, 10), **kwargs)
+
+    def test_string_objectness_tracks_like_its_float(self):
+        def run(s_obj):
+            state = TrackerState(config=TrackerConfig(n_init=1, kinematics=KinematicsConfig(tau_kf=0)))
+            for f in range(4):
+                state, outputs = step_tracker(state, [cand((2.0 * f, 0, 20, 20), s_obj=s_obj)])
+            return [(o.track_id, o.box, o.score) for o in outputs], state.tracks[0].kalman.state
+
+        (out_s, x_s), (out_f, x_f) = run("0.9"), run(0.9)
+        assert out_s == out_f and np.array_equal(x_s, x_f)
+
+
 class TestScores:
+    """The per-pair scalar scorers kept in tests/oracles.py as references."""
+
     def test_motion_score_is_prediction_iou(self):
         p = BoundingBox(0, 0, 10, 10)
         assert motion_consistency_score(p, p) == 1.0
@@ -113,6 +153,8 @@ class TestTemporalBuffer:
 
 
 class TestCosineFallback:
+    """The oracle's cosine fallback and per-pair affinity resolution."""
+
     def test_affinity_maps_to_unit_interval(self):
         e = np.array([1.0, 0.0])
         assert cosine_affinity(e, e) == pytest.approx(1.0)
@@ -201,12 +243,18 @@ class TestScoreMatrices:
     def test_mismatch_ignored_where_scalar_mask_decides(self):
         track = make_track(1, (0, 0, 10, 10))
         track.memory = np.ones(3)
-        candidates = [
-            cand((0, 0, 10, 10), s_mask=0.25, embedding=np.ones(2)),
-            cand((0, 0, 10, 10), s_mask={1: 0.75}, embedding=np.ones(2)),
-        ]
+        candidates = [cand((0, 0, 10, 10), s_mask=0.25, embedding=np.ones(2))]
         fused, _ = _score_matrices([track], candidates, 1.0)
-        assert fused.tolist() == [[0.25, 0.75]]
+        assert fused.tolist() == [[0.25]]
+
+    def test_mismatch_rejected_where_mapping_decides(self):
+        """A mapping candidate's embedding is compared with every memory of
+        the frame, so a mismatch raises even where the mapping names the track."""
+        track = make_track(1, (0, 0, 10, 10))
+        track.memory = np.ones(3)
+        mapped = cand((0, 0, 10, 10), s_mask={1: 0.75}, embedding=np.ones(2))
+        with pytest.raises(ValueError, match=r"^buffer/embedding dimension mismatch: \(2,\) vs \(3,\)"):
+            _score_matrices([track], [mapped], 1.0)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_scores_rejected(self):
@@ -427,6 +475,71 @@ class TestStepTracker:
         assert 0.0 < track.memory[1] < 1.0
         assert track.memory[0] + track.memory[1] == pytest.approx(1.0)
         del expected
+
+
+@st.composite
+def tracker_streams(draw):
+    """A tracker config and a stream of frames for it.
+
+    Frames may be empty; candidates have random boxes and objectness, a
+    scalar, per-track mapping or no s_mask, and an embedding of the
+    stream's one dimension or none. tau_kf is 0, 3 or inf.
+    """
+    dim = draw(st.integers(1, 4))
+    unit = st.floats(0.0, 1.0)
+    coord = st.floats(-50.0, 250.0)
+    extent = st.floats(1.0, 60.0)
+    config = TrackerConfig(
+        n_init=draw(st.integers(1, 4)),
+        max_age=draw(st.integers(0, 6)),
+        kinematics=KinematicsConfig(tau_kf=draw(st.sampled_from((0.0, 3.0, math.inf)))),
+    )
+    frames = []
+    for _ in range(draw(st.integers(1, 30))):
+        frame = []
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(("none", "scalar", "mapping")))
+            if kind == "scalar":
+                s_mask = draw(unit)
+            elif kind == "mapping":
+                s_mask = draw(st.dictionaries(st.integers(1, 12), unit, max_size=3))
+            else:
+                s_mask = None
+            embedding = None
+            if draw(st.booleans()):
+                embedding = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim)))
+            box = BoundingBox(draw(coord), draw(coord), draw(extent), draw(extent))
+            frame.append(DetectionCandidate(box, draw(unit), s_mask, embedding))
+        frames.append(frame)
+    return config, frames
+
+
+class TestTrackerStreams:
+    @settings(max_examples=150, deadline=None)
+    @given(tracker_streams())
+    def test_stream_invariants(self, stream):
+        config, frames = stream
+        state = TrackerState(config=config)
+        issued: set[int] = set()  # every id a track has held
+        retired: set[int] = set()
+        for frame in frames:
+            state, outputs = step_tracker(state, frame)
+            live = {t.id for t in state.tracks}
+            assert len(live) == len(state.tracks)
+            assert not live & retired, "a retired id came back"
+            retired |= issued - live
+            issued |= live
+            ids = [o.track_id for o in outputs]
+            assert len(ids) == len(set(ids))
+            assert set(ids) <= live
+            for o in outputs:
+                assert all(map(math.isfinite, o.box.as_tuple()))
+                assert o.box.w > 0 and o.box.h > 0
+            for t in state.tracks:
+                k = t.kalman
+                assert np.all(np.isfinite(k.state))
+                assert all(map(math.isfinite, k.pos_var + k.vel_var + k.cross))
+        assert issued == set(range(1, state.next_id))
 
 
 class TestModeReductions:

@@ -86,6 +86,13 @@ class TestRunConfig:
         with pytest.raises(KeyError):
             preset_config(base, "bogus")
 
+    def test_ablation_runs_every_preset_in_order(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(runner, "run_suite", lambda cfg, *args: ran.append(cfg) or {})
+        results = runner.run_ablation(RunConfig(), seeds=range(1))
+        assert list(results) == list(PRESETS)
+        assert ran == [preset_config(RunConfig(), p) for p in PRESETS]
+
 
 def keyed_fields(cls, path=()):
     """(key, attribute path, field) of every config field, nested ones expanded."""
@@ -402,6 +409,25 @@ class TestCli:
         code = self.run_cli("eval", "--gt", "x", "--hyp", "y", "--config", str(cfg))
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        "kf.obs_noise = 1e-200\nkf.pos_noise = 0\nkf.vel_noise = 0\nkf.tau_kf = 0\n",
+        "kf.vel_noise = 1e200\n",
+    ])
+    def test_degenerate_kalman_noise_is_clean_error(self, tmp_path, capsys, overrides):
+        assert self.run_cli("simulate", "--scenario", "crossing2", "--seed", "0",
+                            "--out-dir", str(tmp_path)) == 0
+        capsys.readouterr()
+        cfg = tmp_path / "noise.cfg"
+        cfg.write_text(overrides)
+        out = tmp_path / "hyp.txt"
+        code = self.run_cli("track", "--det", str(tmp_path / "crossing2_seed0_det.txt"),
+                            "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: kf.pos_noise = ")
+        assert "kf.vel_noise" in err and "kf.obs_noise" in err and "for box size" in err
+        assert not out.exists()
 
     def test_sweep_summarises_grid(self, tmp_path, capsys):
         code = self.run_cli(

@@ -281,3 +281,23 @@ class TestWriteReadWriteRoundTrip:
             assert sidecar_path(first).exists() == sidecar_path(second).exists()
             if sidecar_path(first).exists():
                 assert sidecar_path(second).read_bytes() == sidecar_path(first).read_bytes()
+
+
+class TestWriteDetectionsAppearance:
+    def test_mapping_s_mask_rejected_before_any_file(self, tmp_path):
+        box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        frames = {
+            2: [DetectionCandidate(box, 0.9, s_mask=0.5)],
+            4: [DetectionCandidate(box, 0.9), DetectionCandidate(box, 0.9, s_mask={1: 0.5})],
+        }
+        path = tmp_path / "det.txt"
+        with pytest.raises(ValueError, match="frame 4, candidate 1: a per-track s_mask has no sidecar form"):
+            write_detections(path, frames)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_scalar_s_mask_reaches_the_sidecar(self, tmp_path):
+        box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        path = tmp_path / "det.txt"
+        write_detections(path, [[DetectionCandidate(box, np.float32(0.5), s_mask=np.int64(1))]])
+        (loaded,) = load_detections(path)[1]
+        assert loaded.s_mask == 1.0 and loaded.s_obj == 0.5
