@@ -5,14 +5,16 @@ Each frame the tracker predicts every live track forward, scores every
 motion consistency (IoU against the Kalman prediction), resolves an
 exclusive assignment, applies the confidence-gated Kalman update and the
 adaptive-EMA appearance buffer to matched tracks, and runs births, coasting,
-and retirement for the rest.
+and retirement for the rest. The live tracks are held as columns
+(``TrackRows``), so predict, the gated correction and the appearance EMA each
+run once per frame over all tracks, with the per-track filter's formulas.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -20,11 +22,15 @@ from scipy.optimize import linear_sum_assignment
 # `iou` is not called here since every frame goes through `iou_matrix`, but it
 # stays a module name: the benchmark's layer probes rebind `association.iou`.
 from .geometry import BoundingBox, boxes_array, iou, iou_matrix  # noqa: F401
-from .kinematics import KalmanTrackState, KinematicsConfig, kf_gated_update, kf_init, kf_predict
+# `kf_predict` and `kf_gated_update` (the per-track filter) likewise stay for those probes.
+from .kinematics import (OBS_DIM, KalmanTrackState, KinematicsConfig, _correct_axis,  # noqa: F401
+                         _predict_axis, _predicted_box, kf_gated_update, kf_init, kf_predict)
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
 LOST = "lost"
+_STATUSES = (TENTATIVE, CONFIRMED, LOST)  # a row's status code indexes this
+_TENTATIVE, _LOST = 0, 2  # and confirmed is 1, so "is confirmed" flags store as codes
 
 MODES = ("hungarian", "greedy")
 
@@ -73,7 +79,9 @@ class DetectionCandidate:
 
 @dataclass
 class Track:
-    """A persistent identity: motion state, appearance memory, lifecycle counters."""
+    """One identity as a plain value: motion state, appearance memory,
+    lifecycle counters. ``TrackerState.tracks`` returns these as snapshots of
+    the tracker's rows; ``associate_frame`` also accepts a list of them."""
 
     id: int
     kalman: KalmanTrackState
@@ -107,26 +115,67 @@ def temporal_buffer_update(
         raise ValueError(f"buffer/key dimension mismatch: {memory.shape} vs {key.shape}")
     s_kf_star = _check_score(s_kf_star, "s_kf_star")
     tau_gamma = _check_score(tau_gamma, "tau_gamma")
-    gamma = 1.0 - min(s_kf_star, tau_gamma)
+    updated, gamma = _ema(memory, key, s_kf_star, tau_gamma)
+    return updated, float(gamma)
+
+
+def _ema(memory, key, s_kf, tau_gamma):
+    """(gamma * memory + (1 - gamma) * key, gamma) with gamma = 1 - min(s_kf, tau_gamma),
+    for one buffer and score or for (k, d) buffers with (k, 1) scores."""
+    gamma = 1.0 - np.minimum(s_kf, tau_gamma)
     return gamma * memory + (1.0 - gamma) * key, gamma
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     track_id: int
     candidate_index: int
     score: float       # fused score of the pair
     motion_score: float  # IoU against the prediction (s_kf of the pair)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssociationResult:
-    matches: tuple[Match, ...]
-    unmatched_tracks: tuple[int, ...]      # track ids
-    unmatched_candidates: tuple[int, ...]  # candidate indices
+    """One frame's assignment as aligned arrays: the matched track rows in
+    increasing order, their candidate indices and boxes (k, 4), and each
+    pair's fused and motion scores. ``ids`` holds the track id of every row.
+    The per-pair views below are derived on read; two results are equal, and
+    hash alike, when their views are."""
+
+    ids: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    boxes: np.ndarray
+    scores: np.ndarray
+    motion_scores: np.ndarray
+    n_candidates: int
+
+    @property
+    def matches(self) -> tuple[Match, ...]:
+        return tuple(map(Match, self.ids[self.rows].tolist(), self.cols.tolist(),
+                         self.scores.tolist(), self.motion_scores.tolist()))
+
+    @property
+    def unmatched_tracks(self) -> tuple[int, ...]:
+        """Track ids, in row order."""
+        return tuple(np.delete(self.ids, self.rows).tolist())
+
+    @property
+    def unmatched_candidates(self) -> tuple[int, ...]:
+        """Candidate indices, increasing."""
+        taken = set(self.cols.tolist())
+        return tuple(j for j in range(self.n_candidates) if j not in taken)
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [(m.track_id, m.candidate_index) for m in self.matches]
+        return list(zip(self.ids[self.rows].tolist(), self.cols.tolist()))
+
+    def _views(self) -> tuple:
+        return self.matches, self.unmatched_tracks, self.unmatched_candidates
+
+    def __eq__(self, other) -> bool:
+        return self._views() == other._views() if isinstance(other, AssociationResult) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._views())
 
 
 @dataclass(frozen=True)
@@ -163,19 +212,118 @@ class TrackerConfig:
             raise ValueError(f"max_age must be >= 0, got {self.max_age}")
 
 
+def _one_dim(shapes) -> tuple[int, ...]:
+    """The one memory shape among ``shapes``, (0,) for none; two are an error."""
+    shapes = sorted(set(shapes))
+    if len(shapes) > 1:
+        raise ValueError(f"buffer/key dimension mismatch: {' vs '.join(map(str, shapes))}")
+    return shapes[0] if shapes else (0,)
+
+
+class TrackRows:
+    """Tracks as columns, one row per track in creation (and id) order.
+
+    ``id``, ``status`` (an index into the status names), ``hits``,
+    ``misses`` and ``counter`` (the Kalman gate counter) are (n,) integers.
+    The Kalman blocks are laid out as in ``KalmanTrackState``: ``x`` and
+    ``q`` (n, 8), ``pos_var``, ``vel_var``, ``cross`` and ``r`` (n, 4).
+    ``memory`` (n, d) holds the appearance buffers of the rows
+    ``has_memory`` marks, all of one dimension d. ``predicted`` (n, 4) is
+    each row's latest predicted box (NaN before its first predict).
+    ``last_box`` and ``last_score`` are lists: each row's output box and
+    fused score (None while coasting).
+    """
+
+    ARRAYS = ("id", "status", "hits", "misses", "counter", "x", "pos_var", "vel_var",
+              "cross", "q", "r", "memory", "has_memory", "predicted")
+
+    @classmethod
+    def of(cls, tracks: Sequence[Track]) -> "TrackRows":
+        """Rows holding copies of the given tracks, in their order."""
+        n = len(tracks)
+        rows = cls()
+        for name, dtype, values in (
+            ("id", np.int64, [t.id for t in tracks]),
+            ("status", np.int8, [_STATUSES.index(t.status) for t in tracks]),
+            ("hits", np.int64, [t.hits for t in tracks]),
+            ("misses", np.int64, [t.misses for t in tracks]),
+            ("counter", np.int64, [t.kalman.counter for t in tracks]),
+        ):
+            setattr(rows, name, np.array(values, dtype=dtype))
+        for name, width in (("state", 2 * OBS_DIM), ("pos_var", OBS_DIM), ("vel_var", OBS_DIM),
+                            ("cross", OBS_DIM), ("q", 2 * OBS_DIM), ("r", OBS_DIM)):
+            column = np.array([getattr(t.kalman, name) for t in tracks], dtype=float)
+            setattr(rows, "x" if name == "state" else name, column.reshape(n, width))
+        memories = [t.memory for t in tracks if t.memory is not None]
+        rows.has_memory = np.array([t.memory is not None for t in tracks], dtype=bool)
+        rows.memory = np.zeros((n, *_one_dim(np.shape(m) for m in memories)))
+        if memories:
+            rows.memory[rows.has_memory] = memories
+        nan_box = (math.nan,) * OBS_DIM
+        rows.predicted = np.array([nan_box if t.predicted_box is None else t.predicted_box.as_tuple()
+                                   for t in tracks], dtype=float).reshape(n, OBS_DIM)
+        rows.last_box = [t.last_box for t in tracks]
+        rows.last_score = [t.last_score for t in tracks]
+        return rows
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def snapshot(self) -> list[Track]:
+        """Every row as a new ``Track``; changing one leaves the rows alone."""
+        columns = zip(self.id.tolist(), self.status.tolist(), self.misses.tolist(), self.hits.tolist(),
+                      self.x, self.pos_var.tolist(), self.vel_var.tolist(), self.cross.tolist(),
+                      self.counter.tolist(), self.q.tolist(), self.r.tolist(), self.memory,
+                      self.has_memory.tolist(), self.predicted.tolist(), self.last_box, self.last_score)
+        return [
+            Track(i, KalmanTrackState(x.copy(), tuple(pv), tuple(vv), tuple(c), k, tuple(q), tuple(r)),
+                  _STATUSES[s], misses, hits, memory.copy() if has else None,
+                  None if math.isnan(p[0]) else BoundingBox(*p), box, score)
+            for i, s, misses, hits, x, pv, vv, c, k, q, r, memory, has, p, box, score in columns
+        ]
+
+    def rebuild(self, keep: np.ndarray | None, new: "TrackRows") -> None:
+        """Drop the rows ``keep`` marks False (all kept when None), then append
+        ``new``'s rows. Memories of two dimensions are an error."""
+        if keep is not None:
+            for name in self.ARRAYS:
+                setattr(self, name, getattr(self, name)[keep])
+            kept = keep.tolist()
+            self.last_box = [b for b, k in zip(self.last_box, kept) if k]
+            self.last_score = [s for s, k in zip(self.last_score, kept) if k]
+        if len(new):
+            dim = _one_dim(r.memory.shape[1:] for r in (self, new) if np.count_nonzero(r.has_memory))
+            for part in (self, new):
+                if part.memory.shape[1:] != dim:
+                    part.memory = np.zeros((len(part), *dim))
+            for name in self.ARRAYS:
+                setattr(self, name, np.concatenate([getattr(self, name), getattr(new, name)]))
+            self.last_box += new.last_box
+            self.last_score += new.last_score
+
+
+def _as_rows(tracks: TrackRows | Sequence[Track]) -> TrackRows:
+    if isinstance(tracks, TrackRows):
+        return tracks
+    for track in tracks:
+        if track.predicted_box is None:
+            raise ValueError(f"track {track.id} has no prediction for this frame")
+    return TrackRows.of(tracks)
+
+
 def _appearance_matrix(
-    tracks: list[Track],
+    rows: TrackRows,
     candidates: list[DetectionCandidate],
 ) -> np.ndarray:
     """Appearance affinity of every (track, candidate) pair, as one matrix.
 
     Cosine affinities, mapped to [0, 1] (0 where a vector is zero or
-    missing), come from one matmul of the stacked track memories against
-    the stacked embeddings of the candidates without a scalar s_mask, which
-    must all share one dimension; scalar s_mask values then fill their
-    column and mapping entries the rows of the tracks they name.
+    missing), come from one matmul of the track memories against the
+    stacked embeddings of the candidates without a scalar s_mask, which
+    must all share the memories' dimension; scalar s_mask values then fill
+    their column and mapping entries the rows of the tracks they name.
     """
-    appearance = np.zeros((len(tracks), len(candidates)))
+    appearance = np.zeros((len(rows), len(candidates)))
     cols, mapped = [], []  # candidates compared by cosine / with a mapping s_mask
     for j, cand in enumerate(candidates):
         if cand.s_mask is None or isinstance(cand.s_mask, Mapping):
@@ -185,110 +333,93 @@ def _appearance_matrix(
                 mapped.append(j)
         else:
             appearance[:, j] = cand.s_mask
-    rows = [i for i, t in enumerate(tracks) if t.memory is not None]
-    if rows and cols:
-        memories = [tracks[i].memory for i in rows]
+    if cols and np.count_nonzero(rows.has_memory):
         embeddings = [candidates[j].embedding for j in cols]
-        shapes = sorted({v.shape for v in memories + embeddings})
+        shapes = sorted({rows.memory.shape[1:]} | {v.shape for v in embeddings})
         if len(shapes) > 1:
             raise ValueError(f"buffer/embedding dimension mismatch: {' vs '.join(map(str, shapes))}")
-        mem, emb = np.array(memories), np.array(embeddings)
-        na = np.linalg.norm(mem, axis=1)
-        nb = np.linalg.norm(emb, axis=1)
+        held = np.flatnonzero(rows.has_memory)
+        mem, emb = rows.memory[held], np.array(embeddings)
+        # np.linalg.norm(., axis=1)'s own arithmetic, without its argument handling.
+        na, nb = np.sqrt(np.add.reduce(mem * mem, axis=1)), np.sqrt(np.add.reduce(emb * emb, axis=1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            cos = (mem @ emb.T) / np.outer(na, nb)
+            cos = (mem @ emb.T) / (na[:, np.newaxis] * nb)
         cosine = np.minimum(np.maximum(0.5 * (1.0 + cos), 0.0), 1.0)
         cosine[(na == 0.0)[:, np.newaxis] | (nb == 0.0)[np.newaxis, :]] = 0.0
-        appearance[np.array(rows)[:, np.newaxis], cols] = cosine
-    for j in mapped:
-        s_mask = candidates[j].s_mask
-        for i, track in enumerate(tracks):
-            if track.id in s_mask:
-                appearance[i, j] = s_mask[track.id]
+        appearance[held[:, np.newaxis], cols] = cosine
+    if mapped:
+        ids = rows.id.tolist()
+        for j in mapped:
+            s_mask = candidates[j].s_mask
+            for i, track_id in enumerate(ids):
+                if track_id in s_mask:
+                    appearance[i, j] = s_mask[track_id]
     return appearance
 
 
 def _score_matrices(
-    tracks: list[Track],
+    tracks: TrackRows | Sequence[Track],
     candidates: list[DetectionCandidate],
     alpha: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(fused, motion) score matrices of every (track, candidate) pair.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fused, motion) score matrices of every (track, candidate) pair, and
+    the candidates' (m, 4) boxes.
 
     motion is the IoU of each track's prediction against each candidate
     box; fused is alpha * appearance + (1 - alpha) * motion.
     """
-    for track in tracks:
-        if track.predicted_box is None:
-            raise ValueError(f"track {track.id} has no prediction for this frame")
-    motion = iou_matrix(
-        boxes_array(t.predicted_box for t in tracks),
-        boxes_array(c.box for c in candidates),
-    )
-    fused = alpha * _appearance_matrix(tracks, candidates) + (1.0 - alpha) * motion
-    if not np.all(np.isfinite(fused)):
+    rows = _as_rows(tracks)
+    boxes = boxes_array(c.box for c in candidates)
+    motion = iou_matrix(rows.predicted, boxes)
+    fused = alpha * _appearance_matrix(rows, candidates) + (1.0 - alpha) * motion
+    if np.count_nonzero(np.isfinite(fused)) < fused.size:
         raise ValueError("association scores contain non-finite entries")
-    return fused, motion
+    return fused, motion, boxes
 
 
 def associate_frame(
-    tracks: list[Track],
+    tracks: TrackRows | Sequence[Track],
     candidates: list[DetectionCandidate],
     config: TrackerConfig,
 ) -> AssociationResult:
     """Resolve this frame's exclusive track-candidate assignment.
 
-    hungarian mode returns the one-to-one assignment maximising the total
-    fused score over pairs at or above tau_match. greedy mode lets every
-    track pick its own best candidate (ties to the lower candidate index);
-    when several tracks claim one candidate the highest fused score wins
-    and the losers stay unmatched.
+    ``tracks`` are the tracker's rows or a list of predicted ``Track``s,
+    converted to rows once. hungarian mode returns the one-to-one
+    assignment maximising the total fused score over pairs at or above
+    tau_match. greedy mode lets every track pick its own best candidate
+    (ties to the lower candidate index); when several tracks claim one
+    candidate the highest fused score wins and the losers stay unmatched.
     """
-    fused, motion = _score_matrices(tracks, candidates, config.alpha)
+    rows = _as_rows(tracks)
+    fused, motion, boxes = _score_matrices(rows, candidates, config.alpha)
     n_tracks, n_cands = fused.shape
-    assigned: dict[int, int] = {}  # track index -> candidate index
+    matched = cols = np.zeros(0, dtype=np.intp)
 
     if n_tracks and n_cands:
         admissible = fused >= config.tau_match
         if config.mode == "hungarian":
-            rows, cols = linear_sum_assignment(
-                np.where(admissible, fused, 0.0), maximize=True
-            )
-            for r, c in zip(rows, cols):
-                if admissible[r, c]:
-                    assigned[int(r)] = int(c)
+            # The row indices come back sorted.
+            matched, cols = linear_sum_assignment(np.where(admissible, fused, 0.0), maximize=True)
+            keep = admissible[matched, cols]
+            matched, cols = matched[keep], cols[keep]
         else:
             claims: dict[int, int] = {}  # candidate index -> track index
-            for i in range(n_tracks):
-                j = int(np.argmax(fused[i]))
+            for i, j in enumerate(np.argmax(fused, axis=1).tolist()):
                 if not admissible[i, j]:
                     continue
                 holder = claims.get(j)
                 if holder is None or fused[i, j] > fused[holder, j]:
                     claims[j] = i
-            assigned = {i: j for j, i in claims.items()}
+            pairs = sorted((i, j) for j, i in claims.items())
+            matched = np.array([i for i, _ in pairs], dtype=np.intp)
+            cols = np.array([j for _, j in pairs], dtype=np.intp)
 
-    matches = tuple(
-        Match(
-            track_id=tracks[i].id,
-            candidate_index=j,
-            score=float(fused[i, j]),
-            motion_score=float(motion[i, j]),
-        )
-        for i, j in sorted(assigned.items())
-    )
-    unmatched_tracks = tuple(
-        tracks[i].id for i in range(n_tracks) if i not in assigned
-    )
-    matched_cands = set(assigned.values())
-    unmatched_candidates = tuple(
-        j for j in range(n_cands) if j not in matched_cands
-    )
-    return AssociationResult(matches, unmatched_tracks, unmatched_candidates)
+    return AssociationResult(rows.id, matched, cols, boxes[cols], fused[matched, cols],
+                             motion[matched, cols], n_cands)
 
 
-@dataclass(frozen=True)
-class TrackOutput:
+class TrackOutput(NamedTuple):
     """One per-frame record: matched tracks report the selected candidate box,
     coasting tracks their predicted box."""
 
@@ -300,28 +431,94 @@ class TrackOutput:
 
 @dataclass
 class TrackerState:
-    """Single-writer state for one tracked sequence."""
+    """Single-writer state for one tracked sequence. The live tracks are the
+    columns in ``rows``; ``tracks`` reads them as a list of ``Track``
+    snapshots, built on each read, that the tracker never sees again."""
 
     config: TrackerConfig = field(default_factory=TrackerConfig)
-    tracks: list[Track] = field(default_factory=list)
     next_id: int = 1
     frame_index: int = 0
+    rows: TrackRows = field(default_factory=lambda: TrackRows.of([]), repr=False)
+
+    @property
+    def tracks(self) -> list[Track]:
+        return self.rows.snapshot()
 
 
-def _spawn_track(state: TrackerState, candidate: DetectionCandidate) -> Track:
-    cfg = state.config
-    track = Track(
-        id=state.next_id,
-        kalman=kf_init(candidate.box, cfg.kinematics),
-        status=CONFIRMED if cfg.n_init <= 1 else TENTATIVE,
-        hits=1,
-        last_box=candidate.box,
-        last_score=None,
-    )
-    if candidate.embedding is not None:
-        track.memory = candidate.embedding.copy()
-    state.next_id += 1
-    return track
+def _predict(rows: TrackRows) -> None:
+    """Advance every row one frame and store its predicted box, extents
+    floored at MIN_EXTENT; a non-finite box fails as BoundingBox does."""
+    x = rows.x
+    x[:, :OBS_DIM], rows.pos_var, rows.vel_var, rows.cross = _predict_axis(
+        x[:, :OBS_DIM], x[:, OBS_DIM:], rows.pos_var, rows.vel_var, rows.cross,
+        rows.q[:, :OBS_DIM], rows.q[:, OBS_DIM:])
+    predicted = _predicted_box(x[:, :OBS_DIM])
+    finite = np.isfinite(predicted)
+    if np.count_nonzero(finite) < finite.size:
+        BoundingBox(*predicted[np.argmin(finite.all(axis=1))].tolist())
+    rows.predicted = predicted
+
+
+def _update_matched(
+    rows: TrackRows,
+    frame: list[DetectionCandidate],
+    result: AssociationResult,
+    cfg: TrackerConfig,
+) -> None:
+    """Gated Kalman update, appearance buffer and counters of the matched rows."""
+    kin = cfg.kinematics
+    matched = result.rows
+    cands = [frame[j] for j in result.cols.tolist()]
+
+    # One more reliable association, or back to zero.
+    counter = (rows.counter[matched] + 1) * np.array([c.s_obj >= kin.tau_obj for c in cands])
+    rows.counter[matched] = counter
+    fire = counter >= kin.tau_kf
+    if np.count_nonzero(fire):
+        f, x = matched[fire], rows.x
+        x[f, :OBS_DIM], x[f, OBS_DIM:], rows.pos_var[f], rows.vel_var[f], rows.cross[f] = _correct_axis(
+            x[f, :OBS_DIM], x[f, OBS_DIM:], rows.pos_var[f], rows.vel_var[f], rows.cross[f],
+            rows.r[f], result.boxes[fire])
+
+    keyed = [k for k, c in enumerate(cands) if c.embedding is not None]
+    if keyed:
+        keys = [cands[k].embedding for k in keyed]
+        try:
+            keys = np.array(keys)
+        except ValueError:  # embeddings of two dimensions
+            _one_dim(v.shape for v in keys)
+        if keys.shape[1:] != rows.memory.shape[1:]:
+            held = [rows.memory.shape[1:]] if np.count_nonzero(rows.has_memory) else []
+            rows.memory = np.zeros((len(rows), *_one_dim(held + [keys.shape[1:]])))
+        k, s_kf = matched[keyed], result.motion_scores[keyed][:, np.newaxis]
+        blended, _ = _ema(rows.memory[k], keys, s_kf, cfg.tau_gamma)
+        # A row without memory takes the key as it is.
+        rows.memory[k] = np.where(rows.has_memory[k][:, np.newaxis], blended, keys)
+        rows.has_memory[k] = True
+
+    rows.misses[matched] = 0
+    rows.hits[matched] += 1
+    # A match confirms a row unless it is tentative with fewer than n_init hits.
+    rows.status[matched] = (rows.status[matched] != _TENTATIVE) | (rows.hits[matched] >= cfg.n_init)
+    for i, c, score in zip(matched.tolist(), cands, result.scores.tolist()):
+        rows.last_box[i] = c.box
+        rows.last_score[i] = score
+
+
+def _coast_unmatched(rows: TrackRows, matched: np.ndarray, cfg: TrackerConfig) -> np.ndarray | None:
+    """Count a miss for every unmatched row. Tentative rows and rows past
+    max_age retire; the rest coast as lost on their predicted box. Returns
+    the mask of rows to keep, or None when none retires."""
+    unmatched = np.ones(len(rows), dtype=bool)
+    unmatched[matched] = False
+    rows.misses += unmatched
+    retire = unmatched & ((rows.status == _TENTATIVE) | (rows.misses > cfg.max_age))
+    coast = np.flatnonzero(unmatched ^ retire)
+    rows.status[coast] = _LOST
+    for i, box in zip(coast.tolist(), rows.predicted[coast].tolist()):
+        rows.last_box[i] = BoundingBox(*box)
+        rows.last_score[i] = None
+    return ~retire if np.count_nonzero(retire) else None
 
 
 def step_tracker(
@@ -335,11 +532,14 @@ def step_tracker(
     matches, then lifecycle: unmatched candidates above tau_birth spawn
     tentative tracks, tentative tracks confirm after n_init consecutive
     hits, tracks whose misses exceed max_age retire, and the rest coast as
-    lost on their predictions.
+    lost on their predictions. Each stage runs once over all rows; the
+    outputs come in increasing track id order.
 
     frame_index defaults to the next frame; passing an explicit index that
     does not advance time raises ValueError. The state is mutated in place
-    and returned alongside this frame's output records.
+    and returned alongside this frame's output records. The appearance
+    buffers hold one dimension: a frame whose embeddings would add a second
+    one raises ValueError.
     """
     cfg = state.config
     if frame_index is None:
@@ -350,55 +550,22 @@ def step_tracker(
         )
     state.frame_index = frame_index
 
-    for track in state.tracks:
-        track.kalman, track.predicted_box = kf_predict(track.kalman)
+    rows = state.rows
+    if len(rows):
+        _predict(rows)
+    result = associate_frame(rows, frame, cfg)
+    if len(result.rows):
+        _update_matched(rows, frame, result, cfg)
+    keep = _coast_unmatched(rows, result.rows, cfg) if len(result.rows) < len(rows) else None
+    born = [frame[j] for j in result.unmatched_candidates if frame[j].s_obj >= cfg.tau_birth]
+    if keep is not None or born:
+        status = CONFIRMED if cfg.n_init <= 1 else TENTATIVE
+        rows.rebuild(keep, TrackRows.of([
+            Track(state.next_id + k, kf_init(c.box, cfg.kinematics), status, memory=c.embedding, last_box=c.box)
+            for k, c in enumerate(born)]))
+        state.next_id += len(born)
 
-    result = associate_frame(state.tracks, frame, cfg)
-    by_id = {track.id: track for track in state.tracks}
-
-    for m in result.matches:
-        track = by_id[m.track_id]
-        cand = frame[m.candidate_index]
-        reliable = cand.s_obj >= cfg.kinematics.tau_obj
-        track.kalman = kf_gated_update(track.kalman, cand.box, reliable, cfg.kinematics)
-        if cand.embedding is not None:
-            if track.memory is None:
-                track.memory = cand.embedding.copy()
-            else:
-                track.memory, _ = temporal_buffer_update(
-                    track.memory, cand.embedding, m.motion_score, cfg.tau_gamma
-                )
-        track.misses = 0
-        track.hits += 1
-        if track.status == TENTATIVE:
-            if track.hits >= cfg.n_init:
-                track.status = CONFIRMED
-        else:
-            track.status = CONFIRMED
-        track.last_box = cand.box
-        track.last_score = m.score
-
-    retired: set[int] = set()
-    for track_id in result.unmatched_tracks:
-        track = by_id[track_id]
-        track.misses += 1
-        if track.status == TENTATIVE or track.misses > cfg.max_age:
-            retired.add(track_id)
-            continue
-        track.status = LOST
-        track.last_box = track.predicted_box
-        track.last_score = None
-    if retired:
-        state.tracks = [t for t in state.tracks if t.id not in retired]
-
-    for j in result.unmatched_candidates:
-        cand = frame[j]
-        if cand.s_obj >= cfg.tau_birth:
-            state.tracks.append(_spawn_track(state, cand))
-
-    outputs = [
-        TrackOutput(track.id, track.last_box, track.status, track.last_score)
-        for track in state.tracks
-        if track.last_box is not None
+    return state, [
+        TrackOutput(i, box, _STATUSES[s], score)
+        for i, s, box, score in zip(rows.id.tolist(), rows.status.tolist(), rows.last_box, rows.last_score)
     ]
-    return state, outputs

@@ -17,10 +17,8 @@ import numpy as np
 from .geometry import BoundingBox
 
 OBS_DIM = 4
-
-# Predicted extents are floored before box construction: velocity
-# extrapolation may drive w/h negative and IoU needs positive extents.
-MIN_EXTENT = 1e-3
+MIN_EXTENT = 1e-3  # velocity extrapolation may drive a predicted w or h below this
+_BOX_FLOOR = np.array([-math.inf, -math.inf, MIN_EXTENT, MIN_EXTENT])  # x and y pass as they are
 
 
 @dataclass(frozen=True)
@@ -105,32 +103,51 @@ def kf_init(z: BoundingBox, config: KinematicsConfig) -> KalmanTrackState:
         raise ValueError(f"kf.pos_noise = {config.pos_noise!r}, kf.vel_noise = {config.vel_noise!r} "
                          f"and kf.obs_noise = {config.obs_noise!r} give a non-finite or zero noise "
                          f"variance for box size {w!r} x {h!r}")
-    return KalmanTrackState(
-        state=np.array([z.x, z.y, w, h, 0.0, 0.0, 0.0, 0.0]),
-        pos_var=pos_var, vel_var=vel_var, cross=(0.0,) * OBS_DIM, counter=0, q=q, r=r,
-    )
+    return KalmanTrackState(state=np.array([z.x, z.y, w, h, 0.0, 0.0, 0.0, 0.0]), pos_var=pos_var,
+                            vel_var=vel_var, cross=(0.0,) * OBS_DIM, counter=0, q=q, r=r)
 
 
 # Per axis, the formulas below are the dense products F P F' + Q and, with
 # gain K = P H' / (p_pp + r), the Joseph form (I - K H) P (I - K H)' + K R K',
-# each symmetrised, written out without their zero terms and in the same
-# order of operations. The Joseph form keeps the covariance PSD under roundoff.
+# each symmetrised, without their zero terms and in the same order of
+# operations (the Joseph form keeps the covariance PSD under roundoff). Being
+# plain arithmetic, they apply alike to one axis's floats and to (n, 4) columns.
+
+
+def _predict_axis(p, v, pos_var, vel_var, cross, q_p, q_v):
+    """(position, position variance, velocity variance, cross) one frame on."""
+    pv_vv = cross + vel_var
+    return p + v, ((pos_var + cross) + pv_vv) + q_p, vel_var + q_v, pv_vv
+
+
+def _correct_axis(p, v, pos_var, vel_var, cross, r, obs):
+    """(p, v, pos_var, vel_var, cross) corrected by the observed position ``obs``."""
+    inv_s = 1.0 / (pos_var + r)
+    k_p, k_v = pos_var * inv_s, cross * inv_s
+    innovation, g, neg_k_v = obs - p, 1.0 - k_p, -k_v
+    m_pp, m_pv = g * pos_var, g * cross
+    m_vp, m_vv = neg_k_v * pos_var + cross, neg_k_v * cross + vel_var
+    kr_p, kr_v = k_p * r, k_v * r
+    upper, lower = (m_pp * neg_k_v + m_pv) + kr_p * k_v, m_vp * g + kr_v * k_p
+    return (p + k_p * innovation, v + k_v * innovation, m_pp * g + kr_p * k_p,
+            (m_vp * neg_k_v + m_vv) + kr_v * k_v, (upper + lower) / 2.0)
+
+
+def _predicted_box(p):
+    """Position block(s) (x, y, w, h) with w, h floored: IoU needs positive extents."""
+    return np.maximum(p, _BOX_FLOOR)
 
 
 def kf_predict(s: KalmanTrackState) -> tuple[KalmanTrackState, BoundingBox]:
-    """Advance the state one frame under the constant-velocity model; return
-    it with the predicted observation box."""
+    """Advance the state one frame at constant velocity; return it and the predicted box."""
     x = s.state.tolist()
     pos_var, vel_var, cross = list(s.pos_var), list(s.vel_var), list(s.cross)
     for i in range(OBS_DIM):
-        pv_vv = cross[i] + vel_var[i]
-        pos_var[i] = ((pos_var[i] + cross[i]) + pv_vv) + s.q[i]
-        cross[i] = pv_vv
-        vel_var[i] = vel_var[i] + s.q[i + OBS_DIM]
-        x[i] = x[i] + x[i + OBS_DIM]
-    box = BoundingBox(x[0], x[1], max(x[2], MIN_EXTENT), max(x[3], MIN_EXTENT))
-    return KalmanTrackState(
-        np.array(x), tuple(pos_var), tuple(vel_var), tuple(cross), s.counter, s.q, s.r), box
+        x[i], pos_var[i], vel_var[i], cross[i] = _predict_axis(
+            x[i], x[i + OBS_DIM], pos_var[i], vel_var[i], cross[i], s.q[i], s.q[i + OBS_DIM])
+    state = np.array(x)
+    box = BoundingBox(*_predicted_box(state[:OBS_DIM]).tolist())
+    return KalmanTrackState(state, tuple(pos_var), tuple(vel_var), tuple(cross), s.counter, s.q, s.r), box
 
 
 def kf_gated_update(
@@ -142,12 +159,10 @@ def kf_gated_update(
     """Confidence-gated measurement update.
 
     The counter of consecutive reliable associations is incremented when
-    ``reliable`` and reset to zero otherwise. Only once the counter has
-    reached ``config.tau_kf`` is the standard Kalman correction applied;
-    before that the prior (post-predict) state is retained unchanged, which
-    keeps noisy observations from corrupting the motion state.
-
-    Must be called after ``kf_predict`` for the current frame.
+    ``reliable`` and reset to zero otherwise. Only once it has reached
+    ``config.tau_kf`` is the Kalman correction applied; before that the prior
+    (post-predict) state is kept, so noisy observations cannot corrupt the
+    motion state. Call it after ``kf_predict`` for the current frame.
     """
     counter = s.counter + 1 if reliable else 0
     if counter < config.tau_kf:
@@ -155,23 +170,8 @@ def kf_gated_update(
 
     x = s.state.tolist()
     pos_var, vel_var, cross = list(s.pos_var), list(s.vel_var), list(s.cross)
-    obs = z.as_tuple()
-    for i in range(OBS_DIM):
-        p_pp, p_pv, p_vv, r_i = pos_var[i], cross[i], vel_var[i], s.r[i]
-        inv_s = 1.0 / (p_pp + r_i)
-        k_p, k_v = p_pp * inv_s, p_pv * inv_s
-        innovation = obs[i] - x[i]
-        x[i] = x[i] + k_p * innovation
-        x[i + OBS_DIM] = x[i + OBS_DIM] + k_v * innovation
-        g = 1.0 - k_p
-        m_pp, m_pv = g * p_pp, g * p_pv
-        m_vp, m_vv = -k_v * p_pp + p_pv, -k_v * p_pv + p_vv
-        kr_p, kr_v = k_p * r_i, k_v * r_i
-        pos_var[i] = m_pp * g + kr_p * k_p
-        upper = (m_pp * -k_v + m_pv) + kr_p * k_v
-        lower = m_vp * g + kr_v * k_p
-        cross[i] = (upper + lower) / 2.0
-        vel_var[i] = (m_vp * -k_v + m_vv) + kr_v * k_v
+    for i, obs in enumerate(z.as_tuple()):
+        x[i], x[i + OBS_DIM], pos_var[i], vel_var[i], cross[i] = _correct_axis(
+            x[i], x[i + OBS_DIM], pos_var[i], vel_var[i], cross[i], s.r[i], obs)
     return KalmanTrackState(
         np.array(x), tuple(pos_var), tuple(vel_var), tuple(cross), counter, s.q, s.r)
-

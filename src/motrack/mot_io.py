@@ -209,18 +209,24 @@ def write_trajectories(path: str | Path, ts: TrajectorySet) -> None:
     atomic_write_text(path, _trajectory_text(rows, 1.0))
 
 
-def write_detections(path: str | Path, frames, write_aff: bool = True) -> None:
+def write_detections(path: str | Path, frames) -> None:
     """Write per-frame candidates; companions with appearance data get a sidecar.
 
     ``frames`` is a mapping frame -> candidates or a list whose position i
-    holds frame i+1. A per-track s_mask mapping has no sidecar form: it is a
-    ValueError naming its frame and candidate index, before any file is written.
+    holds frame i+1. Both files' text is built and checked before either is
+    written: a per-track s_mask mapping, which has no sidecar form, is a
+    ValueError naming its frame and candidate index, and so are embeddings
+    of two dimensions. When no candidate has appearance data, a sidecar left
+    by an earlier write is removed, so it cannot attach to these detections.
+    A detection path ending in ``.aff`` is its own sidecar path: a ValueError.
     """
-    items = _frame_items(frames)
+    aff_path = sidecar_path(path)
+    if aff_path == Path(path):
+        raise ValueError(f"detection path {str(path)!r} ends in .aff, the sidecar suffix")
     lines = []
     aff_entries: list[tuple[int, int, float | None, np.ndarray | None]] = []
     dim = 0
-    for frame, candidates in items:
+    for frame, candidates in _frame_items(frames):
         for j, cand in enumerate(candidates):
             if isinstance(cand.s_mask, Mapping):
                 raise ValueError(f"frame {frame}, candidate {j}: a per-track s_mask has no sidecar form")
@@ -232,9 +238,12 @@ def write_detections(path: str | Path, frames, write_aff: bool = True) -> None:
                 if cand.embedding is not None:
                     dim = max(dim, cand.embedding.size)
                 aff_entries.append((frame, j, cand.s_mask, cand.embedding))
+    aff_text = _sidecar_text(aff_entries, dim) if aff_entries else None
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-    if write_aff and aff_entries:
-        write_sidecar(sidecar_path(path), aff_entries, dim)
+    if aff_text is not None:
+        atomic_write_text(aff_path, aff_text)
+    else:
+        aff_path.unlink(missing_ok=True)
 
 
 def _frame_items(frames) -> list[tuple[int, list[DetectionCandidate]]]:
@@ -247,22 +256,22 @@ def sidecar_path(det_path: str | Path) -> Path:
     return Path(det_path).with_suffix(".aff")
 
 
-def write_sidecar(
-    path: str | Path,
+def _sidecar_text(
     entries: Iterable[tuple[int, int, float | None, np.ndarray | None]],
     dim: int,
-) -> None:
+) -> str:
     lines = [f"aff 1 {dim}"]
     for frame, cand, s_mask, embedding in entries:
         fields = [str(frame), str(cand), "-" if s_mask is None else _fmt(s_mask)]
         if embedding is not None:
             if embedding.size != dim:
                 raise ValueError(
-                    f"embedding dim {embedding.size} does not match sidecar dim {dim}"
+                    f"frame {frame}, candidate {cand}: embedding dim {embedding.size} "
+                    f"does not match sidecar dim {dim}"
                 )
             fields.extend(_fmt(v) for v in embedding)
         lines.append(",".join(fields))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def load_sidecar(path: str | Path) -> dict[tuple[int, int], tuple[float | None, np.ndarray | None]]:

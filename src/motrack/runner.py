@@ -34,6 +34,8 @@ def track_frames(
     Mapping input is keyed by frame number (gaps become empty frames); a
     sequence holds frame i+1 at position i. Which lifecycle states reach
     the output is controlled by output.include_lost / include_tentative.
+    Each frame's outputs come in increasing id order, so the collected
+    columns are already sorted as ``TrajectorySet.from_columns`` checks.
     """
     if isinstance(frames, Mapping):
         if frames:
@@ -51,13 +53,15 @@ def track_frames(
         included.add(TENTATIVE)
 
     state = TrackerState(config=run_cfg.tracker)
-    hypothesis = TrajectorySet()
+    frame_col, id_col, box_col = [], [], []  # box_col: x, y, w, h of each box in turn
     for frame, candidates in stream:
         state, outputs = step_tracker(state, candidates, frame_index=frame)
-        for out in outputs:
+        for out in outputs:  # in increasing id order
             if out.status in included:
-                hypothesis.add(frame, out.track_id, out.box)
-    return hypothesis
+                frame_col.append(frame)
+                id_col.append(out.track_id)
+                box_col.extend(out.box.as_tuple())
+    return TrajectorySet.from_columns(frame_col, id_col, box_col)
 
 
 def run_scenario(

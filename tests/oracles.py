@@ -15,19 +15,39 @@ validation on purpose, so that the comparison can be exact.
 The per-pair scorers (``motion_consistency_score``, ``fused_score``,
 ``cosine_affinity``, ``candidate_affinity``) were the library's own scalar
 path before the tracker scored each frame as whole matrices; they live here
-unchanged as that path's reference.
+unchanged as that path's reference. Likewise ``step_tracker_oracle`` is the
+tracker's per-track step from before it kept its tracks as columns, and
+``associate_frame_oracle`` with ``score_matrices_oracle`` the association it
+called then, on a list of tracks: a dict of assigned pairs and a sorted tuple
+of ``Match`` values. The step calls the public per-track filter and buffer
+functions, themselves checked against the dense filter and the closed-form EMA.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from motrack.association import DetectionCandidate, Track, _check_score
+from motrack.association import (
+    CONFIRMED,
+    LOST,
+    TENTATIVE,
+    DetectionCandidate,
+    Match,
+    Track,
+    TrackerConfig,
+    TrackOutput,
+    _check_score,
+    kf_gated_update,
+    kf_init,
+    kf_predict,
+    temporal_buffer_update,
+)
 from motrack.geometry import BoundingBox, boxes_array, iou, iou_matrix
 from motrack.mot_io import MotParseError, load_sidecar, sidecar_path
 
@@ -233,6 +253,213 @@ def ema_closed_form(b0, keys, gammas) -> np.ndarray:
         suffix[j] = suffix[j + 1] * gammas[j]
     terms = (1.0 - gammas)[:, None] * suffix[1:, None] * keys
     return suffix[0] * b0 + terms.sum(axis=0)
+
+
+# ---------------------------------------------------------------------------
+# tracker
+
+
+def _appearance_matrix_oracle(tracks: list[Track], candidates: list[DetectionCandidate]) -> np.ndarray:
+    appearance = np.zeros((len(tracks), len(candidates)))
+    cols, mapped = [], []  # candidates compared by cosine / with a mapping s_mask
+    for j, cand in enumerate(candidates):
+        if cand.s_mask is None or isinstance(cand.s_mask, Mapping):
+            if cand.embedding is not None:
+                cols.append(j)
+            if cand.s_mask is not None:
+                mapped.append(j)
+        else:
+            appearance[:, j] = cand.s_mask
+    rows = [i for i, t in enumerate(tracks) if t.memory is not None]
+    if rows and cols:
+        memories = [tracks[i].memory for i in rows]
+        embeddings = [candidates[j].embedding for j in cols]
+        shapes = sorted({v.shape for v in memories + embeddings})
+        if len(shapes) > 1:
+            raise ValueError(f"buffer/embedding dimension mismatch: {' vs '.join(map(str, shapes))}")
+        mem, emb = np.array(memories), np.array(embeddings)
+        na = np.linalg.norm(mem, axis=1)
+        nb = np.linalg.norm(emb, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos = (mem @ emb.T) / np.outer(na, nb)
+        cosine = np.minimum(np.maximum(0.5 * (1.0 + cos), 0.0), 1.0)
+        cosine[(na == 0.0)[:, np.newaxis] | (nb == 0.0)[np.newaxis, :]] = 0.0
+        appearance[np.array(rows)[:, np.newaxis], cols] = cosine
+    for j in mapped:
+        s_mask = candidates[j].s_mask
+        for i, track in enumerate(tracks):
+            if track.id in s_mask:
+                appearance[i, j] = s_mask[track.id]
+    return appearance
+
+
+def score_matrices_oracle(tracks: list[Track], candidates: list[DetectionCandidate], alpha: float):
+    """(fused, motion) score matrices of a list of predicted tracks, as the
+    tracker built them before it kept its tracks as columns."""
+    for track in tracks:
+        if track.predicted_box is None:
+            raise ValueError(f"track {track.id} has no prediction for this frame")
+    motion = iou_matrix(
+        boxes_array(t.predicted_box for t in tracks),
+        boxes_array(c.box for c in candidates),
+    )
+    fused = alpha * _appearance_matrix_oracle(tracks, candidates) + (1.0 - alpha) * motion
+    if not np.all(np.isfinite(fused)):
+        raise ValueError("association scores contain non-finite entries")
+    return fused, motion
+
+
+@dataclass(frozen=True)
+class OracleAssociation:
+    matches: tuple[Match, ...]
+    unmatched_tracks: tuple[int, ...]      # track ids
+    unmatched_candidates: tuple[int, ...]  # candidate indices
+
+
+def associate_frame_oracle(
+    tracks: list[Track],
+    candidates: list[DetectionCandidate],
+    config: TrackerConfig,
+) -> OracleAssociation:
+    """``associate_frame`` on a list of tracks, before its result became arrays."""
+    fused, motion = score_matrices_oracle(tracks, candidates, config.alpha)
+    n_tracks, n_cands = fused.shape
+    assigned: dict[int, int] = {}  # track index -> candidate index
+
+    if n_tracks and n_cands:
+        admissible = fused >= config.tau_match
+        if config.mode == "hungarian":
+            rows, cols = linear_sum_assignment(
+                np.where(admissible, fused, 0.0), maximize=True
+            )
+            for r, c in zip(rows, cols):
+                if admissible[r, c]:
+                    assigned[int(r)] = int(c)
+        else:
+            claims: dict[int, int] = {}  # candidate index -> track index
+            for i in range(n_tracks):
+                j = int(np.argmax(fused[i]))
+                if not admissible[i, j]:
+                    continue
+                holder = claims.get(j)
+                if holder is None or fused[i, j] > fused[holder, j]:
+                    claims[j] = i
+            assigned = {i: j for j, i in claims.items()}
+
+    matches = tuple(
+        Match(
+            track_id=tracks[i].id,
+            candidate_index=j,
+            score=float(fused[i, j]),
+            motion_score=float(motion[i, j]),
+        )
+        for i, j in sorted(assigned.items())
+    )
+    unmatched_tracks = tuple(
+        tracks[i].id for i in range(n_tracks) if i not in assigned
+    )
+    matched_cands = set(assigned.values())
+    unmatched_candidates = tuple(
+        j for j in range(n_cands) if j not in matched_cands
+    )
+    return OracleAssociation(matches, unmatched_tracks, unmatched_candidates)
+
+
+@dataclass
+class OracleTrackerState:
+    """The tracker state before it moved to columns: a list of ``Track``s."""
+
+    config: TrackerConfig = field(default_factory=TrackerConfig)
+    tracks: list[Track] = field(default_factory=list)
+    next_id: int = 1
+    frame_index: int = 0
+
+
+def _spawn_track_oracle(state: OracleTrackerState, candidate: DetectionCandidate) -> Track:
+    cfg = state.config
+    track = Track(
+        id=state.next_id,
+        kalman=kf_init(candidate.box, cfg.kinematics),
+        status=CONFIRMED if cfg.n_init <= 1 else TENTATIVE,
+        hits=1,
+        last_box=candidate.box,
+        last_score=None,
+    )
+    if candidate.embedding is not None:
+        track.memory = candidate.embedding.copy()
+    state.next_id += 1
+    return track
+
+
+def step_tracker_oracle(
+    state: OracleTrackerState,
+    frame: list[DetectionCandidate],
+    frame_index: int | None = None,
+) -> tuple[OracleTrackerState, list[TrackOutput]]:
+    """The per-track ``step_tracker``: one ``kf_predict``, ``kf_gated_update``
+    and ``temporal_buffer_update`` call per track, unchanged from before the
+    tracker ran each stage once over all rows."""
+    cfg = state.config
+    if frame_index is None:
+        frame_index = state.frame_index + 1
+    elif frame_index <= state.frame_index:
+        raise ValueError(
+            f"frame index {frame_index} is not after {state.frame_index}"
+        )
+    state.frame_index = frame_index
+
+    for track in state.tracks:
+        track.kalman, track.predicted_box = kf_predict(track.kalman)
+
+    result = associate_frame_oracle(state.tracks, frame, cfg)
+    by_id = {track.id: track for track in state.tracks}
+
+    for m in result.matches:
+        track = by_id[m.track_id]
+        cand = frame[m.candidate_index]
+        reliable = cand.s_obj >= cfg.kinematics.tau_obj
+        track.kalman = kf_gated_update(track.kalman, cand.box, reliable, cfg.kinematics)
+        if cand.embedding is not None:
+            if track.memory is None:
+                track.memory = cand.embedding.copy()
+            else:
+                track.memory, _ = temporal_buffer_update(
+                    track.memory, cand.embedding, m.motion_score, cfg.tau_gamma
+                )
+        track.misses = 0
+        track.hits += 1
+        if track.status == TENTATIVE:
+            if track.hits >= cfg.n_init:
+                track.status = CONFIRMED
+        else:
+            track.status = CONFIRMED
+        track.last_box = cand.box
+        track.last_score = m.score
+
+    retired: set[int] = set()
+    for track_id in result.unmatched_tracks:
+        track = by_id[track_id]
+        track.misses += 1
+        if track.status == TENTATIVE or track.misses > cfg.max_age:
+            retired.add(track_id)
+            continue
+        track.status = LOST
+        track.last_box = track.predicted_box
+        track.last_score = None
+    if retired:
+        state.tracks = [t for t in state.tracks if t.id not in retired]
+
+    for j in result.unmatched_candidates:
+        cand = frame[j]
+        if cand.s_obj >= cfg.tau_birth:
+            state.tracks.append(_spawn_track_oracle(state, cand))
+
+    outputs = [
+        TrackOutput(track.id, track.last_box, track.status, track.last_score)
+        for track in state.tracks
+        if track.last_box is not None
+    ]
+    return state, outputs
 
 
 # ---------------------------------------------------------------------------

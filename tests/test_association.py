@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,21 +19,26 @@ from motrack import (
     TrackerConfig,
     TrackerState,
     associate_frame,
+    generate,
     iou,
     kf_init,
     kf_predict,
+    scenario_by_name,
     step_tracker,
     temporal_buffer_update,
 )
-from motrack.association import _score_matrices
+from motrack.association import MODES, _score_matrices
 
 from oracles import (
+    OracleTrackerState,
+    associate_frame_oracle,
     best_matching_score,
     candidate_affinity,
     cosine_affinity,
     ema_closed_form,
     fused_score,
     motion_consistency_score,
+    step_tracker_oracle,
 )
 
 
@@ -225,7 +233,7 @@ class TestScoreMatrices:
     @given(scoring_frames())
     def test_matches_per_pair_scalar_path(self, frame):
         tracks, candidates, alpha = frame
-        fused, motion = _score_matrices(tracks, candidates, alpha)
+        fused, motion, _ = _score_matrices(tracks, candidates, alpha)
         assert fused.shape == motion.shape == (len(tracks), len(candidates))
         for i, t in enumerate(tracks):
             for j, c in enumerate(candidates):
@@ -244,7 +252,7 @@ class TestScoreMatrices:
         track = make_track(1, (0, 0, 10, 10))
         track.memory = np.ones(3)
         candidates = [cand((0, 0, 10, 10), s_mask=0.25, embedding=np.ones(2))]
-        fused, _ = _score_matrices([track], candidates, 1.0)
+        fused, _, _ = _score_matrices([track], candidates, 1.0)
         assert fused.tolist() == [[0.25]]
 
     def test_mismatch_rejected_where_mapping_decides(self):
@@ -483,13 +491,15 @@ def tracker_streams(draw):
 
     Frames may be empty; candidates have random boxes and objectness, a
     scalar, per-track mapping or no s_mask, and an embedding of the
-    stream's one dimension or none. tau_kf is 0, 3 or inf.
+    stream's one dimension or none. tau_kf is 0, 3 or inf; both assignment
+    modes occur.
     """
     dim = draw(st.integers(1, 4))
     unit = st.floats(0.0, 1.0)
     coord = st.floats(-50.0, 250.0)
     extent = st.floats(1.0, 60.0)
     config = TrackerConfig(
+        mode=draw(st.sampled_from(MODES)),
         n_init=draw(st.integers(1, 4)),
         max_age=draw(st.integers(0, 6)),
         kinematics=KinematicsConfig(tau_kf=draw(st.sampled_from((0.0, 3.0, math.inf)))),
@@ -540,6 +550,185 @@ class TestTrackerStreams:
                 assert np.all(np.isfinite(k.state))
                 assert all(map(math.isfinite, k.pos_var + k.vel_var + k.cross))
         assert issued == set(range(1, state.next_id))
+
+
+def _float_bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _track_bits(track) -> tuple:
+    """Every field of a track, floats as their bytes, so -0.0 != 0.0."""
+    k = track.kalman
+    return (
+        track.id, track.status, track.hits, track.misses, k.counter,
+        _float_bits(k.state), _float_bits(k.pos_var + k.vel_var + k.cross), _float_bits(k.q + k.r),
+        None if track.memory is None else _float_bits(track.memory),
+        None if track.predicted_box is None else _float_bits(track.predicted_box.as_tuple()),
+        _float_bits(track.last_box.as_tuple()),
+        None if track.last_score is None else _float_bits(track.last_score),
+    )
+
+
+def _output_bits(outputs) -> list[tuple]:
+    return [(o.track_id, _float_bits(o.box.as_tuple()), o.status,
+             None if o.score is None else _float_bits(o.score)) for o in outputs]
+
+
+def assert_matches_oracle(config, frames) -> OracleTrackerState:
+    """Run the column tracker and the per-track oracle side by side; after
+    every frame their outputs and every field of every track must be equal
+    bit for bit. Returns the oracle's final state."""
+    state, oracle = TrackerState(config=config), OracleTrackerState(config=config)
+    for f, frame in enumerate(frames, start=1):
+        state, outputs = step_tracker(state, frame)
+        oracle, expected = step_tracker_oracle(oracle, frame)
+        assert _output_bits(outputs) == _output_bits(expected), f"frame {f}"
+        # A track born this frame has no prediction yet: None in both.
+        assert [_track_bits(t) for t in state.tracks] == [_track_bits(t) for t in oracle.tracks], f"frame {f}"
+        assert (state.next_id, state.frame_index) == (oracle.next_id, oracle.frame_index)
+        assert [o.track_id for o in outputs] == sorted(o.track_id for o in outputs)
+    return oracle
+
+
+class TestColumnsMatchPerTrackOracle:
+    """The column tracker against ``step_tracker_oracle``, the per-track step
+    it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tracker_streams())
+    def test_random_streams_bit_equal(self, stream):
+        config, frames = stream
+        assert_matches_oracle(config, frames)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tracker_streams())
+    def test_association_matches_dict_oracle(self, stream):
+        """``associate_frame`` on each frame's predicted tracks against the
+        dict-and-tuple association it replaced: the derived matches and
+        unmatched views are equal values."""
+        config, frames = stream
+        oracle = OracleTrackerState(config=config)
+        for frame in frames:
+            predicted = [replace(t, predicted_box=kf_predict(t.kalman)[1]) for t in oracle.tracks]
+            result = associate_frame(predicted, frame, config)
+            expected = associate_frame_oracle(predicted, frame, config)
+            assert result.matches == expected.matches
+            assert result.unmatched_tracks == expected.unmatched_tracks
+            assert result.unmatched_candidates == expected.unmatched_candidates
+            assert result.pairs() == [(m.track_id, m.candidate_index) for m in expected.matches]
+            oracle, _ = step_tracker_oracle(oracle, frame)
+
+    def test_crowd_sequence_bit_equal(self, monkeypatch):
+        """24 agents, 400 frames: the benchmark's crowd_online sequence (seed 0)."""
+        import oracles
+
+        counts = {"corrections": 0, "buffer_updates": 0}
+        gated_update, buffer_update = oracles.kf_gated_update, oracles.temporal_buffer_update
+
+        def counted_update(s, *args):
+            updated = gated_update(s, *args)
+            counts["corrections"] += updated.state is not s.state
+            return updated
+
+        def counted_buffer(*args):
+            counts["buffer_updates"] += 1
+            return buffer_update(*args)
+
+        monkeypatch.setattr(oracles, "kf_gated_update", counted_update)
+        monkeypatch.setattr(oracles, "temporal_buffer_update", counted_buffer)
+        scenario = replace(scenario_by_name("crowd8_occl20"), n_agents=24, n_frames=400,
+                           arena=(1920.0, 1080.0), fp_rate=1.0, seed=0)
+        _, frames = generate(scenario)
+        oracle = assert_matches_oracle(TrackerConfig(), frames)
+        assert (counts["corrections"], oracle.next_id - 1, counts["buffer_updates"]) == (6960, 28, 7705)
+
+    def test_snapshots_are_copies(self):
+        state = TrackerState(config=TrackerConfig(n_init=1))
+        emb = np.array([1.0, 0.0])
+        state, _ = step_tracker(state, [cand((0, 0, 20, 20), embedding=emb)])
+        (track,) = state.tracks
+        track.memory[0] = 9.0
+        track.kalman.state[0] = 9.0
+        track.hits = 99
+        (again,) = state.tracks
+        assert again.memory.tolist() == [1.0, 0.0]
+        assert again.kalman.state[0] == 0.0 and again.hits == 1
+        assert again.predicted_box is None  # born this frame, not predicted yet
+        state, _ = step_tracker(state, [])
+        assert state.tracks[0].predicted_box == state.tracks[0].last_box
+
+    def test_result_views_derive_from_arrays(self):
+        tracks = [make_track(5, (0, 0, 10, 10)), make_track(7, (200, 0, 10, 10)),
+                  make_track(9, (400, 0, 10, 10))]
+        frame = [cand((400, 0, 10, 10)), cand((900, 0, 10, 10)), cand((0, 0, 10, 10))]
+        result = associate_frame(tracks, frame, TrackerConfig())
+        assert result.rows.tolist() == [0, 2] and result.cols.tolist() == [2, 0]
+        assert result.pairs() == [(5, 2), (9, 0)]
+        assert [(m.track_id, m.candidate_index) for m in result.matches] == [(5, 2), (9, 0)]
+        assert all(type(m.score) is float and type(m.track_id) is int for m in result.matches)
+        assert result.unmatched_tracks == (7,)
+        assert result.unmatched_candidates == (1,)
+        assert result.boxes.tolist() == [[0.0, 0.0, 10.0, 10.0], [400.0, 0.0, 10.0, 10.0]]
+        again = associate_frame(tracks, frame, TrackerConfig())
+        assert result == again and hash(result) == hash(again)
+        assert result != associate_frame(tracks, frame[:2], TrackerConfig())
+
+    def test_second_embedding_dimension_rejected_at_once(self):
+        """Memories share one dimension, so a birth with another one fails
+        even though no score would compare the two."""
+        state = TrackerState(config=TrackerConfig(n_init=1))
+        state, _ = step_tracker(state, [cand((0, 0, 20, 20), embedding=np.ones(3))])
+        with pytest.raises(ValueError, match=r"^buffer/key dimension mismatch: \(2,\) vs \(3,\)"):
+            step_tracker(state, [cand((0, 0, 20, 20), s_mask=0.5, embedding=np.ones(3)),
+                                 cand((500, 0, 20, 20), s_mask=0.5, embedding=np.ones(2))])
+
+    def test_dimension_free_again_once_no_memory_is_held(self):
+        state = TrackerState(config=TrackerConfig(n_init=1, max_age=0))
+        state, _ = step_tracker(state, [cand((0, 0, 20, 20), embedding=np.ones(3))])
+        state, _ = step_tracker(state, [])
+        assert state.tracks == []
+        state, _ = step_tracker(state, [cand((0, 0, 20, 20), embedding=np.ones(2))])
+        assert state.tracks[0].memory.tolist() == [1.0, 1.0]
+
+    def test_non_finite_prediction_names_the_field(self):
+        state = TrackerState(config=TrackerConfig(n_init=1))
+        state, _ = step_tracker(state, [cand((0, 0, 20, 20))])
+        state.rows.x[0, 4] = math.inf  # x velocity
+        with pytest.raises(ValueError, match="box field 'x' must be finite, got inf"):
+            step_tracker(state, [])
+
+
+class TestSoak:
+    def test_rows_stay_the_live_tracks_and_memory_stays_bounded(self):
+        """A 4-agent stream replayed for 10 000 frames. On every frame the
+        rows are the live tracks, once each in id order: every column has one
+        entry per row, every row has its output, and each row is either a
+        row of the frame before or a track born in this frame, so no retired
+        id returns. What the last 2 000 frames allocate and leave alive is no
+        more than the tracker's state (traced only there: tracing is slow)."""
+        _, clip = generate(replace(scenario_by_name("clutter4"), n_frames=250, seed=3))
+        state = TrackerState()
+        ids, retirements = [], 0
+        try:
+            for f in range(10_000):
+                if f == 8_000:
+                    gc.collect()
+                    tracemalloc.start()
+                first_new = state.next_id
+                previous, (state, outputs) = set(ids), step_tracker(state, clip[f % len(clip)])
+                ids = state.rows.id.tolist()
+                assert ids == [o.track_id for o in outputs] == sorted(set(ids))
+                assert all(i in previous or i >= first_new for i in ids)
+                retirements += len(previous - set(ids))
+                rows = state.rows
+                assert {len(getattr(rows, name)) for name in rows.ARRAYS} == {len(ids)}
+                assert len(rows.last_box) == len(rows.last_score) == len(ids) <= 12
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retirements > 500  # tracks do retire and new ones are born
+        assert growth < 16 * 1024, growth
 
 
 class TestModeReductions:

@@ -301,3 +301,34 @@ class TestWriteDetectionsAppearance:
         write_detections(path, [[DetectionCandidate(box, np.float32(0.5), s_mask=np.int64(1))]])
         (loaded,) = load_detections(path)[1]
         assert loaded.s_mask == 1.0 and loaded.s_obj == 0.5
+
+    def test_stale_sidecar_removed_when_no_candidate_has_appearance(self, tmp_path):
+        box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        path = tmp_path / "s.txt"
+        write_detections(path, [[DetectionCandidate(box, 0.9, s_mask=0.3)]])
+        assert sidecar_path(path).exists()
+        write_detections(path, [[DetectionCandidate(box, 0.9)]])
+        assert not sidecar_path(path).exists()
+        (loaded,) = load_detections(path)[1]
+        assert loaded.s_mask is None and loaded.embedding is None
+
+    @pytest.mark.parametrize("appearance", [False, True])
+    def test_aff_detection_path_rejected_before_any_file(self, tmp_path, appearance):
+        box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        path = tmp_path / "s.aff"
+        path.write_text("kept\n")
+        frames = [[DetectionCandidate(box, 0.9, s_mask=0.3 if appearance else None)]]
+        with pytest.raises(ValueError, match=r"ends in \.aff, the sidecar suffix"):
+            write_detections(path, frames)
+        assert [p.name for p in tmp_path.iterdir()] == ["s.aff"] and path.read_text() == "kept\n"
+
+    def test_mixed_embedding_dims_rejected_before_any_file(self, tmp_path):
+        box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        path = tmp_path / "mixed.txt"
+        write_detections(path, [[DetectionCandidate(box, 0.5, s_mask=0.25)]])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        frames = [[DetectionCandidate(box, 0.9, embedding=np.ones(2)),
+                   DetectionCandidate(box, 0.9, embedding=np.ones(3))]]
+        with pytest.raises(ValueError, match="frame 1, candidate 0: embedding dim 2 does not match sidecar dim 3"):
+            write_detections(path, frames)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
