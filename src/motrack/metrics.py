@@ -25,22 +25,27 @@ HOTA_ALPHAS = tuple(k / 20.0 for k in range(1, 20))
 _EPS = 1e-12
 
 
+def key_order(frame: np.ndarray, ident: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable (frame, identity) sort order of trajectory rows, and a mask,
+    in input order, of the rows whose key repeats an earlier row's."""
+    order = np.lexsort((ident, frame))
+    frame, ident = frame[order], ident[order]
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[order[1:][(frame[1:] == frame[:-1]) & (ident[1:] == ident[:-1])]] = True
+    return order, repeat
+
+
 class TrajectorySet:
     """Boxes of one ground-truth or hypothesis run, keyed by (frame, identity).
 
-    Stored as three columns sorted by (frame, identity): ``frame`` (n,) and
-    ``ident`` (n,) int64, ``boxes`` (n, 4) float64 (x, y, w, h) rows. Within
-    one frame each identity appears at most once; frames are exposed in
-    increasing order regardless of insertion order. ``add`` appends to flat
-    per-column lists, which are merged into the sorted columns on the next
-    read.
+    Stored as three read-only columns sorted by (frame, identity): ``frame``
+    (n,) and ``ident`` (n,) int64, ``boxes`` (n, 4) float64 (x, y, w, h)
+    rows. Within one frame each identity appears at most once. Every set's
+    columns are checked once, by ``from_columns``.
     """
 
     def __init__(self) -> None:
         self._store(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, 4)))
-        self._added: tuple[list, ...] = ([], [], [], [], [], [])  # frame, ident, x, y, w, h
-        # Per-frame ids for add's duplicate check; None until an add needs them.
-        self._ids_at: dict[int, set[int]] | None = None
 
     def _store(self, frame: np.ndarray, ident: np.ndarray, boxes: np.ndarray) -> None:
         for column in (frame, ident, boxes):
@@ -49,11 +54,18 @@ class TrajectorySet:
 
     @classmethod
     def from_records(cls, records) -> "TrajectorySet":
-        """Build from an iterable of (frame, identity, box) triples."""
-        ts = cls()
+        """Build from (frame, identity, box) triples in any order; the first
+        repeated (frame, identity), in input order, is a ValueError."""
+        keys, boxes = [], []
         for frame, identity, box in records:
-            ts.add(frame, identity, box)
-        return ts
+            keys.append((int(frame), int(identity)))
+            boxes.append(box.as_tuple())
+        frame, ident = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+        order, repeat = key_order(frame, ident)
+        if repeat.any():
+            r = int(np.argmax(repeat))
+            raise ValueError(f"identity {ident[r]} appears twice in frame {frame[r]}")
+        return cls.from_columns(frame[order], ident[order], np.array(boxes, dtype=float).reshape(-1, 4)[order])
 
     @classmethod
     def from_columns(cls, frame, ident, boxes) -> "TrajectorySet":
@@ -75,35 +87,19 @@ class TrajectorySet:
         return ts
 
     def add(self, frame: int, identity: int, box: BoundingBox) -> None:
+        """Insert one box into new copies of the columns, O(n) per call; a
+        (frame, identity) already in the set is a ValueError and leaves the
+        set unchanged. Build whole sets with ``from_records``/``from_columns``."""
         frame, identity = int(frame), int(identity)
-        if self._ids_at is None:
-            self._ids_at = {}
-            for f, i in zip(self._frame.tolist(), self._ident.tolist()):
-                self._ids_at.setdefault(f, set()).add(i)
-        ids = self._ids_at.setdefault(frame, set())
-        if identity in ids:
+        lo, hi = np.searchsorted(self._frame, frame), np.searchsorted(self._frame, frame, side="right")
+        at = lo + int(np.searchsorted(self._ident[lo:hi], identity))
+        if at < hi and self._ident[at] == identity:
             raise ValueError(f"identity {identity} appears twice in frame {frame}")
-        ids.add(identity)
-        frames, idents, xs, ys, ws, hs = self._added
-        frames.append(frame)
-        idents.append(identity)
-        xs.append(box.x)
-        ys.append(box.y)
-        ws.append(box.w)
-        hs.append(box.h)
+        self._store(np.insert(self._frame, at, frame), np.insert(self._ident, at, identity),
+                    np.insert(self._boxes, at, box.as_tuple(), axis=0))
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only ``(frame, ident, boxes)`` sorted by (frame, identity)."""
-        frames, idents, xs, ys, ws, hs = self._added
-        if frames:
-            frame = np.concatenate([self._frame, np.array(frames, dtype=np.int64)])
-            ident = np.concatenate([self._ident, np.array(idents, dtype=np.int64)])
-            boxes = np.concatenate([self._boxes, np.column_stack([xs, ys, ws, hs])])
-            order = np.lexsort((ident, frame))
-            self._store(frame[order], ident[order], boxes[order])
-            for column in self._added:
-                column.clear()
-            self._ids_at = None  # rebuilt from the columns by the next add
         return self._frame, self._ident, self._boxes
 
     @property
@@ -119,7 +115,7 @@ class TrajectorySet:
         return np.unique(self.columns()[1]).tolist()
 
     def total_boxes(self) -> int:
-        return len(self._frame) + len(self._added[0])
+        return len(self._frame)
 
     def records(self):
         """Iterate (frame, identity, box) in frame order, identity order."""

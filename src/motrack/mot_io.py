@@ -13,6 +13,8 @@ write -> read -> write is byte-identical.
 The sidecar ``<name>.aff`` (version header ``aff 1 <dim>``) attaches an
 optional scalar appearance affinity and an optional embedding to detections
 by (frame, candidate index): ``frame,cand,s_mask_or_dash[,e0,...,e_{dim-1}]``.
+A negative dim, an s_mask outside [0, 1], a non-finite embedding value or a
+second entry for one (frame, cand) is a MotParseError naming ``file:line``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .association import DetectionCandidate
 from .geometry import BoundingBox
-from .metrics import TrajectorySet
+from .metrics import TrajectorySet, key_order
 
 
 class MotParseError(ValueError):
@@ -133,10 +135,8 @@ def load_trajectories(path: str | Path) -> TrajectorySet:
     line (in file order) with a negative id or a (frame, id) already seen is
     a MotParseError."""
     rows = _parse_columns(path)
-    order = np.lexsort((rows.ident, rows.frame))  # stable: file order among equals
-    frame, ident = rows.frame[order], rows.ident[order]
-    bad = rows.ident < 0
-    bad[order[1:][(frame[1:] == frame[:-1]) & (ident[1:] == ident[:-1])]] = True
+    order, repeat = key_order(rows.frame, rows.ident)
+    bad = (rows.ident < 0) | repeat
     if bad.any():
         r = int(np.argmax(bad))
         f, i = int(rows.frame[r]), int(rows.ident[r])
@@ -145,7 +145,7 @@ def load_trajectories(path: str | Path) -> TrajectorySet:
         else:
             problem = f"identity {i} appears twice in frame {f}"
         raise MotParseError(f"{path}:{rows.line[r]}: {problem}")
-    return TrajectorySet.from_columns(frame, ident, rows.boxes[order])
+    return TrajectorySet.from_columns(rows.frame[order], rows.ident[order], rows.boxes[order])
 
 
 def load_detections(
@@ -204,7 +204,13 @@ def trajectory_lines(records: Iterable[tuple[int, int, BoundingBox]], conf: floa
 
 
 def write_trajectories(path: str | Path, ts: TrajectorySet) -> None:
+    """Write a trajectory set. A negative id, which ``load_trajectories``
+    rejects as a detection line, is a ValueError naming its frame and id,
+    raised before the file is written."""
     frame, ident, boxes = ts.columns()
+    if (ident < 0).any():
+        r = int(np.argmax(ident < 0))
+        raise ValueError(f"frame {frame[r]}, id {ident[r]}: a negative id marks a detection line")
     rows = zip(frame.tolist(), ident.tolist(), *boxes.T.tolist())
     atomic_write_text(path, _trajectory_text(rows, 1.0))
 
@@ -216,8 +222,9 @@ def write_detections(path: str | Path, frames) -> None:
     holds frame i+1. Both files' text is built and checked before either is
     written: a per-track s_mask mapping, which has no sidecar form, is a
     ValueError naming its frame and candidate index, and so are embeddings
-    of two dimensions. When no candidate has appearance data, a sidecar left
-    by an earlier write is removed, so it cannot attach to these detections.
+    of two dimensions and a frame before 1, which ``load_detections``
+    rejects. When no candidate has appearance data, a sidecar left by an
+    earlier write is removed, so it cannot attach to these detections.
     A detection path ending in ``.aff`` is its own sidecar path: a ValueError.
     """
     aff_path = sidecar_path(path)
@@ -227,6 +234,8 @@ def write_detections(path: str | Path, frames) -> None:
     aff_entries: list[tuple[int, int, float | None, np.ndarray | None]] = []
     dim = 0
     for frame, candidates in _frame_items(frames):
+        if frame < 1:
+            raise ValueError(f"frame {frame} is before frame 1, where detection files start")
         for j, cand in enumerate(candidates):
             if isinstance(cand.s_mask, Mapping):
                 raise ValueError(f"frame {frame}, candidate {j}: a per-track s_mask has no sidecar form")
@@ -285,23 +294,46 @@ def load_sidecar(path: str | Path) -> dict[tuple[int, int], tuple[float | None, 
         dim = int(header[2])
     except ValueError as exc:
         raise MotParseError(f"{path}: bad sidecar dim {header[2]!r}") from exc
+    if dim < 0:
+        raise MotParseError(f"{path}:1: sidecar dim must be >= 0, got {dim}")
 
     entries: dict[tuple[int, int], tuple[float | None, np.ndarray | None]] = {}
-    for lineno, raw in enumerate(text[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) not in (3, 3 + dim):
-            raise MotParseError(
-                f"{path}:{lineno}: expected 3 or {3 + dim} fields, got {len(parts)}"
-            )
-        try:
-            frame = int(parts[0])
-            cand = int(parts[1])
-            s_mask = None if parts[2] == "-" else float(parts[2])
-            embedding = np.array(parts[3:], dtype=float) if len(parts) > 3 else None
-        except ValueError as exc:
-            raise MotParseError(f"{path}:{lineno}: malformed line {raw!r}") from exc
-        entries[(frame, cand)] = (s_mask, embedding)
+    embedded: list[tuple[int, np.ndarray]] = []  # (line, embedding), checked finite in one pass
+    try:
+        for lineno, raw in enumerate(text[1:], start=2):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) not in (3, 3 + dim):
+                raise MotParseError(
+                    f"{path}:{lineno}: expected 3 or {3 + dim} fields, got {len(parts)}"
+                )
+            try:
+                frame = int(parts[0])
+                cand = int(parts[1])
+                s_mask = None if parts[2] == "-" else float(parts[2])
+                embedding = np.array(parts[3:], dtype=float) if len(parts) > 3 else None
+            except ValueError as exc:
+                raise MotParseError(f"{path}:{lineno}: malformed line {raw!r}") from exc
+            key = (frame, cand)
+            if key in entries:
+                raise MotParseError(f"{path}:{lineno}: a second entry for frame {frame}, candidate {cand}")
+            if s_mask is not None and not 0.0 <= s_mask <= 1.0:
+                raise MotParseError(f"{path}:{lineno}: s_mask must be in [0, 1], got {parts[2]!r}")
+            entries[key] = (s_mask, embedding)
+            if embedding is not None:
+                embedded.append((lineno, embedding))
+    except MotParseError:
+        _check_finite(path, embedded)  # a bad embedding on an earlier line comes first
+        raise
+    _check_finite(path, embedded)
     return entries
+
+
+def _check_finite(path: str | Path, embedded: list[tuple[int, np.ndarray]]) -> None:
+    if embedded:
+        finite = np.isfinite(np.array([embedding for _, embedding in embedded])).all(axis=1)
+        if not finite.all():
+            lineno = embedded[int(np.argmin(finite))][0]
+            raise MotParseError(f"{path}:{lineno}: embedding contains non-finite entries")

@@ -63,18 +63,25 @@ class ScenarioConfig:
             raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
         if self.arena[0] <= 0 or self.arena[1] <= 0:
             raise ValueError(f"degenerate arena {self.arena}")
+        if not 0 < self.box_size_range[0] <= self.box_size_range[1]:
+            raise ValueError(f"box_size_range must satisfy 0 < lo <= hi, got {self.box_size_range}")
         if self.arena[0] <= self.box_size_range[1] or self.arena[1] <= self.box_size_range[1]:
             raise ValueError("arena must be larger than the largest agent box")
-        for name in ("turn_rate", "occlusion_rate", "miss_rate", "affinity_fidelity"):
+        for name in ("turn_rate", "occlusion_rate", "miss_rate", "affinity_fidelity", "merge_iou"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.fp_rate < 0:
-            raise ValueError(f"fp_rate must be >= 0, got {self.fp_rate}")
+        for name in ("fp_rate", "detection_noise"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if self.speed_range[0] < 0 or self.speed_range[1] < self.speed_range[0]:
             raise ValueError(f"bad speed_range {self.speed_range}")
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        for agent, _first, _last in self.occlusion_windows:
+            if not 1 <= agent <= self.n_agents:
+                raise ValueError(f"occlusion_windows names unknown agent {agent}")
 
 
 def _signatures(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -139,8 +146,6 @@ def _occlusion_mask(rng, config: ScenarioConfig) -> np.ndarray:
     """Boolean (n_agents, n_frames) mask of suppressed detections."""
     occluded = np.zeros((config.n_agents, config.n_frames), dtype=bool)
     for agent, first, last in config.occlusion_windows:
-        if not 1 <= agent <= config.n_agents:
-            raise ValueError(f"occlusion window names unknown agent {agent}")
         occluded[agent - 1, max(first - 1, 0) : last] = True
     if config.occlusion_rate > 0:
         # Two-state Markov chain whose stationary occupancy matches the rate.
@@ -212,7 +217,7 @@ def generate(config: ScenarioConfig) -> tuple[TrajectorySet, list[list[Detection
         centers, velocities = _spawn_free(rng, config, sizes)
     occluded = _occlusion_mask(rng, config)
 
-    gt = TrajectorySet()
+    gt_boxes: list[tuple[float, float, float, float]] = []  # frame-major, agents in id order
     frames: list[list[DetectionCandidate]] = []
 
     for t in range(config.n_frames):
@@ -242,7 +247,7 @@ def generate(config: ScenarioConfig) -> tuple[TrajectorySet, list[list[Detection
                 sizes[i, 1],
             )
             true_boxes.append(box)
-            gt.add(t + 1, i + 1, box)
+            gt_boxes.append(box.as_tuple())
 
         visible = [i for i in range(config.n_agents) if not occluded[i, t]]
 
@@ -304,7 +309,9 @@ def generate(config: ScenarioConfig) -> tuple[TrajectorySet, list[list[Detection
 
         frames.append(candidates)
 
-    return gt, frames
+    frame = np.repeat(np.arange(1, config.n_frames + 1), config.n_agents)
+    ident = np.tile(np.arange(1, config.n_agents + 1), config.n_frames)
+    return TrajectorySet.from_columns(frame, ident, gt_boxes), frames
 
 
 def standard_suite() -> list[tuple[str, ScenarioConfig]]:

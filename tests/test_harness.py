@@ -269,6 +269,23 @@ class TestMotIo:
         with pytest.raises(MotParseError, match=rf"d\.aff: entry for frame {frame}, candidate {cand} matches"):
             load_detections(det)
 
+    @pytest.mark.parametrize("aff, message", [
+        ("aff 1 -1\n1,0\n", "d.aff:1: sidecar dim must be >= 0, got -1"),
+        ("aff 1 0\n1,0,nan\n", "d.aff:2: s_mask must be in [0, 1], got 'nan'"),
+        ("aff 1 0\n1,1,0.5\n1,0,1.5\n", "d.aff:3: s_mask must be in [0, 1], got '1.5'"),
+        ("aff 1 2\n1,1,-,0,1\n1,0,-,1.0,inf\n", "d.aff:3: embedding contains non-finite entries"),
+        ("aff 1 2\n1,0,0.5,nan,0\n1,1,-\n1,1,-\n", "d.aff:2: embedding contains non-finite entries"),
+        ("aff 1 0\n1,0,0.3\n1,1,-\n1,0,0.7\n", "d.aff:4: a second entry for frame 1, candidate 0"),
+    ], ids=["negative_dim", "nan_s_mask", "s_mask_above_1", "inf_embedding",
+          "nan_embedding_before_a_repeat", "repeated_entry"])
+    def test_bad_sidecar_entry_rejected_with_location(self, tmp_path, aff, message):
+        det = tmp_path / "d.txt"
+        det.write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n1,-1,20,0,10,10,0.8,-1,-1,-1\n")
+        (tmp_path / "d.aff").write_text(aff)
+        with pytest.raises(MotParseError) as info:
+            load_detections(det)
+        assert str(info.value) == f"{tmp_path}/{message}"
+
     def test_track_cli_fails_on_unmatched_sidecar_entry(self, tmp_path, capsys):
         det = tmp_path / "d.txt"
         det.write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n")

@@ -201,7 +201,7 @@ class TestTrajectorySetAgainstDictSet:
             _new, new_err = _outcome(new.add, frame, ident, box)
             _old, old_err = _outcome(old.add, frame, ident, box)
             assert str(new_err) == str(old_err)
-            if n % every == 0:  # reads between adds rebuild the sorted columns
+            if n % every == 0:  # reads between adds see each insert
                 _assert_same_set(new, old)
         _assert_same_set(new, old)
 
@@ -218,6 +218,40 @@ class TestTrajectorySetAgainstDictSet:
             _old, old_err = _outcome(old.add, frame, ident, box)
             assert str(new_err) == str(old_err)
         _assert_same_set(new, old)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_RECORDS)
+    def test_from_records_matches_dict_adds(self, records):
+        # Records come in random order with repeated keys; from_records must
+        # build the set a loop of adds builds, or stop at the same first repeat.
+        old, old_err = DictTrajectorySet(), None
+        for frame, ident, box in records:
+            _old, old_err = _outcome(old.add, frame, ident, box)
+            if old_err is not None:
+                break
+        new, new_err = _outcome(TrajectorySet.from_records, records)
+        assert str(new_err) == str(old_err)
+        if old_err is None:
+            _assert_same_set(new, old)
+
+    def test_columns_reads_have_no_side_effect(self):
+        ts = TrajectorySet.from_records([(2, 1, BoundingBox(0, 0, 1, 1)), (1, 4, BoundingBox(1, 1, 2, 2))])
+        first, second = ts.columns(), ts.columns()
+        for a, b in zip(first, second):
+            assert a is b
+        assert first[0].tolist() == [1, 2] and first[1].tolist() == [4, 1]
+
+    def test_add_leaves_earlier_columns_unchanged(self):
+        ts = TrajectorySet.from_records([(1, 1, BoundingBox(0, 0, 1, 1)), (3, 1, BoundingBox(0, 0, 1, 1))])
+        before = ts.columns()
+        snapshot = [column.copy() for column in before]
+        ts.add(2, 7, BoundingBox(5, 5, 1, 1))
+        for column, copy in zip(before, snapshot):
+            assert np.array_equal(column, copy)
+        assert ts.columns()[0].tolist() == [1, 2, 3] and ts.columns()[1].tolist() == [1, 7, 1]
+        with pytest.raises(ValueError, match="identity 7 appears twice in frame 2"):
+            ts.add(2, 7, BoundingBox(0, 0, 1, 1))
+        assert ts.total_boxes() == 3 and ts.at(2)[7] == BoundingBox(5, 5, 1, 1)
 
     def test_from_columns_rejects_unsorted_or_repeated_keys(self):
         box = [[0.0, 0.0, 1.0, 1.0]] * 2
@@ -281,6 +315,20 @@ class TestWriteReadWriteRoundTrip:
             assert sidecar_path(first).exists() == sidecar_path(second).exists()
             if sidecar_path(first).exists():
                 assert sidecar_path(second).read_bytes() == sidecar_path(first).read_bytes()
+
+
+class TestWritersRefuseWhatLoadersReject:
+    def test_detection_frame_before_1_rejected_before_any_file(self, tmp_path):
+        box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        with pytest.raises(ValueError, match="frame 0 is before frame 1"):
+            write_detections(tmp_path / "det.txt", {0: [DetectionCandidate(box, 0.9, s_mask=0.5)]})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_trajectory_id_rejected_before_the_file(self, tmp_path):
+        ts = TrajectorySet.from_records([(1, 2, BoundingBox(0, 0, 1, 1)), (3, -1, BoundingBox(0, 0, 1, 1))])
+        with pytest.raises(ValueError, match="frame 3, id -1: a negative id marks a detection line"):
+            write_trajectories(tmp_path / "traj.txt", ts)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWriteDetectionsAppearance:

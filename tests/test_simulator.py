@@ -152,6 +152,17 @@ class TestGenerate:
             ScenarioConfig(n_agents=1, n_frames=10, arena=(10.0, 10.0))
         with pytest.raises(ValueError):
             ScenarioConfig(n_agents=1, n_frames=10, miss_rate=1.5)
+        for field, value, message in [
+            ("box_size_range", (-5.0, 10.0), "box_size_range must satisfy 0 < lo <= hi"),
+            ("box_size_range", (30.0, 10.0), "box_size_range must satisfy 0 < lo <= hi"),
+            ("detection_noise", -0.5, "detection_noise must be finite and >= 0"),
+            ("detection_noise", float("nan"), "detection_noise must be finite and >= 0"),
+            ("fp_rate", float("inf"), "fp_rate must be finite and >= 0"),
+            ("merge_iou", 2.0, r"merge_iou must be in \[0, 1\]"),
+            ("occlusion_windows", ((3, 1, 5),), "occlusion_windows names unknown agent 3"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                ScenarioConfig(n_agents=2, n_frames=10, **{field: value})
 
 
 class TestStandardSuite:
