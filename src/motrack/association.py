@@ -5,23 +5,25 @@ Each frame the tracker predicts every live track forward, scores every
 motion consistency (IoU against the Kalman prediction), resolves an
 exclusive assignment, applies the confidence-gated Kalman update and the
 adaptive-EMA appearance buffer to matched tracks, and runs births, coasting,
-and retirement for the rest. The live tracks are held as columns
-(``TrackRows``), so predict, the gated correction and the appearance EMA each
-run once per frame over all tracks, with the per-track filter's formulas.
+and retirement for the rest. A frame's candidates (``Frame``) and the live
+tracks (``TrackRows``) are both held as columns, so scoring, predict, the
+gated correction and the appearance EMA each run once per frame over all
+candidates and tracks, with the per-track filter's formulas.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence, Union
+from collections.abc import Sequence
+from typing import Mapping, NamedTuple, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 # `iou` is not called here since every frame goes through `iou_matrix`, but it
 # stays a module name: the benchmark's layer probes rebind `association.iou`.
-from .geometry import BoundingBox, boxes_array, iou, iou_matrix  # noqa: F401
+from .geometry import BoundingBox, invalid_boxes, iou, iou_matrix  # noqa: F401
 # `kf_predict` and `kf_gated_update` (the per-track filter) likewise stay for those probes.
 from .kinematics import (OBS_DIM, KalmanTrackState, KinematicsConfig, _correct_axis,  # noqa: F401
                          _predict_axis, _predicted_box, kf_gated_update, kf_init, kf_predict)
@@ -75,6 +77,130 @@ class DetectionCandidate:
             if not np.all(np.isfinite(emb)):
                 raise ValueError("embedding contains non-finite entries")
             object.__setattr__(self, "embedding", emb)
+
+
+def _one_dim(shapes) -> tuple[int, ...]:
+    """The one memory shape among ``shapes``, (0,) for none; two are an error."""
+    shapes = sorted(set(shapes))
+    if len(shapes) > 1:
+        raise ValueError(f"buffer/key dimension mismatch: {' vs '.join(map(str, shapes))}")
+    return shapes[0] if shapes else (0,)
+
+
+def _column(values, dtype, shape: tuple[int, ...], name: str) -> np.ndarray:
+    column = np.array(values, dtype=dtype)
+    if column.size == 0:
+        column = column.reshape(shape)
+    if column.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {column.shape}")
+    return column
+
+
+class Frame(Sequence):
+    """One frame's detection candidates as read-only columns.
+
+    ``boxes`` (n, 4) holds (x, y, w, h) rows and ``s_obj`` (n,) the
+    objectness. ``s_mask`` (n,) is each candidate's scalar appearance
+    affinity, NaN where it has none; ``mapped`` {candidate index: {track id:
+    affinity}} holds the candidates scored per track (NaN in ``s_mask``).
+    ``embeddings`` (n, d) holds the embeddings of the rows ``has_embedding``
+    marks, all of one dimension d. The constructor copies the columns and
+    checks them once, with the messages ``BoundingBox`` and
+    ``DetectionCandidate`` give. A Frame is also a sequence of
+    ``DetectionCandidate`` views, built on each read.
+    """
+
+    __slots__ = ("boxes", "s_obj", "s_mask", "embeddings", "has_embedding", "mapped")
+
+    def __init__(self, boxes, s_obj, s_mask=None, embeddings=None, has_embedding=None,
+                 mapped: Mapping[int, Mapping[int, float]] | None = None) -> None:
+        s_obj = np.array(s_obj, dtype=float)
+        if s_obj.ndim != 1:
+            raise ValueError(f"s_obj must have shape (n,), got {s_obj.shape}")
+        n = len(s_obj)
+        boxes = _column(boxes, float, (n, 4), "boxes")
+        s_mask = np.full(n, math.nan) if s_mask is None else _column(s_mask, float, (n,), "s_mask")
+        if embeddings is None:
+            embeddings = np.zeros((n, 0))
+        embeddings = np.array(embeddings, dtype=float)
+        if embeddings.ndim != 2 or len(embeddings) != n:
+            raise ValueError(f"embeddings must have shape ({n}, d), got {embeddings.shape}")
+        has_embedding = _column(np.full(n, embeddings.size > 0) if has_embedding is None else has_embedding,
+                                bool, (n,), "has_embedding")
+        mapped = {int(j): {tid: _check_score(v, f"s_mask[{tid}]") for tid, v in m.items()}
+                  for j, m in sorted((mapped or {}).items())}
+
+        bad = invalid_boxes(boxes)
+        if np.count_nonzero(bad):
+            BoundingBox(*boxes[np.argmax(bad)].tolist())
+        for name, column, bad in (("s_obj", s_obj, ~((s_obj >= 0.0) & (s_obj <= 1.0))),
+                                  ("s_mask", s_mask, (s_mask < 0.0) | (s_mask > 1.0))):
+            if np.count_nonzero(bad):
+                _check_score(column[np.argmax(bad)], name)
+        for j in mapped:
+            if not 0 <= j < n or not math.isnan(s_mask[j]):
+                raise ValueError(f"mapped candidate {j} is not a candidate without a scalar s_mask")
+        if np.count_nonzero(has_embedding):
+            if not embeddings.shape[1]:
+                raise ValueError("embedding must be a non-empty vector, got shape (0,)")
+            if not np.isfinite(embeddings[has_embedding]).all():
+                raise ValueError("embedding contains non-finite entries")
+        self._store(boxes, s_obj, s_mask, embeddings, has_embedding, mapped)
+
+    @classmethod
+    def _checked(cls, boxes, s_obj, s_mask, embeddings, has_embedding) -> "Frame":
+        """A Frame over columns of the right shapes whose values the caller
+        has already checked; they become read-only and are not copied."""
+        frame = object.__new__(cls)
+        frame._store(boxes, s_obj, s_mask, embeddings, has_embedding, {})
+        return frame
+
+    def _store(self, boxes, s_obj, s_mask, embeddings, has_embedding, mapped) -> None:
+        for name, column in (("boxes", boxes), ("s_obj", s_obj), ("s_mask", s_mask),
+                             ("embeddings", embeddings), ("has_embedding", has_embedding)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "mapped", mapped)
+
+    @classmethod
+    def of(cls, candidates: "Frame | Sequence[DetectionCandidate]") -> "Frame":
+        """The Frame of a list of candidates; a Frame is returned as it is.
+        Embeddings of two dimensions are an error."""
+        if isinstance(candidates, Frame):
+            return candidates
+        candidates = list(candidates)
+        keys = [c.embedding for c in candidates if c.embedding is not None]
+        has_embedding = np.array([c.embedding is not None for c in candidates], dtype=bool)
+        embeddings = np.zeros((len(candidates), *_one_dim(np.shape(k) for k in keys)))
+        if keys:
+            embeddings[has_embedding] = keys
+        return cls(
+            [c.box.as_tuple() for c in candidates],
+            [c.s_obj for c in candidates],
+            [math.nan if c.s_mask is None or isinstance(c.s_mask, Mapping) else c.s_mask
+             for c in candidates],
+            embeddings, has_embedding,
+            {j: c.s_mask for j, c in enumerate(candidates) if isinstance(c.s_mask, Mapping)},
+        )
+
+    def __len__(self) -> int:
+        return len(self.s_obj)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[k] for k in range(*j.indices(len(self)))]
+        j = range(len(self))[j]
+        s_mask = self.mapped.get(j)
+        if s_mask is None and not math.isnan(self.s_mask[j]):
+            s_mask = self.s_mask[j]
+        return DetectionCandidate(BoundingBox._checked(*self.boxes[j].tolist()), self.s_obj[j], s_mask,
+                                  self.embeddings[j] if self.has_embedding[j] else None)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"Frame columns are read-only: cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Frame({len(self)} candidates)"
 
 
 @dataclass
@@ -212,14 +338,6 @@ class TrackerConfig:
             raise ValueError(f"max_age must be >= 0, got {self.max_age}")
 
 
-def _one_dim(shapes) -> tuple[int, ...]:
-    """The one memory shape among ``shapes``, (0,) for none; two are an error."""
-    shapes = sorted(set(shapes))
-    if len(shapes) > 1:
-        raise ValueError(f"buffer/key dimension mismatch: {' vs '.join(map(str, shapes))}")
-    return shapes[0] if shapes else (0,)
-
-
 class TrackRows:
     """Tracks as columns, one row per track in creation (and id) order.
 
@@ -278,7 +396,7 @@ class TrackRows:
         return [
             Track(i, KalmanTrackState(x.copy(), tuple(pv), tuple(vv), tuple(c), k, tuple(q), tuple(r)),
                   _STATUSES[s], misses, hits, memory.copy() if has else None,
-                  None if math.isnan(p[0]) else BoundingBox(*p), box, score)
+                  None if math.isnan(p[0]) else BoundingBox._checked(*p), box, score)
             for i, s, misses, hits, x, pv, vv, c, k, q, r, memory, has, p, box, score in columns
         ]
 
@@ -311,35 +429,25 @@ def _as_rows(tracks: TrackRows | Sequence[Track]) -> TrackRows:
     return TrackRows.of(tracks)
 
 
-def _appearance_matrix(
-    rows: TrackRows,
-    candidates: list[DetectionCandidate],
-) -> np.ndarray:
+def _appearance_matrix(rows: TrackRows, frame: Frame) -> np.ndarray:
     """Appearance affinity of every (track, candidate) pair, as one matrix.
 
-    Cosine affinities, mapped to [0, 1] (0 where a vector is zero or
-    missing), come from one matmul of the track memories against the
-    stacked embeddings of the candidates without a scalar s_mask, which
-    must all share the memories' dimension; scalar s_mask values then fill
-    their column and mapping entries the rows of the tracks they name.
+    Scalar s_mask values fill their candidate's column. Cosine affinities,
+    mapped to [0, 1] (0 where a vector is zero or missing), come from one
+    matmul of the track memories against the embeddings of the candidates
+    without a scalar s_mask, which must share the memories' dimension;
+    mapping entries then fill the rows of the tracks they name.
     """
-    appearance = np.zeros((len(rows), len(candidates)))
-    cols, mapped = [], []  # candidates compared by cosine / with a mapping s_mask
-    for j, cand in enumerate(candidates):
-        if cand.s_mask is None or isinstance(cand.s_mask, Mapping):
-            if cand.embedding is not None:
-                cols.append(j)
-            if cand.s_mask is not None:
-                mapped.append(j)
-        else:
-            appearance[:, j] = cand.s_mask
-    if cols and np.count_nonzero(rows.has_memory):
-        embeddings = [candidates[j].embedding for j in cols]
-        shapes = sorted({rows.memory.shape[1:]} | {v.shape for v in embeddings})
+    appearance = np.empty((len(rows), len(frame)))
+    no_scalar = np.isnan(frame.s_mask)
+    appearance[:] = np.where(no_scalar, 0.0, frame.s_mask)
+    cols = np.flatnonzero(no_scalar & frame.has_embedding)  # candidates compared by cosine
+    if cols.size and np.count_nonzero(rows.has_memory):
+        shapes = sorted({rows.memory.shape[1:], frame.embeddings.shape[1:]})
         if len(shapes) > 1:
             raise ValueError(f"buffer/embedding dimension mismatch: {' vs '.join(map(str, shapes))}")
         held = np.flatnonzero(rows.has_memory)
-        mem, emb = rows.memory[held], np.array(embeddings)
+        mem, emb = rows.memory[held], frame.embeddings[cols]
         # np.linalg.norm(., axis=1)'s own arithmetic, without its argument handling.
         na, nb = np.sqrt(np.add.reduce(mem * mem, axis=1)), np.sqrt(np.add.reduce(emb * emb, axis=1))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -347,10 +455,9 @@ def _appearance_matrix(
         cosine = np.minimum(np.maximum(0.5 * (1.0 + cos), 0.0), 1.0)
         cosine[(na == 0.0)[:, np.newaxis] | (nb == 0.0)[np.newaxis, :]] = 0.0
         appearance[held[:, np.newaxis], cols] = cosine
-    if mapped:
+    if frame.mapped:
         ids = rows.id.tolist()
-        for j in mapped:
-            s_mask = candidates[j].s_mask
+        for j, s_mask in frame.mapped.items():
             for i, track_id in enumerate(ids):
                 if track_id in s_mask:
                     appearance[i, j] = s_mask[track_id]
@@ -359,7 +466,7 @@ def _appearance_matrix(
 
 def _score_matrices(
     tracks: TrackRows | Sequence[Track],
-    candidates: list[DetectionCandidate],
+    candidates: Frame | Sequence[DetectionCandidate],
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(fused, motion) score matrices of every (track, candidate) pair, and
@@ -368,24 +475,24 @@ def _score_matrices(
     motion is the IoU of each track's prediction against each candidate
     box; fused is alpha * appearance + (1 - alpha) * motion.
     """
-    rows = _as_rows(tracks)
-    boxes = boxes_array(c.box for c in candidates)
-    motion = iou_matrix(rows.predicted, boxes)
-    fused = alpha * _appearance_matrix(rows, candidates) + (1.0 - alpha) * motion
+    rows, frame = _as_rows(tracks), Frame.of(candidates)
+    motion = iou_matrix(rows.predicted, frame.boxes)
+    fused = alpha * _appearance_matrix(rows, frame) + (1.0 - alpha) * motion
     if np.count_nonzero(np.isfinite(fused)) < fused.size:
         raise ValueError("association scores contain non-finite entries")
-    return fused, motion, boxes
+    return fused, motion, frame.boxes
 
 
 def associate_frame(
     tracks: TrackRows | Sequence[Track],
-    candidates: list[DetectionCandidate],
+    candidates: Frame | Sequence[DetectionCandidate],
     config: TrackerConfig,
 ) -> AssociationResult:
     """Resolve this frame's exclusive track-candidate assignment.
 
     ``tracks`` are the tracker's rows or a list of predicted ``Track``s,
-    converted to rows once. hungarian mode returns the one-to-one
+    converted to rows once, and ``candidates`` a Frame or a list of
+    candidates, converted once. hungarian mode returns the one-to-one
     assignment maximising the total fused score over pairs at or above
     tau_match. greedy mode lets every track pick its own best candidate
     (ties to the lower candidate index); when several tracks claim one
@@ -461,17 +568,16 @@ def _predict(rows: TrackRows) -> None:
 
 def _update_matched(
     rows: TrackRows,
-    frame: list[DetectionCandidate],
+    frame: Frame,
     result: AssociationResult,
     cfg: TrackerConfig,
 ) -> None:
     """Gated Kalman update, appearance buffer and counters of the matched rows."""
     kin = cfg.kinematics
-    matched = result.rows
-    cands = [frame[j] for j in result.cols.tolist()]
+    matched, cols = result.rows, result.cols
 
     # One more reliable association, or back to zero.
-    counter = (rows.counter[matched] + 1) * np.array([c.s_obj >= kin.tau_obj for c in cands])
+    counter = (rows.counter[matched] + 1) * (frame.s_obj[cols] >= kin.tau_obj)
     rows.counter[matched] = counter
     fire = counter >= kin.tau_kf
     if np.count_nonzero(fire):
@@ -480,13 +586,9 @@ def _update_matched(
             x[f, :OBS_DIM], x[f, OBS_DIM:], rows.pos_var[f], rows.vel_var[f], rows.cross[f],
             rows.r[f], result.boxes[fire])
 
-    keyed = [k for k, c in enumerate(cands) if c.embedding is not None]
-    if keyed:
-        keys = [cands[k].embedding for k in keyed]
-        try:
-            keys = np.array(keys)
-        except ValueError:  # embeddings of two dimensions
-            _one_dim(v.shape for v in keys)
+    keyed = frame.has_embedding[cols]
+    if np.count_nonzero(keyed):
+        keys = frame.embeddings[cols[keyed]]
         if keys.shape[1:] != rows.memory.shape[1:]:
             held = [rows.memory.shape[1:]] if np.count_nonzero(rows.has_memory) else []
             rows.memory = np.zeros((len(rows), *_one_dim(held + [keys.shape[1:]])))
@@ -500,8 +602,8 @@ def _update_matched(
     rows.hits[matched] += 1
     # A match confirms a row unless it is tentative with fewer than n_init hits.
     rows.status[matched] = (rows.status[matched] != _TENTATIVE) | (rows.hits[matched] >= cfg.n_init)
-    for i, c, score in zip(matched.tolist(), cands, result.scores.tolist()):
-        rows.last_box[i] = c.box
+    for i, box, score in zip(matched.tolist(), result.boxes.tolist(), result.scores.tolist()):
+        rows.last_box[i] = BoundingBox._checked(*box)
         rows.last_score[i] = score
 
 
@@ -516,17 +618,18 @@ def _coast_unmatched(rows: TrackRows, matched: np.ndarray, cfg: TrackerConfig) -
     coast = np.flatnonzero(unmatched ^ retire)
     rows.status[coast] = _LOST
     for i, box in zip(coast.tolist(), rows.predicted[coast].tolist()):
-        rows.last_box[i] = BoundingBox(*box)
+        rows.last_box[i] = BoundingBox._checked(*box)
         rows.last_score[i] = None
     return ~retire if np.count_nonzero(retire) else None
 
 
 def step_tracker(
     state: TrackerState,
-    frame: list[DetectionCandidate],
+    frame: Frame | Sequence[DetectionCandidate],
     frame_index: int | None = None,
 ) -> tuple[TrackerState, list[TrackOutput]]:
-    """Advance the tracker by one frame of candidates.
+    """Advance the tracker by one frame of candidates, a Frame or a list of
+    candidates (converted once).
 
     Runs predict -> associate -> gated update (+ appearance buffer) for
     matches, then lifecycle: unmatched candidates above tau_birth spawn
@@ -550,19 +653,23 @@ def step_tracker(
         )
     state.frame_index = frame_index
 
-    rows = state.rows
+    frame, rows = Frame.of(frame), state.rows
     if len(rows):
         _predict(rows)
     result = associate_frame(rows, frame, cfg)
     if len(result.rows):
         _update_matched(rows, frame, result, cfg)
     keep = _coast_unmatched(rows, result.rows, cfg) if len(result.rows) < len(rows) else None
-    born = [frame[j] for j in result.unmatched_candidates if frame[j].s_obj >= cfg.tau_birth]
+    birth = frame.s_obj >= cfg.tau_birth
+    birth[result.cols] = False  # a matched candidate spawns nothing
+    born = np.flatnonzero(birth).tolist()
     if keep is not None or born:
         status = CONFIRMED if cfg.n_init <= 1 else TENTATIVE
+        boxes = [BoundingBox._checked(*box) for box in frame.boxes[born].tolist()]
         rows.rebuild(keep, TrackRows.of([
-            Track(state.next_id + k, kf_init(c.box, cfg.kinematics), status, memory=c.embedding, last_box=c.box)
-            for k, c in enumerate(born)]))
+            Track(state.next_id + k, kf_init(box, cfg.kinematics), status,
+                  memory=frame.embeddings[j] if frame.has_embedding[j] else None, last_box=box)
+            for k, (j, box) in enumerate(zip(born, boxes))]))
         state.next_id += len(born)
 
     return state, [

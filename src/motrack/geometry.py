@@ -30,6 +30,15 @@ class BoundingBox:
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box extents must be positive, got w={self.w}, h={self.h}")
 
+    @classmethod
+    def _checked(cls, x: float, y: float, w: float, h: float) -> "BoundingBox":
+        """A box over values already checked as ``__post_init__`` checks them,
+        such as a row of checked box columns."""
+        box = object.__new__(cls)
+        fields = box.__dict__
+        fields["x"], fields["y"], fields["w"], fields["h"] = x, y, w, h
+        return box
+
     @property
     def right(self) -> float:
         return self.x + self.w
@@ -92,9 +101,10 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return iou_pairs(a[:, np.newaxis], b[np.newaxis])
 
 
-def boxes_array(boxes) -> np.ndarray:
-    """Stack BoundingBoxes into an (n, 4) array of (x, y, w, h) rows."""
-    return np.array([box.as_tuple() for box in boxes], dtype=float).reshape(-1, 4)
+def invalid_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an (n, 4) (x, y, w, h) array that ``BoundingBox``
+    rejects: a non-finite value or a non-positive extent."""
+    return ~(np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0) & (boxes[:, 3] > 0))
 
 
 def center(a: BoundingBox) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 # `iou` is not called here since every frame goes through `iou_pairs`, but it
 # stays a module name: the benchmark's layer probes count calls to
 # `metrics.iou` (and `metrics.linear_sum_assignment`) by rebinding them.
-from .geometry import BoundingBox, iou, iou_pairs  # noqa: F401
+from .geometry import BoundingBox, invalid_boxes, iou, iou_pairs  # noqa: F401
 
 DEFAULT_IOU_THRESHOLD = 0.5
 HOTA_ALPHAS = tuple(k / 20.0 for k in range(1, 20))
@@ -71,7 +71,8 @@ class TrajectorySet:
     def from_columns(cls, frame, ident, boxes) -> "TrajectorySet":
         """Build from copies of columns sorted by (frame, identity), as
         ``columns`` returns them; a repeated or out-of-order (frame, identity)
-        is an error."""
+        is an error, and so is a box ``BoundingBox`` rejects, named by the
+        first such (frame, identity)."""
         frame = np.array(frame, dtype=np.int64).reshape(-1)
         ident = np.array(ident, dtype=np.int64).reshape(-1)
         boxes = np.array(boxes, dtype=float).reshape(-1, 4)
@@ -82,6 +83,13 @@ class TrajectorySet:
         step = np.diff(frame)
         if np.any((step < 0) | ((step == 0) & (np.diff(ident) <= 0))):
             raise ValueError("columns must be sorted by (frame, identity) without repeats")
+        bad = invalid_boxes(boxes)
+        if np.count_nonzero(bad):
+            r = int(np.argmax(bad))
+            try:
+                BoundingBox(*boxes[r].tolist())
+            except ValueError as exc:
+                raise ValueError(f"frame {frame[r]}, id {ident[r]}: {exc}") from None
         ts = cls()
         ts._store(frame, ident, boxes)
         return ts

@@ -15,19 +15,23 @@ optional scalar appearance affinity and an optional embedding to detections
 by (frame, candidate index): ``frame,cand,s_mask_or_dash[,e0,...,e_{dim-1}]``.
 A negative dim, an s_mask outside [0, 1], a non-finite embedding value or a
 second entry for one (frame, cand) is a MotParseError naming ``file:line``.
+Detections load as one ``Frame`` of candidate columns per frame, and write
+from those columns.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .association import DetectionCandidate
-from .geometry import BoundingBox
+from .association import DetectionCandidate, Frame
+from .geometry import BoundingBox, invalid_boxes
 from .metrics import TrajectorySet, key_order
 
 
@@ -114,7 +118,7 @@ def _parse_columns(path: str | Path) -> _Columns:
     # it are checked here, so a bad value on an earlier line is still first.
     boxes = np.column_stack([xs, ys, ws, hs]) if xs else np.zeros((0, 4))
     conf = np.array(confs, dtype=float)
-    bad = ~np.isfinite(conf) | ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2] <= 0) | (boxes[:, 3] <= 0)
+    bad = ~np.isfinite(conf) | invalid_boxes(boxes)
     if bad.any():
         r = int(np.argmax(bad))
         where = f"{path}:{linenos[r]}"
@@ -151,8 +155,9 @@ def load_trajectories(path: str | Path) -> TrajectorySet:
 def load_detections(
     path: str | Path,
     sidecar: str | Path | None = None,
-) -> dict[int, list[DetectionCandidate]]:
-    """Read a detection file into per-frame candidate lists.
+) -> dict[int, Frame]:
+    """Read a detection file into one ``Frame`` per frame, keyed by frame
+    number in order of first appearance; candidates keep their file order.
 
     The id column is ignored, conf becomes the objectness score (clamped to
     [0, 1]), and frames are numbered from 1. When a sidecar exists
@@ -160,31 +165,41 @@ def load_detections(
     affinities and embeddings attach by (frame, candidate index); an entry
     that matches no detection is an error.
     """
-    side: dict[tuple[int, int], tuple[float | None, np.ndarray | None]] = {}
     sidecar = Path(sidecar) if sidecar is not None else sidecar_path(path)
-    if sidecar.exists():
-        side = load_sidecar(sidecar)
+    side = load_sidecar(sidecar) if sidecar.exists() else None
 
     rows = _parse_columns(path)
     early = np.flatnonzero(rows.frame < 1)
     if early.size:
         r = early[0]
         raise MotParseError(f"{path}:{rows.line[r]}: frame {rows.frame[r]} is before frame 1")
-    frames: dict[int, list[DetectionCandidate]] = {}
-    for frame, (x, y, w, h), conf in zip(rows.frame.tolist(), rows.boxes.tolist(), rows.conf.tolist()):
-        bucket = frames.setdefault(frame, [])
-        s_mask, embedding = side.pop((frame, len(bucket)), (None, None))
-        bucket.append(DetectionCandidate(
-            box=BoundingBox(x, y, w, h),
-            s_obj=min(max(conf, 0.0), 1.0),
-            s_mask=s_mask,
-            embedding=embedding,
-        ))
-    if side:
-        frame, cand = next(iter(side))
-        raise MotParseError(
-            f"{sidecar}: entry for frame {frame}, candidate {cand} matches no detection in {path}"
-        )
+    # Rows grouped by frame, file order kept within each: frame k's candidates
+    # are rows first[k] to first[k] + count[k] of the sorted columns.
+    order = np.argsort(rows.frame, kind="stable")
+    numbers, first, count = np.unique(rows.frame[order], return_index=True, return_counts=True)
+    conf = rows.conf[order]
+    # min(max(conf, 0.0), 1.0), keeping its -0.0.
+    s_obj = np.where(conf < 0.0, 0.0, np.where(conf > 1.0, 1.0, conf))
+    n, dim = len(order), 0 if side is None else side.embeddings.shape[1]
+    s_mask, embeddings, has_embedding = np.full(n, math.nan), np.zeros((n, dim)), np.zeros(n, dtype=bool)
+    if side is not None and len(side):
+        group = np.minimum(np.searchsorted(numbers, side.frame), max(len(numbers) - 1, 0))
+        found = np.zeros(len(side), dtype=bool)
+        if len(numbers):
+            found = (numbers[group] == side.frame) & (side.cand >= 0) & (side.cand < count[group])
+        if not found.all():
+            r = int(np.argmin(found))
+            raise MotParseError(f"{sidecar}: entry for frame {side.frame[r]}, candidate {side.cand[r]} "
+                                f"matches no detection in {path}")
+        at = first[group] + side.cand
+        s_mask[at], embeddings[at], has_embedding[at] = side.s_mask, side.embeddings, side.has_embedding
+    boxes = rows.boxes[order]
+    frames: dict[int, Frame] = {}
+    numbers, first, count = numbers.tolist(), first.tolist(), count.tolist()
+    for k in np.argsort(order[first], kind="stable").tolist():
+        span = slice(first[k], first[k] + count[k])
+        frames[numbers[k]] = Frame._checked(boxes[span], s_obj[span], s_mask[span],
+                                            embeddings[span], has_embedding[span])
     return frames
 
 
@@ -219,71 +234,104 @@ def write_detections(path: str | Path, frames) -> None:
     """Write per-frame candidates; companions with appearance data get a sidecar.
 
     ``frames`` is a mapping frame -> candidates or a list whose position i
-    holds frame i+1. Both files' text is built and checked before either is
-    written: a per-track s_mask mapping, which has no sidecar form, is a
-    ValueError naming its frame and candidate index, and so are embeddings
-    of two dimensions and a frame before 1, which ``load_detections``
-    rejects. When no candidate has appearance data, a sidecar left by an
-    earlier write is removed, so it cannot attach to these detections.
-    A detection path ending in ``.aff`` is its own sidecar path: a ValueError.
+    holds frame i+1, each a ``Frame`` or a list of candidates. Both files'
+    text is built and checked before either is written: a per-track s_mask
+    mapping, which has no sidecar form, is a ValueError naming its frame and
+    candidate index, and so are embeddings of two dimensions and a frame
+    before 1, which ``load_detections`` rejects. When no candidate has
+    appearance data, a sidecar left by an earlier write is removed, so it
+    cannot attach to these detections. A detection path ending in ``.aff``
+    is its own sidecar path: a ValueError.
     """
     aff_path = sidecar_path(path)
     if aff_path == Path(path):
         raise ValueError(f"detection path {str(path)!r} ends in .aff, the sidecar suffix")
-    lines = []
-    aff_entries: list[tuple[int, int, float | None, np.ndarray | None]] = []
-    dim = 0
-    for frame, candidates in _frame_items(frames):
-        if frame < 1:
-            raise ValueError(f"frame {frame} is before frame 1, where detection files start")
-        for j, cand in enumerate(candidates):
-            if isinstance(cand.s_mask, Mapping):
-                raise ValueError(f"frame {frame}, candidate {j}: a per-track s_mask has no sidecar form")
-            box = cand.box
-            lines.append(
-                f"{frame},-1,{_fmt(box.x)},{_fmt(box.y)},{_fmt(box.w)},{_fmt(box.h)},{_fmt(cand.s_obj)},-1,-1,-1"
-            )
-            if cand.s_mask is not None or cand.embedding is not None:
-                if cand.embedding is not None:
-                    dim = max(dim, cand.embedding.size)
-                aff_entries.append((frame, j, cand.s_mask, cand.embedding))
-    aff_text = _sidecar_text(aff_entries, dim) if aff_entries else None
+    items = _frame_items(frames)
+    dims = []  # per frame, {embedding dim: first candidate index with it}
+    for number, candidates in items:
+        if number < 1:
+            raise ValueError(f"frame {number} is before frame 1, where detection files start")
+        mapped = _mapped_candidates(candidates)
+        if mapped:
+            raise ValueError(f"frame {number}, candidate {mapped[0]}: a per-track s_mask has no sidecar form")
+        dims.append(_embedding_dims(candidates))
+    dim = max((d for per_frame in dims for d in per_frame), default=0)
+    for (number, _), per_frame in zip(items, dims):
+        mismatched = sorted((j, d) for d, j in per_frame.items() if d != dim)
+        if mismatched:
+            j, d = mismatched[0]
+            raise ValueError(f"frame {number}, candidate {j}: embedding dim {d} does not match sidecar dim {dim}")
+
+    lines, aff_lines = [], [f"aff 1 {dim}"]
+    for number, candidates in items:
+        frame = Frame.of(candidates)
+        lines += [f"{number},-1,{x!r},{y!r},{w!r},{h!r},{s_obj!r},-1,-1,-1"
+                  for (x, y, w, h), s_obj in zip(frame.boxes.tolist(), frame.s_obj.tolist())]
+        entry = frame.has_embedding | ~np.isnan(frame.s_mask)
+        for j, s_mask, keyed, embedding in zip(np.flatnonzero(entry).tolist(), frame.s_mask[entry].tolist(),
+                                               frame.has_embedding[entry].tolist(),
+                                               frame.embeddings[entry].tolist()):
+            fields = f"{number},{j},{'-' if math.isnan(s_mask) else repr(s_mask)}"
+            aff_lines.append(",".join([fields, *map(repr, embedding)]) if keyed else fields)
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-    if aff_text is not None:
-        atomic_write_text(aff_path, aff_text)
+    if len(aff_lines) > 1:
+        atomic_write_text(aff_path, "\n".join(aff_lines) + "\n")
     else:
         aff_path.unlink(missing_ok=True)
 
 
-def _frame_items(frames) -> list[tuple[int, list[DetectionCandidate]]]:
+def _frame_items(frames) -> list[tuple[int, Frame | list[DetectionCandidate]]]:
     if isinstance(frames, Mapping):
         return [(frame, frames[frame]) for frame in sorted(frames)]
     return [(i + 1, candidates) for i, candidates in enumerate(frames)]
+
+
+def _mapped_candidates(candidates) -> list[int]:
+    """Indices of the candidates with a per-track s_mask mapping, increasing."""
+    if isinstance(candidates, Frame):
+        return list(candidates.mapped)
+    return [j for j, c in enumerate(candidates) if isinstance(c.s_mask, Mapping)]
+
+
+def _embedding_dims(candidates) -> dict[int, int]:
+    """{embedding dim: index of the first candidate with it}; a list of
+    candidates may hold embeddings of two dimensions, a Frame not."""
+    if isinstance(candidates, Frame):
+        keyed = np.flatnonzero(candidates.has_embedding)
+        return {candidates.embeddings.shape[1]: int(keyed[0])} if keyed.size else {}
+    dims: dict[int, int] = {}
+    for j, c in enumerate(candidates):
+        if c.embedding is not None:
+            dims.setdefault(c.embedding.size, j)
+    return dims
 
 
 def sidecar_path(det_path: str | Path) -> Path:
     return Path(det_path).with_suffix(".aff")
 
 
-def _sidecar_text(
-    entries: Iterable[tuple[int, int, float | None, np.ndarray | None]],
-    dim: int,
-) -> str:
-    lines = [f"aff 1 {dim}"]
-    for frame, cand, s_mask, embedding in entries:
-        fields = [str(frame), str(cand), "-" if s_mask is None else _fmt(s_mask)]
-        if embedding is not None:
-            if embedding.size != dim:
-                raise ValueError(
-                    f"frame {frame}, candidate {cand}: embedding dim {embedding.size} "
-                    f"does not match sidecar dim {dim}"
-                )
-            fields.extend(_fmt(v) for v in embedding)
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+@dataclass(frozen=True, eq=False)
+class Sidecar:
+    """An affinity sidecar's entries as columns, in file order: ``frame`` and
+    ``cand`` (k,) int64, ``s_mask`` (k,) (NaN for '-'), and ``embeddings``
+    (k, dim) holding the embeddings of the entries ``has_embedding`` marks.
+    Its length is the number of entries."""
+
+    frame: np.ndarray
+    cand: np.ndarray
+    s_mask: np.ndarray
+    embeddings: np.ndarray
+    has_embedding: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.frame)
 
 
-def load_sidecar(path: str | Path) -> dict[tuple[int, int], tuple[float | None, np.ndarray | None]]:
+def load_sidecar(path: str | Path) -> Sidecar:
+    """Parse a sidecar into columns. The first bad line, in file order, is a
+    MotParseError naming ``path:line``: a wrong field count, an unparsable
+    number, a frame or candidate outside int64, a second entry for one
+    (frame, candidate), an s_mask outside [0, 1] or a non-finite embedding."""
     text = Path(path).read_text().splitlines()
     if not text:
         raise MotParseError(f"{path}: empty sidecar")
@@ -297,43 +345,50 @@ def load_sidecar(path: str | Path) -> dict[tuple[int, int], tuple[float | None, 
     if dim < 0:
         raise MotParseError(f"{path}:1: sidecar dim must be >= 0, got {dim}")
 
-    entries: dict[tuple[int, int], tuple[float | None, np.ndarray | None]] = {}
-    embedded: list[tuple[int, np.ndarray]] = []  # (line, embedding), checked finite in one pass
-    try:
-        for lineno, raw in enumerate(text[1:], start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) not in (3, 3 + dim):
-                raise MotParseError(
-                    f"{path}:{lineno}: expected 3 or {3 + dim} fields, got {len(parts)}"
-                )
-            try:
-                frame = int(parts[0])
-                cand = int(parts[1])
-                s_mask = None if parts[2] == "-" else float(parts[2])
-                embedding = np.array(parts[3:], dtype=float) if len(parts) > 3 else None
-            except ValueError as exc:
-                raise MotParseError(f"{path}:{lineno}: malformed line {raw!r}") from exc
-            key = (frame, cand)
-            if key in entries:
-                raise MotParseError(f"{path}:{lineno}: a second entry for frame {frame}, candidate {cand}")
-            if s_mask is not None and not 0.0 <= s_mask <= 1.0:
-                raise MotParseError(f"{path}:{lineno}: s_mask must be in [0, 1], got {parts[2]!r}")
-            entries[key] = (s_mask, embedding)
-            if embedding is not None:
-                embedded.append((lineno, embedding))
-    except MotParseError:
-        _check_finite(path, embedded)  # a bad embedding on an earlier line comes first
-        raise
-    _check_finite(path, embedded)
-    return entries
+    frames, cands, s_masks, keyed, lines = [], [], [], [], []  # one entry per data line
+    embeddings = np.zeros((len(text), dim))  # entry k's embedding, if any, in row k
+    seen: set[tuple[int, int]] = set()
+    error = None  # "line: problem" of the first bad line; the loop stops there
+    for lineno, raw in enumerate(text[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) not in (3, 3 + dim):
+            error = f"{lineno}: expected 3 or {3 + dim} fields, got {len(parts)}"
+            break
+        try:
+            frame = int(parts[0])
+            cand = int(parts[1])
+            s_mask = math.nan if parts[2] == "-" else float(parts[2])
+            if len(parts) > 3:
+                embeddings[len(frames)] = parts[3:]
+        except ValueError:
+            error = f"{lineno}: malformed line {raw!r}"
+            break
+        if not (-2**63 <= frame < 2**63 and -2**63 <= cand < 2**63):
+            error = f"{lineno}: frame or candidate outside int64"
+            break
+        if (frame, cand) in seen:
+            error = f"{lineno}: a second entry for frame {frame}, candidate {cand}"
+            break
+        if not 0.0 <= s_mask <= 1.0 and parts[2] != "-":
+            error = f"{lineno}: s_mask must be in [0, 1], got {parts[2]!r}"
+            break
+        seen.add((frame, cand))
+        frames.append(frame)
+        cands.append(cand)
+        s_masks.append(s_mask)
+        keyed.append(len(parts) > 3)
+        lines.append(lineno)
 
-
-def _check_finite(path: str | Path, embedded: list[tuple[int, np.ndarray]]) -> None:
-    if embedded:
-        finite = np.isfinite(np.array([embedding for _, embedding in embedded])).all(axis=1)
-        if not finite.all():
-            lineno = embedded[int(np.argmin(finite))][0]
-            raise MotParseError(f"{path}:{lineno}: embedding contains non-finite entries")
+    # The embeddings of the lines before the stop are checked finite in one
+    # pass, and a bad one comes first.
+    embeddings = embeddings[:len(frames)]
+    bad = ~np.isfinite(embeddings).all(axis=1)
+    if bad.any():
+        raise MotParseError(f"{path}:{lines[int(np.argmax(bad))]}: embedding contains non-finite entries")
+    if error is not None:
+        raise MotParseError(f"{path}:{error}")
+    return Sidecar(np.array(frames, dtype=np.int64), np.array(cands, dtype=np.int64),
+                   np.array(s_masks, dtype=float), embeddings, np.array(keyed, dtype=bool))

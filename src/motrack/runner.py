@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, Sequence
 
 from dataclasses import replace
 
-from .association import CONFIRMED, LOST, TENTATIVE, DetectionCandidate, TrackerState, step_tracker
+from .association import CONFIRMED, LOST, TENTATIVE, DetectionCandidate, Frame, TrackerState, step_tracker
 from .config import RunConfig
 from .metrics import EvalReport, TrajectorySet, evaluate
 from .simulator import ScenarioConfig, generate, standard_suite
@@ -26,13 +26,14 @@ PRESETS: dict[str, dict[str, str]] = {
 
 
 def track_frames(
-    frames: Mapping[int, list[DetectionCandidate]] | Sequence[list[DetectionCandidate]],
+    frames: Mapping[int, Frame | list[DetectionCandidate]] | Sequence[Frame | list[DetectionCandidate]],
     run_cfg: RunConfig,
 ) -> TrajectorySet:
     """Run the tracker over a frame stream and collect the hypothesis set.
 
     Mapping input is keyed by frame number (gaps become empty frames); a
-    sequence holds frame i+1 at position i. Which lifecycle states reach
+    sequence holds frame i+1 at position i. Each frame is a ``Frame`` or a
+    list of candidates. Which lifecycle states reach
     the output is controlled by output.include_lost / include_tentative.
     Each frame's outputs come in increasing id order, so the collected
     columns are already sorted as ``TrajectorySet.from_columns`` checks.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import DetectionCandidate
+from .association import Frame
 from .geometry import BoundingBox, iou
 from .metrics import TrajectorySet
 
@@ -61,6 +61,9 @@ class ScenarioConfig:
             raise ValueError(f"n_agents must be >= 1, got {self.n_agents}")
         if self.n_frames < 1:
             raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
+        for name in ("arena", "speed_range"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.arena[0] <= 0 or self.arena[1] <= 0:
             raise ValueError(f"degenerate arena {self.arena}")
         if not 0 < self.box_size_range[0] <= self.box_size_range[1]:
@@ -79,9 +82,12 @@ class ScenarioConfig:
             raise ValueError(f"bad speed_range {self.speed_range}")
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        for agent, _first, _last in self.occlusion_windows:
+        for window in self.occlusion_windows:
+            agent, first, last = window
             if not 1 <= agent <= self.n_agents:
                 raise ValueError(f"occlusion_windows names unknown agent {agent}")
+            if first > last:
+                raise ValueError(f"occlusion_windows entry {window} starts after it ends")
 
 
 def _signatures(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -196,12 +202,13 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n if n > 0 else v
 
 
-def generate(config: ScenarioConfig) -> tuple[TrajectorySet, list[list[DetectionCandidate]]]:
+def generate(config: ScenarioConfig) -> tuple[TrajectorySet, list[Frame]]:
     """Produce ground truth and per-frame detection candidates for a scenario.
 
     Returns:
         (gt, frames) where gt maps every frame and agent (ids 1..n_agents)
-        to its true box, and frames[t] holds the candidates of frame t+1.
+        to its true box, and frames[t] is the ``Frame`` of frame t+1: every
+        candidate has an embedding and no s_mask.
     """
     rng = np.random.default_rng(config.seed)
     w_arena, h_arena = config.arena
@@ -218,7 +225,7 @@ def generate(config: ScenarioConfig) -> tuple[TrajectorySet, list[list[Detection
     occluded = _occlusion_mask(rng, config)
 
     gt_boxes: list[tuple[float, float, float, float]] = []  # frame-major, agents in id order
-    frames: list[list[DetectionCandidate]] = []
+    frames: list[Frame] = []
 
     for t in range(config.n_frames):
         # Advance motion (frame 1 uses the spawn state as-is).
@@ -257,7 +264,7 @@ def generate(config: ScenarioConfig) -> tuple[TrajectorySet, list[list[Detection
         else:
             clusters = [[i] for i in visible]
 
-        candidates: list[DetectionCandidate] = []
+        boxes, s_obj, embeddings = [], [], []  # one entry per candidate
         for cluster in clusters:
             if len(cluster) == 1:
                 i = cluster[0]
@@ -267,32 +274,26 @@ def generate(config: ScenarioConfig) -> tuple[TrajectorySet, list[list[Detection
                 if config.detection_noise > 0:
                     s = config.detection_noise
                     dx, dy, dw, dh = rng.normal(size=4)
-                    box = BoundingBox(
+                    boxes.append((
                         box.x + dx * s * box.w,
                         box.y + dy * s * box.h,
                         max(box.w + dw * s * box.w, 2.0),
                         max(box.h + dh * s * box.h, 2.0),
-                    )
+                    ))
+                else:
+                    boxes.append(box.as_tuple())
                 if config.n_agents > 1 and rng.uniform() >= config.affinity_fidelity:
                     other = int(rng.integers(config.n_agents - 1))
                     sig = signatures[other if other < i else other + 1]
                 else:
                     sig = signatures[i]
-                emb = _unit(sig + EMBED_NOISE * rng.normal(size=config.embed_dim))
-                candidates.append(DetectionCandidate(
-                    box=box,
-                    s_obj=float(rng.uniform(0.75, 1.0)),
-                    embedding=emb,
-                ))
+                embeddings.append(_unit(sig + EMBED_NOISE * rng.normal(size=config.embed_dim)))
+                s_obj.append(rng.uniform(0.75, 1.0))
             else:
-                box = _union_box([true_boxes[i] for i in cluster])
+                boxes.append(_union_box([true_boxes[i] for i in cluster]).as_tuple())
                 sig = _unit(signatures[cluster].mean(axis=0))
-                emb = _unit(sig + EMBED_NOISE * rng.normal(size=config.embed_dim))
-                candidates.append(DetectionCandidate(
-                    box=box,
-                    s_obj=float(rng.uniform(*MERGED_SOBJ)),
-                    embedding=emb,
-                ))
+                embeddings.append(_unit(sig + EMBED_NOISE * rng.normal(size=config.embed_dim)))
+                s_obj.append(rng.uniform(*MERGED_SOBJ))
 
         if config.fp_rate > 0:
             for _ in range(int(rng.poisson(config.fp_rate))):
@@ -300,14 +301,11 @@ def generate(config: ScenarioConfig) -> tuple[TrajectorySet, list[list[Detection
                 fh = rng.uniform(*config.box_size_range)
                 fx = rng.uniform(0.0, w_arena - fw)
                 fy = rng.uniform(0.0, h_arena - fh)
-                emb = _unit(rng.normal(size=config.embed_dim))
-                candidates.append(DetectionCandidate(
-                    box=BoundingBox(fx, fy, fw, fh),
-                    s_obj=float(rng.uniform(*CLUTTER_SOBJ)),
-                    embedding=emb,
-                ))
+                boxes.append((fx, fy, fw, fh))
+                embeddings.append(_unit(rng.normal(size=config.embed_dim)))
+                s_obj.append(rng.uniform(*CLUTTER_SOBJ))
 
-        frames.append(candidates)
+        frames.append(Frame(boxes, s_obj, embeddings=np.reshape(embeddings, (len(s_obj), config.embed_dim))))
 
     frame = np.repeat(np.arange(1, config.n_frames + 1), config.n_agents)
     ident = np.tile(np.arange(1, config.n_agents + 1), config.n_frames)

@@ -21,6 +21,12 @@ tracker's per-track step from before it kept its tracks as columns, and
 called then, on a list of tracks: a dict of assigned pairs and a sorted tuple
 of ``Match`` values. The step calls the public per-track filter and buffer
 functions, themselves checked against the dense filter and the closed-form EMA.
+
+``load_sidecar_oracle`` and ``generate_oracle`` are the sidecar parser and the
+scenario generator from before detections became one ``Frame`` of columns per
+frame: a dict of per-entry tuples, and one ``DetectionCandidate`` per
+detection. ``boxes_array`` stacks ``BoundingBox``es, as the tracker did before
+it read a Frame's box column.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -48,12 +55,20 @@ from motrack.association import (
     kf_predict,
     temporal_buffer_update,
 )
-from motrack.geometry import BoundingBox, boxes_array, iou, iou_matrix
-from motrack.mot_io import MotParseError, load_sidecar, sidecar_path
+from motrack.geometry import BoundingBox, iou, iou_matrix
+from motrack.metrics import TrajectorySet
+from motrack.mot_io import MotParseError, sidecar_path
+from motrack.simulator import (CLUTTER_SOBJ, EMBED_NOISE, MERGED_SOBJ, ScenarioConfig, _merge_clusters,
+                               _occlusion_mask, _signatures, _spawn_crossing, _spawn_free, _union_box, _unit)
 
 
 # ---------------------------------------------------------------------------
 # geometry
+
+
+def boxes_array(boxes) -> np.ndarray:
+    """Stack BoundingBoxes into an (n, 4) array of (x, y, w, h) rows."""
+    return np.array([box.as_tuple() for box in boxes], dtype=float).reshape(-1, 4)
 
 
 def pixel_count_iou(a, b) -> float:
@@ -827,7 +842,7 @@ def load_detections_oracle(path, sidecar=None) -> dict[int, list[DetectionCandid
     side = {}
     sidecar = sidecar if sidecar is not None else sidecar_path(path)
     if sidecar.exists():
-        side = load_sidecar(sidecar)
+        side = load_sidecar_oracle(sidecar)
     frames: dict[int, list[DetectionCandidate]] = {}
     for frame, _ident, box, conf in parse_rows_oracle(path):
         bucket = frames.setdefault(frame, [])
@@ -841,3 +856,181 @@ def load_detections_oracle(path, sidecar=None) -> dict[int, list[DetectionCandid
             f"{sidecar}: entry for frame {frame}, candidate {cand} matches no detection in {path}"
         )
     return frames
+
+
+def load_sidecar_oracle(path: str | Path) -> dict[tuple[int, int], tuple[float | None, np.ndarray | None]]:
+    text = Path(path).read_text().splitlines()
+    if not text:
+        raise MotParseError(f"{path}: empty sidecar")
+    header = text[0].split()
+    if len(header) != 3 or header[0] != "aff" or header[1] != "1":
+        raise MotParseError(f"{path}: bad sidecar header {text[0]!r} (expected 'aff 1 <dim>')")
+    try:
+        dim = int(header[2])
+    except ValueError as exc:
+        raise MotParseError(f"{path}: bad sidecar dim {header[2]!r}") from exc
+    if dim < 0:
+        raise MotParseError(f"{path}:1: sidecar dim must be >= 0, got {dim}")
+
+    entries: dict[tuple[int, int], tuple[float | None, np.ndarray | None]] = {}
+    embedded: list[tuple[int, np.ndarray]] = []  # (line, embedding), checked finite in one pass
+    try:
+        for lineno, raw in enumerate(text[1:], start=2):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) not in (3, 3 + dim):
+                raise MotParseError(
+                    f"{path}:{lineno}: expected 3 or {3 + dim} fields, got {len(parts)}"
+                )
+            try:
+                frame = int(parts[0])
+                cand = int(parts[1])
+                s_mask = None if parts[2] == "-" else float(parts[2])
+                embedding = np.array(parts[3:], dtype=float) if len(parts) > 3 else None
+            except ValueError as exc:
+                raise MotParseError(f"{path}:{lineno}: malformed line {raw!r}") from exc
+            key = (frame, cand)
+            if key in entries:
+                raise MotParseError(f"{path}:{lineno}: a second entry for frame {frame}, candidate {cand}")
+            if s_mask is not None and not 0.0 <= s_mask <= 1.0:
+                raise MotParseError(f"{path}:{lineno}: s_mask must be in [0, 1], got {parts[2]!r}")
+            entries[key] = (s_mask, embedding)
+            if embedding is not None:
+                embedded.append((lineno, embedding))
+    except MotParseError:
+        _check_finite_oracle(path, embedded)  # a bad embedding on an earlier line comes first
+        raise
+    _check_finite_oracle(path, embedded)
+    return entries
+
+
+def _check_finite_oracle(path: str | Path, embedded: list[tuple[int, np.ndarray]]) -> None:
+    if embedded:
+        finite = np.isfinite(np.array([embedding for _, embedding in embedded])).all(axis=1)
+        if not finite.all():
+            lineno = embedded[int(np.argmin(finite))][0]
+            raise MotParseError(f"{path}:{lineno}: embedding contains non-finite entries")
+
+
+# ---------------------------------------------------------------------------
+# simulator
+
+
+def generate_oracle(config: ScenarioConfig) -> tuple[TrajectorySet, list[list[DetectionCandidate]]]:
+    """Produce ground truth and per-frame detection candidates for a scenario.
+
+    Returns:
+        (gt, frames) where gt maps every frame and agent (ids 1..n_agents)
+        to its true box, and frames[t] holds the candidates of frame t+1.
+    """
+    rng = np.random.default_rng(config.seed)
+    w_arena, h_arena = config.arena
+
+    sizes = np.column_stack([
+        rng.uniform(config.box_size_range[0], config.box_size_range[1], config.n_agents),
+        rng.uniform(config.box_size_range[0], config.box_size_range[1], config.n_agents),
+    ])
+    signatures = _signatures(rng, config.n_agents, config.embed_dim)
+    if config.crossing:
+        centers, velocities = _spawn_crossing(rng, config, sizes)
+    else:
+        centers, velocities = _spawn_free(rng, config, sizes)
+    occluded = _occlusion_mask(rng, config)
+
+    gt_boxes: list[tuple[float, float, float, float]] = []  # frame-major, agents in id order
+    frames: list[list[DetectionCandidate]] = []
+
+    for t in range(config.n_frames):
+        # Advance motion (frame 1 uses the spawn state as-is).
+        if t > 0:
+            for i in range(config.n_agents):
+                if config.turn_rate > 0 and rng.uniform() < config.turn_rate:
+                    angle = rng.uniform(0.0, 2.0 * math.pi)
+                    speed = rng.uniform(*config.speed_range)
+                    velocities[i] = speed * np.array([math.cos(angle), math.sin(angle)])
+                centers[i] += velocities[i]
+                for axis, extent in ((0, w_arena), (1, h_arena)):
+                    half = sizes[i, axis] / 2.0
+                    if centers[i, axis] < half:
+                        centers[i, axis] = 2.0 * half - centers[i, axis]
+                        velocities[i, axis] = -velocities[i, axis]
+                    elif centers[i, axis] > extent - half:
+                        centers[i, axis] = 2.0 * (extent - half) - centers[i, axis]
+                        velocities[i, axis] = -velocities[i, axis]
+
+        true_boxes: list[BoundingBox] = []
+        for i in range(config.n_agents):
+            box = BoundingBox(
+                centers[i, 0] - sizes[i, 0] / 2.0,
+                centers[i, 1] - sizes[i, 1] / 2.0,
+                sizes[i, 0],
+                sizes[i, 1],
+            )
+            true_boxes.append(box)
+            gt_boxes.append(box.as_tuple())
+
+        visible = [i for i in range(config.n_agents) if not occluded[i, t]]
+
+        if config.proximity_merge and len(visible) > 1:
+            clusters = _merge_clusters([true_boxes[i] for i in visible], config.merge_iou)
+            clusters = [[visible[j] for j in c] for c in clusters]
+        else:
+            clusters = [[i] for i in visible]
+
+        candidates: list[DetectionCandidate] = []
+        for cluster in clusters:
+            if len(cluster) == 1:
+                i = cluster[0]
+                if config.miss_rate > 0 and rng.uniform() < config.miss_rate:
+                    continue
+                box = true_boxes[i]
+                if config.detection_noise > 0:
+                    s = config.detection_noise
+                    dx, dy, dw, dh = rng.normal(size=4)
+                    box = BoundingBox(
+                        box.x + dx * s * box.w,
+                        box.y + dy * s * box.h,
+                        max(box.w + dw * s * box.w, 2.0),
+                        max(box.h + dh * s * box.h, 2.0),
+                    )
+                if config.n_agents > 1 and rng.uniform() >= config.affinity_fidelity:
+                    other = int(rng.integers(config.n_agents - 1))
+                    sig = signatures[other if other < i else other + 1]
+                else:
+                    sig = signatures[i]
+                emb = _unit(sig + EMBED_NOISE * rng.normal(size=config.embed_dim))
+                candidates.append(DetectionCandidate(
+                    box=box,
+                    s_obj=float(rng.uniform(0.75, 1.0)),
+                    embedding=emb,
+                ))
+            else:
+                box = _union_box([true_boxes[i] for i in cluster])
+                sig = _unit(signatures[cluster].mean(axis=0))
+                emb = _unit(sig + EMBED_NOISE * rng.normal(size=config.embed_dim))
+                candidates.append(DetectionCandidate(
+                    box=box,
+                    s_obj=float(rng.uniform(*MERGED_SOBJ)),
+                    embedding=emb,
+                ))
+
+        if config.fp_rate > 0:
+            for _ in range(int(rng.poisson(config.fp_rate))):
+                fw = rng.uniform(*config.box_size_range)
+                fh = rng.uniform(*config.box_size_range)
+                fx = rng.uniform(0.0, w_arena - fw)
+                fy = rng.uniform(0.0, h_arena - fh)
+                emb = _unit(rng.normal(size=config.embed_dim))
+                candidates.append(DetectionCandidate(
+                    box=BoundingBox(fx, fy, fw, fh),
+                    s_obj=float(rng.uniform(*CLUTTER_SOBJ)),
+                    embedding=emb,
+                ))
+
+        frames.append(candidates)
+
+    frame = np.repeat(np.arange(1, config.n_frames + 1), config.n_agents)
+    ident = np.tile(np.arange(1, config.n_agents + 1), config.n_frames)
+    return TrajectorySet.from_columns(frame, ident, gt_boxes), frames

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motrack import BoundingBox, center, iou, iou_matrix
-from motrack.geometry import boxes_array, iou_pairs
+from motrack.geometry import iou_pairs
 
-from oracles import pixel_count_iou
+from oracles import boxes_array, pixel_count_iou
 
 
 def test_identical_boxes():

@@ -1,9 +1,12 @@
 import math
+import shlex
 from dataclasses import fields, is_dataclass
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from motrack import BoundingBox, ConfigError, RunConfig, runner
 from motrack.cli import main
@@ -389,6 +392,24 @@ class TestCli:
             if "=" in line
         )
         assert float(kv["idf1"]) > 0.8
+
+    def test_ci_console_script_step_in_process(self, tmp_path, capsys):
+        """The CI step that runs the installed ``motrack`` script, run here
+        line by line through ``main``: simulate reproduces the golden files,
+        and track and eval run on them."""
+        root = Path(__file__).resolve().parents[1]
+        workflow = yaml.safe_load((root / ".github/workflows/tests.yml").read_text())
+        (step,) = [s for s in workflow["jobs"]["tests"]["steps"] if s.get("name") == "Console script end to end"]
+        commands = [shlex.split(line.replace("$RUNNER_TEMP", str(tmp_path)))
+                    for line in step["run"].splitlines() if line.strip()]
+        assert [argv[0] for argv in commands] == ["motrack"] + ["cmp"] * 3 + ["motrack"] * 2
+        assert [argv[1] for argv in commands if argv[0] == "motrack"] == ["simulate", "track", "eval"]
+        for argv in commands:
+            if argv[0] == "motrack":
+                assert self.run_cli(*argv[1:]) == 0, argv
+            else:
+                assert Path(argv[1]).read_bytes() == (root / argv[2]).read_bytes(), argv
+        assert "MOTA" in capsys.readouterr().out.upper()
 
     def test_track_is_deterministic(self, tmp_path):
         self.run_cli("simulate", "--scenario", "crossing2", "--seed", "1",

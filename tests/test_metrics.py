@@ -39,6 +39,17 @@ class TestTrajectorySet:
         assert gt.total_boxes() == 20
         assert gt.identities() == [1, 2]
 
+    @pytest.mark.parametrize("box, message", [
+        ((0.0, 0.0, 0.0, 1.0), "box extents must be positive, got w=0.0, h=1.0"),
+        ((0.0, 0.0, 1.0, -2.0), "box extents must be positive, got w=1.0, h=-2.0"),
+        ((float("nan"), 0.0, 1.0, 1.0), "box field 'x' must be finite, got nan"),
+        ((0.0, float("inf"), 1.0, 1.0), "box field 'y' must be finite, got inf"),
+    ])
+    def test_from_columns_rejects_a_box_bounding_box_rejects(self, box, message):
+        good = (0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=rf"^frame 2, id 7: {message}$"):
+            TrajectorySet.from_columns([1, 2, 2, 3], [5, 4, 7, 1], [good, good, box, box])
+
 
 class TestClearMetrics:
     def test_perfect_tracking(self):

@@ -324,6 +324,11 @@ class TestWritersRefuseWhatLoadersReject:
             write_detections(tmp_path / "det.txt", {0: [DetectionCandidate(box, 0.9, s_mask=0.5)]})
         assert list(tmp_path.iterdir()) == []
 
+    def test_unloadable_box_rejected_before_the_file(self, tmp_path):
+        with pytest.raises(ValueError, match="frame 1, id 1: box extents must be positive"):
+            write_trajectories(tmp_path / "traj.txt", TrajectorySet.from_columns([1], [1], [[0, 0, 0, 1]]))
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_trajectory_id_rejected_before_the_file(self, tmp_path):
         ts = TrajectorySet.from_records([(1, 2, BoundingBox(0, 0, 1, 1)), (3, -1, BoundingBox(0, 0, 1, 1))])
         with pytest.raises(ValueError, match="frame 3, id -1: a negative id marks a detection line"):

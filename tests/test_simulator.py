@@ -160,6 +160,11 @@ class TestGenerate:
             ("fp_rate", float("inf"), "fp_rate must be finite and >= 0"),
             ("merge_iou", 2.0, r"merge_iou must be in \[0, 1\]"),
             ("occlusion_windows", ((3, 1, 5),), "occlusion_windows names unknown agent 3"),
+            ("occlusion_windows", ((1, 2, 4), (1, 9, 3)), r"occlusion_windows entry \(1, 9, 3\) starts after it ends"),
+            ("arena", (float("inf"), 480.0), r"arena must be finite, got \(inf, 480.0\)"),
+            ("arena", (640.0, float("nan")), r"arena must be finite, got \(640.0, nan\)"),
+            ("speed_range", (float("nan"), 5.0), r"speed_range must be finite, got \(nan, 5.0\)"),
+            ("speed_range", (1.0, float("inf")), r"speed_range must be finite, got \(1.0, inf\)"),
         ]:
             with pytest.raises(ValueError, match=message):
                 ScenarioConfig(n_agents=2, n_frames=10, **{field: value})
