@@ -12,9 +12,10 @@ import numpy as np
 class BoundingBox:
     """Axis-aligned box in pixel units, stored as (left, top, width, height).
 
-    Extents must be strictly positive and all coordinates finite; invalid
-    boxes are rejected at construction time so downstream scoring never
-    sees degenerate geometry.
+    Extents must be strictly positive, and all coordinates, the right and
+    bottom edges and the area finite; invalid boxes are rejected at
+    construction time so downstream scoring never sees degenerate geometry
+    or overflows.
     """
 
     x: float
@@ -29,6 +30,10 @@ class BoundingBox:
                 raise ValueError(f"box field {name!r} must be finite, got {value!r}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box extents must be positive, got w={self.w}, h={self.h}")
+        for name, value in (("x + w", self.x + self.w), ("y + h", self.y + self.h),
+                            ("w * h", self.w * self.h)):
+            if not math.isfinite(value):
+                raise ValueError(f"box {name} must be finite, got {value!r}")
 
     @classmethod
     def _checked(cls, x: float, y: float, w: float, h: float) -> "BoundingBox":
@@ -103,8 +108,12 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def invalid_boxes(boxes: np.ndarray) -> np.ndarray:
     """Mask of the rows of an (n, 4) (x, y, w, h) array that ``BoundingBox``
-    rejects: a non-finite value or a non-positive extent."""
-    return ~(np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0) & (boxes[:, 3] > 0))
+    rejects: a non-positive extent, or a non-finite value, edge (x + w,
+    y + h) or area. An edge is finite only when both its terms are."""
+    x, y, w, h = boxes.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(x + w) & np.isfinite(y + h) & np.isfinite(w * h)
+    return ~(finite & (w > 0) & (h > 0))
 
 
 def center(a: BoundingBox) -> tuple[float, float]:

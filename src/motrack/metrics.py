@@ -3,8 +3,12 @@
 Implements the CLEAR events (MOTA, FP, FN, ID switches) with
 persist-then-complete frame matching, the global identity metrics
 (IDF1/IDP/IDR) via a maximum-overlap identity assignment, and HOTA with its
-alpha sweep. All matching uses IoU as the localisation similarity; each
-frame's IoU matrix is built once and shared by the three families.
+alpha sweep. All matching uses IoU as the localisation similarity. Every
+(frame, GT, hypothesis) pair is scored once, into flat pair columns shared
+by the three families. Identity's overlap counts and HOTA's counts and
+potential are one reduction each over those columns. Only two loops visit
+frames: CLEAR, whose correspondences carry from frame to frame, and HOTA's
+one assignment per frame.
 """
 
 from __future__ import annotations
@@ -138,58 +142,75 @@ class TrajectorySet:
 class _FrameTable(NamedTuple):
     """Every frame of two trajectory sets, scored once for all metric families.
 
-    ``g_index``/``h_index`` map each identity to its position among the
-    sorted identities of its set. ``rows`` holds, per frame of the union in
-    increasing order, the GT and hypothesis indices of that frame (sorted)
-    and their IoU matrix.
+    ``g_ids``/``h_ids`` are the sorted identities of each set, and
+    ``g_rows``/``h_rows`` the position there of each set row's identity.
+    Frame k of the union, in increasing order, holds the set rows
+    ``g_lo[k]:g_lo[k + 1]`` and ``h_lo[k]:h_lo[k + 1]`` and the pairs
+    ``pair_lo[k]:pair_lo[k + 1]``. Its pairs are row-major (GT row, then
+    hypothesis row) in three flat columns: the IoU ``sim``, the identity
+    cell ``g * n_h + h`` of the pair's two positions, and ``hrow``, its
+    hypothesis set row. A sum over all pairs of all frames is then one
+    reduction, not a loop over frames.
     """
 
-    g_index: dict[int, int]
-    h_index: dict[int, int]
-    rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    g_ids: np.ndarray
+    h_ids: np.ndarray
+    g_rows: np.ndarray
+    h_rows: np.ndarray
+    g_lo: np.ndarray
+    h_lo: np.ndarray
+    pair_lo: np.ndarray
+    sim: np.ndarray
+    cell: np.ndarray
+    hrow: np.ndarray
+
+    def per_frame(self):
+        """Per frame, in increasing order: the GT and hypothesis identity
+        positions (sorted) and their IoU matrix, a view of ``sim``."""
+        bounds = zip(self.g_lo.tolist(), self.g_lo[1:].tolist(),
+                     self.h_lo.tolist(), self.h_lo[1:].tolist(), self.pair_lo.tolist())
+        for g0, g1, h0, h1, p0 in bounds:
+            yield (self.g_rows[g0:g1], self.h_rows[h0:h1],
+                   self.sim[p0:p0 + (g1 - g0) * (h1 - h0)].reshape(g1 - g0, h1 - h0))
 
 
-# Pairs scored per `iou_pairs` call: bounds the table's scratch memory on
-# long sequences while keeping the number of calls small.
-_PAIR_BLOCK = 16384
+# Pairs per numpy call where scratch arrays grow with the pairs (the frame
+# table's `iou_pairs` calls, HOTA's column sums): bounds that memory on long
+# sequences while keeping the number of calls small.
+_PAIR_BLOCK = 8192
 
 
 def _frame_table(gt: TrajectorySet, hyp: TrajectorySet) -> _FrameTable:
     g_frame, g_ident, g_boxes = gt.columns()
     h_frame, h_ident, h_boxes = hyp.columns()
-    g_ids, g_idx = np.unique(g_ident, return_inverse=True)
-    h_ids, h_idx = np.unique(h_ident, return_inverse=True)
+    g_ids, g_rows = np.unique(g_ident, return_inverse=True)
+    h_ids, h_rows = np.unique(h_ident, return_inverse=True)
     frames = np.union1d(g_frame, h_frame)
     # Rows of frames[k] are [g_lo[k], g_lo[k + 1]) (and likewise for hyp).
     g_lo = np.append(np.searchsorted(g_frame, frames), len(g_frame))
     h_lo = np.append(np.searchsorted(h_frame, frames), len(h_frame))
     n_h = np.diff(h_lo)
     n_pairs = np.diff(g_lo) * n_h
-    pair_end = np.cumsum(n_pairs)
-    pair_start = pair_end - n_pairs
-    g_bounds, h_bounds = g_lo.tolist(), h_lo.tolist()
+    pair_lo = np.concatenate(([0], np.cumsum(n_pairs)))
 
-    rows = []
+    sim = np.empty(pair_lo[-1])
+    cell = np.empty(pair_lo[-1], dtype=np.int64)
+    hrow = np.empty(pair_lo[-1], dtype=np.int32)
     k0 = 0
     while k0 < len(frames):
         # One iou_pairs call scores every pair of frames k0..k1-1, which hold
         # at most _PAIR_BLOCK pairs unless frame k0 alone has more.
-        k1 = max(int(np.searchsorted(pair_end, pair_start[k0] + _PAIR_BLOCK, side="right")), k0 + 1)
+        k1 = max(int(np.searchsorted(pair_lo, pair_lo[k0] + _PAIR_BLOCK, side="right")) - 1, k0 + 1)
+        p0, p1 = pair_lo[k0], pair_lo[k1]
         owner = np.repeat(np.arange(k0, k1), n_pairs[k0:k1])
-        local = np.arange(pair_start[k0], pair_end[k1 - 1]) - pair_start[owner]
-        sim = iou_pairs(g_boxes[g_lo[owner] + local // n_h[owner]],
-                        h_boxes[h_lo[owner] + local % n_h[owner]])
-        offset = 0
-        for g0, g1, h0, h1 in zip(g_bounds[k0:k1], g_bounds[k0 + 1:k1 + 1],
-                                  h_bounds[k0:k1], h_bounds[k0 + 1:k1 + 1]):
-            size = (g1 - g0) * (h1 - h0)
-            rows.append((g_idx[g0:g1], h_idx[h0:h1],
-                         sim[offset:offset + size].reshape(g1 - g0, h1 - h0)))
-            offset += size
+        local = np.arange(p0, p1) - pair_lo[owner]
+        g = g_lo[owner] + local // n_h[owner]
+        h = h_lo[owner] + local % n_h[owner]
+        sim[p0:p1] = iou_pairs(g_boxes[g], h_boxes[h])
+        cell[p0:p1] = g_rows[g] * len(h_ids) + h_rows[h]
+        hrow[p0:p1] = h
         k0 = k1
-    g_index = {g: i for i, g in enumerate(g_ids.tolist())}
-    h_index = {h: j for j, h in enumerate(h_ids.tolist())}
-    return _FrameTable(g_index, h_index, rows)
+    return _FrameTable(g_ids, h_ids, g_rows, h_rows, g_lo, h_lo, pair_lo, sim, cell, hrow)
 
 
 @dataclass(frozen=True)
@@ -231,7 +252,7 @@ def clear_metrics(
 
     last: dict[int, int] = {}  # GT index -> hypothesis index last matched
     fp = fn = ids = 0
-    for gids, hids, sim in frames.rows:
+    for gids, hids, sim in frames.per_frame():
         n_g, n_h = len(gids), len(hids)
         if not (n_g and n_h):
             fn += n_g
@@ -295,8 +316,9 @@ def identity_metrics(
     """IDF1/IDP/IDR from the optimal global identity assignment.
 
     Counts, for every (gt identity, hyp identity) pair, the frames in which
-    both are present and overlap above the threshold; the one-to-one
-    identity assignment maximising the total count defines IDTP.
+    both are present and overlap above the threshold, in one count over all
+    pairs of the frame table; the one-to-one identity assignment maximising
+    the total count defines IDTP.
     ``frames`` is the two sets' frame table when the caller already has it.
     """
     check_iou_threshold(iou_threshold)
@@ -310,11 +332,10 @@ def identity_metrics(
     if frames is None:
         frames = _frame_table(gt, hyp)
 
-    overlap = np.zeros((len(frames.g_index), len(frames.h_index)))
-    for gids, hids, sim in frames.rows:
-        if sim.size:
-            # Identities are unique within a frame, so no index repeats.
-            overlap[gids[:, np.newaxis], hids] += sim >= iou_threshold
+    # Identities are unique within a frame, so each cell counts its frames.
+    n_g, n_h = len(frames.g_ids), len(frames.h_ids)
+    overlap = np.bincount(frames.cell[frames.sim >= iou_threshold], minlength=n_g * n_h)
+    overlap = overlap.reshape(n_g, n_h).astype(float)
 
     rows, cols = linear_sum_assignment(overlap, maximize=True)
     idtp = int(overlap[rows, cols].sum())
@@ -333,6 +354,49 @@ class HotaResult:
     assa: float | None
 
 
+def _segment_sums(values: np.ndarray, start: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The sum of each run ``values[start[i]:start[i] + width[i]]``, bit-equal
+    to numpy's ``sum`` of it alone (pairwise from 8 entries on). Runs of one
+    width are summed as the rows of one matrix; ``np.add.reduceat`` would add
+    a run as ``run[0] + sum(run[1:])``, which rounds differently."""
+    out = np.empty(len(start))
+    for w in np.unique(width).tolist():
+        at = np.flatnonzero(width == w)
+        out[at] = values[start[at, np.newaxis] + np.arange(w)].sum(axis=1)
+    return out
+
+
+def _potential(frames: _FrameTable) -> np.ndarray:
+    """HOTA's potential: per identity pair, the sum over frames of the pair's
+    soft Jaccard, its IoU over the IoU sums of its GT row and hypothesis
+    column, minus itself. Each sum over all pairs is one reduction, and
+    each equals the frame's ``sum(axis=1)`` and ``sum(axis=0)`` bit for bit.
+    A GT row's pairs are one run of pairs. A column's pairs accumulate row
+    by row in pair order; in a frame of one hypothesis, though, ``sum(axis=0)``
+    sums the column as one run, as it is."""
+    sim = frames.sim
+    n_g, n_h = len(frames.g_ids), len(frames.h_ids)
+    if not len(sim):  # `bincount` of no weights counts in int64
+        return np.zeros((n_g, n_h))
+    frame_g, frame_h = np.diff(frames.g_lo), np.diff(frames.h_lo)  # set rows per frame
+    row_width = np.repeat(frame_h, frame_g)
+    row_sum = _segment_sums(sim, np.cumsum(row_width) - row_width, row_width)
+    col_sum = np.bincount(frames.hrow, weights=sim, minlength=len(frames.h_rows))
+    one = np.flatnonzero(frame_h == 1)
+    col_sum[frames.h_lo[one]] = _segment_sums(sim, frames.pair_lo[one], frame_g[one])
+    # In place, and the column sums gathered a block at a time: arrays the
+    # length of the pair columns are the largest the metrics build.
+    soft = np.repeat(row_sum, row_width)
+    for p0 in range(0, len(sim), _PAIR_BLOCK):
+        soft[p0:p0 + _PAIR_BLOCK] += col_sum[frames.hrow[p0:p0 + _PAIR_BLOCK]]
+    soft -= sim
+    empty = ~(soft > _EPS)
+    np.maximum(soft, _EPS, out=soft)
+    np.divide(sim, soft, out=soft)
+    soft[empty] = 0.0
+    return np.bincount(frames.cell, weights=soft, minlength=n_g * n_h).reshape(n_g, n_h)
+
+
 def hota(
     gt: TrajectorySet,
     hyp: TrajectorySet,
@@ -342,13 +406,15 @@ def hota(
 ) -> HotaResult:
     """HOTA averaged over the localisation-threshold sweep.
 
-    A first pass accumulates a global alignment score per identity pair (a
-    soft Jaccard of their per-frame overlaps). Each frame is then matched
-    once by maximising alignment-weighted IoU; per alpha, matched pairs
-    whose IoU clears alpha count as TP and feed the association accuracy
-    AssA, while DetA is the detection Jaccard. HOTA_alpha is the geometric
-    mean of the two, and the reported values average over alphas.
-    ``frames`` is the two sets' frame table when the caller already has it.
+    The global alignment score of each identity pair is a soft Jaccard of
+    their per-frame overlaps; its counts and potential are reductions over
+    all pairs of the frame table at once. Each frame is then matched once by
+    maximising alignment-weighted IoU, the only loop over frames; per alpha,
+    matched pairs whose IoU clears alpha count as TP and feed the
+    association accuracy AssA, while DetA is the detection Jaccard.
+    HOTA_alpha is the geometric mean of the two, and the reported values
+    average over alphas. ``frames`` is the two sets' frame table when the
+    caller already has it.
     """
     total_gt = gt.total_boxes()
     total_hyp = hyp.total_boxes()
@@ -359,34 +425,28 @@ def hota(
     if frames is None:
         frames = _frame_table(gt, hyp)
 
-    n_g, n_h = len(frames.g_index), len(frames.h_index)
-    gt_counts = np.zeros(n_g)
-    hyp_counts = np.zeros(n_h)
-    potential = np.zeros((n_g, n_h))
-    for gids, hids, sim in frames.rows:
-        gt_counts[gids] += 1
-        hyp_counts[hids] += 1
-        if sim.size:
-            denom = sim.sum(axis=0, keepdims=True) + sim.sum(axis=1, keepdims=True) - sim
-            soft = np.where(denom > _EPS, sim / np.maximum(denom, _EPS), 0.0)
-            potential[gids[:, np.newaxis], hids] += soft
-
+    n_g, n_h = len(frames.g_ids), len(frames.h_ids)
+    gt_counts = np.bincount(frames.g_rows, minlength=n_g).astype(float)
+    hyp_counts = np.bincount(frames.h_rows, minlength=n_h).astype(float)
+    potential = _potential(frames)
     alignment = potential / np.maximum(
         gt_counts[:, np.newaxis] + hyp_counts[np.newaxis, :] - potential, _EPS
     )
 
-    # One matching per frame; each matched pair's IoU then decides, for
-    # every alpha at once, whether the pair is a TP at that alpha.
-    pair_cells = [np.zeros(0, dtype=int)]  # g * n_h + h of each matched pair
-    pair_sims = [np.zeros(0)]
-    for gids, hids, sim in frames.rows:
-        if sim.size:
-            score = alignment[gids[:, np.newaxis], hids] * sim
-            rows, cols = linear_sum_assignment(score, maximize=True)
-            pair_cells.append(gids[rows] * n_h + hids[cols])
-            pair_sims.append(sim[rows, cols])
-    pair_cells = np.concatenate(pair_cells)
-    keep = np.concatenate(pair_sims) >= np.asarray(alphas, dtype=float)[:, np.newaxis] - _EPS
+    # One matching per frame that has pairs; each matched pair's IoU then
+    # decides, for every alpha at once, whether the pair is a TP at that alpha.
+    sim, cell = frames.sim, frames.cell
+    score = alignment.ravel()[cell] * sim
+    matched = [np.zeros(0, dtype=np.int64)]  # pair index of each matched pair
+    with_pairs = np.flatnonzero(np.diff(frames.pair_lo))
+    for p0, p1, width in zip(frames.pair_lo[with_pairs].tolist(), frames.pair_lo[with_pairs + 1].tolist(),
+                             np.diff(frames.h_lo)[with_pairs].tolist()):
+        rows, cols = linear_sum_assignment(score[p0:p1].reshape(-1, width), maximize=True)
+        matched.append(rows * width + cols + p0)
+    del score
+    matched = np.concatenate(matched)
+    pair_cells = cell[matched]
+    keep = sim[matched] >= np.asarray(alphas, dtype=float)[:, np.newaxis] - _EPS
 
     n_alpha = len(alphas)
     tp = keep.sum(axis=1).astype(float)
@@ -462,10 +522,10 @@ def evaluate(
 ) -> EvalReport:
     """Run all metric families and collect one report.
 
-    Each frame's GT x hypothesis IoU is built once and shared by CLEAR,
-    identity and HOTA. ``with_hota=False`` skips HOTA, whose per-frame
-    matching is the costliest family on large seed sweeps that only consume
-    CLEAR and identity scores.
+    Each frame's GT x hypothesis IoU is built once, in the frame table's
+    pair columns, and shared by CLEAR, identity and HOTA. ``with_hota=False``
+    skips HOTA, whose per-frame matching is the costliest family on large
+    seed sweeps that only consume CLEAR and identity scores.
     """
     frames = _frame_table(gt, hyp)
     clear = clear_metrics(gt, hyp, iou_threshold, frames=frames)

@@ -740,6 +740,18 @@ def hota_loop_oracle(gt, hyp, alphas) -> tuple[float | None, float | None, float
     return float(hota_curve.mean()), float(deta.mean()), float(assa.mean())
 
 
+def hota_potential_loop_oracle(gt, hyp) -> np.ndarray:
+    """HOTA's potential as the per-frame loop summed it: each frame's soft
+    Jaccard from its IoU matrix's row and column sums, added per frame."""
+    potential = np.zeros((len(gt.identities()), len(hyp.identities())))
+    for gids, hids, sim in frame_table_loop_oracle(gt, hyp):
+        if sim.size:
+            denom = sim.sum(axis=0, keepdims=True) + sim.sum(axis=1, keepdims=True) - sim
+            soft = np.where(denom > _EPS, sim / np.maximum(denom, _EPS), 0.0)
+            potential[np.ix_(gids, hids)] += soft
+    return potential
+
+
 def frame_table_loop_oracle(gt, hyp) -> list[tuple[list[int], list[int], np.ndarray]]:
     """Per frame of the union: GT and hypothesis identity indices and one
     ``iou_matrix`` of that frame's boxes in identity order."""

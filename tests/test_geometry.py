@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motrack import BoundingBox, center, iou, iou_matrix
-from motrack.geometry import iou_pairs
+from motrack.geometry import invalid_boxes, iou_pairs
 
 from oracles import boxes_array, pixel_count_iou
 
@@ -168,3 +170,41 @@ def test_iou_matrix_edges_and_empty_shapes():
     assert iou(*near) == 1.0
     assert iou_matrix(a, boxes_array([])).shape == (1, 0)
     assert iou_matrix(boxes_array([]), b).shape == (0, 3)
+
+
+@pytest.mark.parametrize("box, message", [
+    ((1e308, 0.0, 1e308, 1.0), "box x + w must be finite, got inf"),
+    ((-1e308, 0.0, 1.0, 1.0), None),
+    ((0.0, 1.7e308, 1.0, 1e308), "box y + h must be finite, got inf"),
+    ((0.0, 0.0, 1e200, 1e200), "box w * h must be finite, got inf"),
+    ((0.0, 0.0, 1e308, 1e-308), None),
+])
+def test_boxes_whose_edges_or_area_overflow_are_rejected(box, message):
+    if message is None:
+        assert BoundingBox(*box).as_tuple() == box
+    else:
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            BoundingBox(*box)
+    assert invalid_boxes(np.array([box])).tolist() == [message is not None]
+
+
+_EDGE_VALUES = st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e154, 1e155, 1e200, 1e308, -1e308, 1.7e308,
+                                1e-308, 5e-324, math.inf, -math.inf, math.nan))
+_VALUES = st.one_of(_EDGE_VALUES, st.floats())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(_VALUES, _VALUES, _VALUES, _VALUES), max_size=6))
+def test_invalid_boxes_is_exactly_where_bounding_box_raises(rows):
+    want = []
+    for row in rows:
+        try:
+            BoundingBox(*row)
+        except ValueError:
+            want.append(True)
+        else:
+            want.append(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = invalid_boxes(np.array(rows, dtype=float).reshape(-1, 4))
+    assert got.tolist() == want

@@ -1,5 +1,6 @@
 import math
 import shlex
+import warnings
 from dataclasses import fields, is_dataclass
 from functools import reduce
 from pathlib import Path
@@ -332,6 +333,31 @@ class TestMotIo:
         assert capsys.readouterr().err == f"error: {expected}\n"
         assert not (tmp_path / "hyp.txt").exists()
 
+    @pytest.mark.parametrize("box, message", [
+        ("1e308,0,1e308,10", "box x + w must be finite, got inf"),
+        ("0,-1e308,10,-1e308", "box extents must be positive, got w=10.0, h=-1e+308"),
+        ("0,1e308,10,1e308", "box y + h must be finite, got inf"),
+        ("0,0,1e200,1e200", "box w * h must be finite, got inf"),
+    ])
+    def test_overflowing_box_named_by_track_and_eval(self, tmp_path, capsys, box, message):
+        det = tmp_path / "d.txt"
+        det.write_text(f"1,-1,0,0,10,10,0.9,-1,-1,-1\n2,-1,{box},0.9,-1,-1,-1\n3,-1,0,0,10,10,0.9,-1,-1,-1\n")
+        gt = tmp_path / "gt.txt"
+        gt.write_text(f"1,1,0,0,10,10,1\n2,1,{box},1\n3,1,0,0,10,10,1\n")
+        good = tmp_path / "good.txt"
+        good.write_text("1,1,0,0,10,10,1\n2,1,0,0,10,10,1\n")
+        runs = [(["track", "--det", str(det), "--out", str(tmp_path / "hyp.txt")], det),
+                (["eval", "--gt", str(gt), "--hyp", str(good)], gt),
+                (["eval", "--gt", str(good), "--hyp", str(gt)], gt)]
+        for argv, path in runs:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(argv) == 1
+            assert [w.category for w in caught] == []
+            assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+        assert not (tmp_path / "hyp.txt").exists()
+
+
 class TestTrackFrames:
     def test_gap_frames_treated_as_empty(self):
         frames = {
@@ -396,20 +422,27 @@ class TestCli:
     def test_ci_console_script_step_in_process(self, tmp_path, capsys):
         """The CI step that runs the installed ``motrack`` script, run here
         line by line through ``main``: simulate reproduces the golden files,
-        and track and eval run on them."""
+        track and eval run on them, and eval's kv report is the golden one."""
         root = Path(__file__).resolve().parents[1]
         workflow = yaml.safe_load((root / ".github/workflows/tests.yml").read_text())
         (step,) = [s for s in workflow["jobs"]["tests"]["steps"] if s.get("name") == "Console script end to end"]
         commands = [shlex.split(line.replace("$RUNNER_TEMP", str(tmp_path)))
                     for line in step["run"].splitlines() if line.strip()]
-        assert [argv[0] for argv in commands] == ["motrack"] + ["cmp"] * 3 + ["motrack"] * 2
-        assert [argv[1] for argv in commands if argv[0] == "motrack"] == ["simulate", "track", "eval"]
+        assert [argv[0] for argv in commands] == ["motrack"] + ["cmp"] * 3 + ["motrack"] * 3 + ["cmp"]
+        assert [argv[1] for argv in commands if argv[0] == "motrack"] == ["simulate", "track", "eval", "eval"]
+        assert commands[-2][-2] == ">" and commands[-1][1:] == [commands[-2][-1], "tests/data/crossing2_seed0_eval.kv"]
         for argv in commands:
             if argv[0] == "motrack":
-                assert self.run_cli(*argv[1:]) == 0, argv
+                capsys.readouterr()
+                redirect = argv[-1] if argv[-2] == ">" else None
+                assert self.run_cli(*(argv[1:-2] if redirect else argv[1:])) == 0, argv
+                out = capsys.readouterr().out
+                if redirect:
+                    Path(redirect).write_text(out)
+                elif argv[1] == "eval":
+                    assert "MOTA" in out.upper()
             else:
                 assert Path(argv[1]).read_bytes() == (root / argv[2]).read_bytes(), argv
-        assert "MOTA" in capsys.readouterr().out.upper()
 
     def test_track_is_deterministic(self, tmp_path):
         self.run_cli("simulate", "--scenario", "crossing2", "--seed", "1",

@@ -16,6 +16,7 @@ from oracles import (
     frame_table_loop_oracle,
     hota_loop_oracle,
     hota_oracle,
+    hota_potential_loop_oracle,
     identity_loop_oracle,
 )
 
@@ -276,6 +277,21 @@ def _trajectory_pairs(draw):
     return gt, hyp
 
 
+def _dense_pair(rng):
+    """GT and hypothesis sets of 3-5 frames of 9-40 boxes each, all piled on
+    one small area: IoU rows long enough for numpy's pairwise summation, and
+    mostly non-zero. Frame 1 has one hypothesis, whose column is as long."""
+    gt, hyp = [], []
+    for frame in range(1, int(rng.integers(3, 6)) + 1):
+        for records, base in ((gt, 0), (hyp, 100)):
+            n = 1 if (frame, base) == (1, 100) else int(rng.integers(9, 41))
+            for ident in rng.permutation(48)[:n]:
+                x, y = rng.uniform(0.0, 30.0, 2)
+                w, h = rng.uniform(20.0, 60.0, 2)
+                records.append((frame, base + int(ident), BoundingBox(x, y, w, h)))
+    return TrajectorySet.from_records(gt), TrajectorySet.from_records(hyp)
+
+
 def _loop_report(gt, hyp, iou_threshold) -> EvalReport:
     mota, fp, fn, ids, total_gt = clear_loop_oracle(gt, hyp, iou_threshold)
     idf1, idp, idr, _idtp = identity_loop_oracle(gt, hyp, iou_threshold)
@@ -308,6 +324,31 @@ class TestSharedFrameTableDifferential:
     @pytest.mark.parametrize("make_hyp", [perfect_hyp, swap_hyp, half_hyp, empty_hyp])
     def test_fixtures_equal_per_metric_loops(self, make_hyp):
         _assert_equals_loops(perfect_gt(), make_hyp(), 0.5)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_dense_frames_equal_per_metric_loops(self, seed):
+        gt, hyp = _dense_pair(np.random.default_rng(seed))
+        _assert_equals_loops(gt, hyp, (0.05, 0.25, 0.5, 0.75)[seed % 4])
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_dense_frames_potential_equals_per_frame_loop(self, seed):
+        # HOTA's outputs see the potential only through each frame's
+        # matching, so an ulp of difference in it rarely shows there.
+        gt, hyp = _dense_pair(np.random.default_rng(seed))
+        got = metrics._potential(_frame_table(gt, hyp))
+        assert got.tobytes() == hota_potential_loop_oracle(gt, hyp).tobytes()
+
+    def test_dense_frames_have_sums_that_depend_on_order(self):
+        # The inputs above check the order of the potential's row and column
+        # sums only if summing some row, and some one-hypothesis column, left
+        # to right rounds differently from numpy.
+        sims = [sim for seed in range(24)
+                for _g, _h, sim in _frame_table(*_dense_pair(np.random.default_rng(seed))).per_frame()]
+        rows = [row for sim in sims if sim.shape[1] > 1 for row in sim]
+        columns = [sim[:, 0] for sim in sims if sim.shape[1] == 1]
+        assert min(map(len, rows + columns)) >= 9
+        for runs in (rows, columns):
+            assert sum(sum(run.tolist()) != run.sum() for run in runs) > len(runs) // 4
 
     def test_frames_in_one_set_only_and_late_ids(self):
         gt = TrajectorySet.from_records(
@@ -408,15 +449,24 @@ class TestMetricInvariants:
 
 def _assert_table_equals_loop(gt, hyp):
     table = _frame_table(gt, hyp)
-    assert table.g_index == {g: i for i, g in enumerate(gt.identities())}
-    assert table.h_index == {h: j for j, h in enumerate(hyp.identities())}
+    assert table.g_ids.tolist() == gt.identities()
+    assert table.h_ids.tolist() == hyp.identities()
     want = frame_table_loop_oracle(gt, hyp)
-    assert len(table.rows) == len(want)
-    for (gids, hids, sim), (want_g, want_h, want_sim) in zip(table.rows, want):
+    # Read through the per-frame view that CLEAR iterates.
+    got = list(table.per_frame())
+    assert len(got) == len(want)
+    for (gids, hids, sim), (want_g, want_h, want_sim) in zip(got, want):
         assert gids.tolist() == want_g
         assert hids.tolist() == want_h
         assert sim.shape == want_sim.shape
         assert sim.tobytes() == want_sim.tobytes()
+    # The flat pair columns behind the view, frame by frame.
+    n_h = len(table.h_ids)
+    assert table.pair_lo[-1] == len(table.sim) == len(table.cell) == len(table.hrow)
+    for k, (want_g, want_h, _sim) in enumerate(want):
+        p0, p1 = table.pair_lo[k], table.pair_lo[k + 1]
+        assert table.cell[p0:p1].tolist() == [g * n_h + h for g in want_g for h in want_h]
+        assert table.hrow[p0:p1].tolist() == [table.h_lo[k] + j for _g in want_g for j in range(len(want_h))]
 
 
 def _random_set(rng, sizes, id_base=0) -> TrajectorySet:
@@ -438,13 +488,13 @@ class TestFrameTable:
             _assert_table_equals_loop(*pair)
 
     def test_empty_sets_and_frames_in_one_set_only(self):
-        assert _frame_table(TrajectorySet(), TrajectorySet()).rows == []
+        assert list(_frame_table(TrajectorySet(), TrajectorySet()).per_frame()) == []
         rng = np.random.default_rng(3)
         gt = _random_set(rng, [(1, 3), (2, 2), (3, 4)])
         hyp = _random_set(rng, [(3, 2), (4, 3), (6, 1)], id_base=100)
         for a, b in [(gt, TrajectorySet()), (TrajectorySet(), hyp), (gt, hyp), (hyp, gt)]:
             _assert_table_equals_loop(a, b)
-        rows = _frame_table(gt, hyp).rows
+        rows = _frame_table(gt, hyp).per_frame()
         assert [sim.shape for _g, _h, sim in rows] == [(3, 0), (2, 0), (4, 2), (0, 3), (0, 1)]
 
     def test_inputs_crossing_block_boundaries(self):
