@@ -665,11 +665,16 @@ def step_tracker(
     born = np.flatnonzero(birth).tolist()
     if keep is not None or born:
         status = CONFIRMED if cfg.n_init <= 1 else TENTATIVE
-        boxes = [BoundingBox._checked(*box) for box in frame.boxes[born].tolist()]
-        rows.rebuild(keep, TrackRows.of([
-            Track(state.next_id + k, kf_init(box, cfg.kinematics), status,
-                  memory=frame.embeddings[j] if frame.has_embedding[j] else None, last_box=box)
-            for k, (j, box) in enumerate(zip(born, boxes))]))
+        tracks = []
+        for j, box in zip(born, frame.boxes[born].tolist()):
+            box = BoundingBox._checked(*box)
+            try:
+                kf = kf_init(box, cfg.kinematics)
+            except ValueError as exc:  # the noise scales with the box: name the box
+                raise ValueError(f"{exc} (frame {frame_index}, candidate {j})") from None
+            tracks.append(Track(state.next_id + len(tracks), kf, status,
+                                memory=frame.embeddings[j] if frame.has_embedding[j] else None, last_box=box))
+        rows.rebuild(keep, TrackRows.of(tracks))
         state.next_id += len(born)
 
     return state, [

@@ -89,11 +89,15 @@ def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     ax, ay, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bx, by, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    # Clipping the overlap at +0 zeroes disjoint and edge-sharing pairs.
-    ix = np.maximum(np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx), 0.0)
-    iy = np.maximum(np.minimum(ay + ah, by + bh) - np.maximum(ay, by), 0.0)
-    inter = ix * iy
-    out = np.asarray(np.minimum(inter / (aw * ah + bw * bh - inter), 1.0))
+    # Clipping the overlap at +0 zeroes disjoint and edge-sharing pairs. Two
+    # far-apart boxes overflow the edge difference to -inf, and two huge ones
+    # the summed area to inf; both give 0, as in ``iou``, so only overflow is
+    # silenced.
+    with np.errstate(over="ignore"):
+        ix = np.maximum(np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx), 0.0)
+        iy = np.maximum(np.minimum(ay + ah, by + bh) - np.maximum(ay, by), 0.0)
+        inter = ix * iy
+        out = np.asarray(np.minimum(inter / (aw * ah + bw * bh - inter), 1.0))
     out[(ax == bx) & (ay == by) & (aw == bw) & (ah == bh)] = 1.0
     return out
 

@@ -25,8 +25,11 @@ functions, themselves checked against the dense filter and the closed-form EMA.
 ``load_sidecar_oracle`` and ``generate_oracle`` are the sidecar parser and the
 scenario generator from before detections became one ``Frame`` of columns per
 frame: a dict of per-entry tuples, and one ``DetectionCandidate`` per
-detection. ``boxes_array`` stacks ``BoundingBox``es, as the tracker did before
-it read a Frame's box column.
+detection. ``generate_oracle`` calls the scalar spawns, occlusion chain and
+union box that the generator used before it worked on per-frame arrays,
+copied here unchanged, so it shares none of those paths with the library.
+``boxes_array`` stacks ``BoundingBox``es, as the tracker did before it read a
+Frame's box column.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ from motrack.association import (
 from motrack.geometry import BoundingBox, iou, iou_matrix
 from motrack.metrics import TrajectorySet
 from motrack.mot_io import MotParseError, sidecar_path
-from motrack.simulator import (CLUTTER_SOBJ, EMBED_NOISE, MERGED_SOBJ, ScenarioConfig, _merge_clusters,
-                               _occlusion_mask, _signatures, _spawn_crossing, _spawn_free, _union_box, _unit)
+from motrack.simulator import (CLUTTER_SOBJ, EMBED_NOISE, MEAN_OCCLUSION_LEN, MERGED_SOBJ, ScenarioConfig,
+                               _merge_clusters, _signatures, _unit)
 
 
 # ---------------------------------------------------------------------------
@@ -928,6 +931,82 @@ def _check_finite_oracle(path: str | Path, embedded: list[tuple[int, np.ndarray]
 
 # ---------------------------------------------------------------------------
 # simulator
+
+
+def _spawn_free(rng, config: ScenarioConfig, sizes: np.ndarray):
+    """Random spawn positions and headings for free-roaming agents."""
+    w_arena, h_arena = config.arena
+    centers = np.empty((config.n_agents, 2))
+    velocities = np.empty((config.n_agents, 2))
+    for i in range(config.n_agents):
+        half = sizes[i] / 2.0
+        centers[i, 0] = rng.uniform(half[0], w_arena - half[0])
+        centers[i, 1] = rng.uniform(half[1], h_arena - half[1])
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        speed = rng.uniform(*config.speed_range)
+        velocities[i] = speed * np.array([math.cos(angle), math.sin(angle)])
+    return centers, velocities
+
+
+def _spawn_crossing(rng, config: ScenarioConfig, sizes: np.ndarray):
+    """Agents on linear paths through a shared waypoint with synchronised arrival."""
+    w_arena, h_arena = config.arena
+    waypoint = np.array([
+        w_arena / 2.0 + rng.uniform(-0.05, 0.05) * w_arena,
+        h_arena / 2.0 + rng.uniform(-0.05, 0.05) * h_arena,
+    ])
+    base = rng.uniform(0.0, 2.0 * math.pi)
+    headings = []
+    speeds = []
+    for i in range(config.n_agents):
+        angle = base + i * 2.0 * math.pi / config.n_agents + rng.uniform(-0.2, 0.2)
+        headings.append(np.array([math.cos(angle), math.sin(angle)]))
+        speeds.append(rng.uniform(*config.speed_range))
+
+    # Largest shared back-off time that keeps every spawn inside the arena.
+    t_meet = config.n_frames / 2.0
+    for i in range(config.n_agents):
+        half = sizes[i] / 2.0
+        for axis, extent in ((0, w_arena), (1, h_arena)):
+            step = speeds[i] * abs(headings[i][axis])
+            if step > 1e-9:
+                room = min(waypoint[axis] - half[axis], extent - half[axis] - waypoint[axis])
+                t_meet = min(t_meet, room / step)
+    t_meet = max(t_meet, 1.0)
+
+    centers = np.empty((config.n_agents, 2))
+    velocities = np.empty((config.n_agents, 2))
+    for i in range(config.n_agents):
+        velocities[i] = speeds[i] * headings[i]
+        centers[i] = waypoint - velocities[i] * t_meet
+    return centers, velocities
+
+
+def _occlusion_mask(rng, config: ScenarioConfig) -> np.ndarray:
+    """Boolean (n_agents, n_frames) mask of suppressed detections."""
+    occluded = np.zeros((config.n_agents, config.n_frames), dtype=bool)
+    for agent, first, last in config.occlusion_windows:
+        occluded[agent - 1, max(first - 1, 0) : last] = True
+    if config.occlusion_rate > 0:
+        # Two-state Markov chain whose stationary occupancy matches the rate.
+        p_stay = 1.0 - 1.0 / MEAN_OCCLUSION_LEN
+        rate = min(config.occlusion_rate, 0.95)
+        p_on = rate / (MEAN_OCCLUSION_LEN * (1.0 - rate))
+        for i in range(config.n_agents):
+            state = False
+            for t in range(config.n_frames):
+                u = rng.uniform()
+                state = (u < p_stay) if state else (u < p_on)
+                occluded[i, t] = occluded[i, t] or state
+    return occluded
+
+
+def _union_box(boxes: list[BoundingBox]) -> BoundingBox:
+    x0 = min(b.x for b in boxes)
+    y0 = min(b.y for b in boxes)
+    x1 = max(b.right for b in boxes)
+    y1 = max(b.bottom for b in boxes)
+    return BoundingBox(x0, y0, x1 - x0, y1 - y0)
 
 
 def generate_oracle(config: ScenarioConfig) -> tuple[TrajectorySet, list[list[DetectionCandidate]]]:

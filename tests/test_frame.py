@@ -249,6 +249,19 @@ class TestGenerateAgainstOracle:
             for frame, old in zip(generate(config)[1], generate_oracle(config)[1]):
                 assert_frame_holds(frame, old)
 
+    @pytest.mark.parametrize("n_agents", [1, 3])
+    def test_stationary_crossing_agents_spawn_on_the_waypoint(self, n_agents):
+        # No agent moves, so no axis bounds the crossing back-off time: the
+        # array minimum is empty and must fall back to n_frames / 2.
+        config = ScenarioConfig(n_agents=n_agents, n_frames=6, crossing=True, speed_range=(0.0, 0.0), seed=3)
+        gt, frames = generate(config)
+        gt_old, cands = generate_oracle(config)
+        assert [c.tobytes() for c in gt.columns()] == [c.tobytes() for c in gt_old.columns()]
+        boxes = gt.columns()[2]
+        assert np.array_equal(boxes, np.tile(boxes[:n_agents], (config.n_frames, 1)))
+        for frame, old in zip(frames, cands):
+            assert_frame_holds(frame, old)
+
 
 class TestLoadedFrames:
     def test_loader_frames_equal_the_per_row_oracle(self):

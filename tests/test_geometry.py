@@ -172,6 +172,18 @@ def test_iou_matrix_edges_and_empty_shapes():
     assert iou_matrix(boxes_array([]), b).shape == (0, 3)
 
 
+def test_overflowing_intermediates_score_as_scalar_iou_without_warning():
+    # Edges about 3.4e308 apart overflow the overlap's difference, and two
+    # areas near 1e308 overflow their sum; every such pair scores as ``iou``.
+    boxes = [BoundingBox(-1.7e308, 0.0, 10.0, 10.0), BoundingBox(1.7e308, 0.0, 10.0, 10.0),
+             BoundingBox(0.0, 0.0, 1e154, 1e154), BoundingBox(1.0, 1.0, 1e154, 1e154)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = iou_matrix(boxes_array(boxes), boxes_array(boxes))
+    assert got.tobytes() == _scalar_matrix(boxes, boxes).tobytes()
+    assert got[0, 1] == got[2, 3] == 0.0
+
+
 @pytest.mark.parametrize("box, message", [
     ((1e308, 0.0, 1e308, 1.0), "box x + w must be finite, got inf"),
     ((-1e308, 0.0, 1.0, 1.0), None),

@@ -357,6 +357,29 @@ class TestMotIo:
             assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
         assert not (tmp_path / "hyp.txt").exists()
 
+    def test_far_apart_boxes_track_without_warning(self, tmp_path, capsys):
+        # The track of frames 1-2 meets candidates about 3.4e308 away.
+        det = tmp_path / "d.txt"
+        det.write_text("".join(f"{f},-1,{x},0,10,10,0.9,-1,-1,-1\n"
+                               for f, x in enumerate([-1.7e308] * 2 + [1.7e308] * 3, start=1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["track", "--det", str(det), "--out", str(tmp_path / "hyp.txt")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_box_too_large_for_the_kalman_noise_is_named(self, tmp_path, capsys):
+        # The box loads, but its size squared overflows the birth noise; the
+        # message keeps the noise keys and names the frame and candidate.
+        det = tmp_path / "d.txt"
+        det.write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n"
+                       "2,-1,0,0,10,10,0.9,-1,-1,-1\n2,-1,0,0,1e300,10,0.9,-1,-1,-1\n"
+                       "3,-1,0,0,10,10,0.9,-1,-1,-1\n")
+        assert main(["track", "--det", str(det), "--out", str(tmp_path / "hyp.txt")]) == 1
+        assert capsys.readouterr().err == (
+            "error: kf.pos_noise = 0.05, kf.vel_noise = 0.05 and kf.obs_noise = 0.1 give a non-finite or "
+            "zero noise variance for box size 1e+300 x 10.0 (frame 2, candidate 1)\n")
+        assert not (tmp_path / "hyp.txt").exists()
+
 
 class TestTrackFrames:
     def test_gap_frames_treated_as_empty(self):
