@@ -291,9 +291,6 @@ class AssociationResult:
         taken = set(self.cols.tolist())
         return tuple(j for j in range(self.n_candidates) if j not in taken)
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return list(zip(self.ids[self.rows].tolist(), self.cols.tolist()))
-
     def _views(self) -> tuple:
         return self.matches, self.unmatched_tracks, self.unmatched_candidates
 
@@ -338,6 +335,12 @@ class TrackerConfig:
             raise ValueError(f"max_age must be >= 0, got {self.max_age}")
 
 
+def _box_column(boxes: Sequence[BoundingBox | None]) -> np.ndarray:
+    """The boxes as (n, 4) rows, NaN for None."""
+    nan_box = (math.nan,) * OBS_DIM
+    return np.array([nan_box if b is None else b.as_tuple() for b in boxes], dtype=float).reshape(-1, OBS_DIM)
+
+
 class TrackRows:
     """Tracks as columns, one row per track in creation (and id) order.
 
@@ -348,12 +351,12 @@ class TrackRows:
     ``memory`` (n, d) holds the appearance buffers of the rows
     ``has_memory`` marks, all of one dimension d. ``predicted`` (n, 4) is
     each row's latest predicted box (NaN before its first predict).
-    ``last_box`` and ``last_score`` are lists: each row's output box and
-    fused score (None while coasting).
+    ``last_box`` (n, 4) is each row's output box, its predicted box while it
+    coasts, and ``last_score`` (n,) its fused score, NaN while it coasts.
     """
 
     ARRAYS = ("id", "status", "hits", "misses", "counter", "x", "pos_var", "vel_var",
-              "cross", "q", "r", "memory", "has_memory", "predicted")
+              "cross", "q", "r", "memory", "has_memory", "predicted", "last_box", "last_score")
 
     @classmethod
     def of(cls, tracks: Sequence[Track]) -> "TrackRows":
@@ -377,11 +380,10 @@ class TrackRows:
         rows.memory = np.zeros((n, *_one_dim(np.shape(m) for m in memories)))
         if memories:
             rows.memory[rows.has_memory] = memories
-        nan_box = (math.nan,) * OBS_DIM
-        rows.predicted = np.array([nan_box if t.predicted_box is None else t.predicted_box.as_tuple()
-                                   for t in tracks], dtype=float).reshape(n, OBS_DIM)
-        rows.last_box = [t.last_box for t in tracks]
-        rows.last_score = [t.last_score for t in tracks]
+        rows.predicted = _box_column([t.predicted_box for t in tracks])
+        rows.last_box = _box_column([t.last_box for t in tracks])
+        rows.last_score = np.array([math.nan if t.last_score is None else t.last_score for t in tracks],
+                                   dtype=float)
         return rows
 
     def __len__(self) -> int:
@@ -392,11 +394,14 @@ class TrackRows:
         columns = zip(self.id.tolist(), self.status.tolist(), self.misses.tolist(), self.hits.tolist(),
                       self.x, self.pos_var.tolist(), self.vel_var.tolist(), self.cross.tolist(),
                       self.counter.tolist(), self.q.tolist(), self.r.tolist(), self.memory,
-                      self.has_memory.tolist(), self.predicted.tolist(), self.last_box, self.last_score)
+                      self.has_memory.tolist(), self.predicted.tolist(), self.last_box.tolist(),
+                      self.last_score.tolist())
         return [
             Track(i, KalmanTrackState(x.copy(), tuple(pv), tuple(vv), tuple(c), k, tuple(q), tuple(r)),
                   _STATUSES[s], misses, hits, memory.copy() if has else None,
-                  None if math.isnan(p[0]) else BoundingBox._checked(*p), box, score)
+                  None if math.isnan(p[0]) else BoundingBox._checked(*p),
+                  None if math.isnan(box[0]) else BoundingBox._checked(*box),
+                  None if math.isnan(score) else score)
             for i, s, misses, hits, x, pv, vv, c, k, q, r, memory, has, p, box, score in columns
         ]
 
@@ -406,9 +411,6 @@ class TrackRows:
         if keep is not None:
             for name in self.ARRAYS:
                 setattr(self, name, getattr(self, name)[keep])
-            kept = keep.tolist()
-            self.last_box = [b for b, k in zip(self.last_box, kept) if k]
-            self.last_score = [s for s, k in zip(self.last_score, kept) if k]
         if len(new):
             dim = _one_dim(r.memory.shape[1:] for r in (self, new) if np.count_nonzero(r.has_memory))
             for part in (self, new):
@@ -416,8 +418,6 @@ class TrackRows:
                     part.memory = np.zeros((len(part), *dim))
             for name in self.ARRAYS:
                 setattr(self, name, np.concatenate([getattr(self, name), getattr(new, name)]))
-            self.last_box += new.last_box
-            self.last_score += new.last_score
 
 
 def _as_rows(tracks: TrackRows | Sequence[Track]) -> TrackRows:
@@ -602,9 +602,8 @@ def _update_matched(
     rows.hits[matched] += 1
     # A match confirms a row unless it is tentative with fewer than n_init hits.
     rows.status[matched] = (rows.status[matched] != _TENTATIVE) | (rows.hits[matched] >= cfg.n_init)
-    for i, box, score in zip(matched.tolist(), result.boxes.tolist(), result.scores.tolist()):
-        rows.last_box[i] = BoundingBox._checked(*box)
-        rows.last_score[i] = score
+    rows.last_box[matched] = result.boxes
+    rows.last_score[matched] = result.scores
 
 
 def _coast_unmatched(rows: TrackRows, matched: np.ndarray, cfg: TrackerConfig) -> np.ndarray | None:
@@ -617,9 +616,8 @@ def _coast_unmatched(rows: TrackRows, matched: np.ndarray, cfg: TrackerConfig) -
     retire = unmatched & ((rows.status == _TENTATIVE) | (rows.misses > cfg.max_age))
     coast = np.flatnonzero(unmatched ^ retire)
     rows.status[coast] = _LOST
-    for i, box in zip(coast.tolist(), rows.predicted[coast].tolist()):
-        rows.last_box[i] = BoundingBox._checked(*box)
-        rows.last_score[i] = None
+    rows.last_box[coast] = rows.predicted[coast]
+    rows.last_score[coast] = math.nan
     return ~retire if np.count_nonzero(retire) else None
 
 
@@ -678,6 +676,7 @@ def step_tracker(
         state.next_id += len(born)
 
     return state, [
-        TrackOutput(i, box, _STATUSES[s], score)
-        for i, s, box, score in zip(rows.id.tolist(), rows.status.tolist(), rows.last_box, rows.last_score)
+        TrackOutput(i, BoundingBox._checked(*box), _STATUSES[s], None if math.isnan(score) else score)
+        for i, s, box, score in zip(rows.id.tolist(), rows.status.tolist(), rows.last_box.tolist(),
+                                    rows.last_score.tolist())
     ]

@@ -72,6 +72,14 @@ def _parse_choice(*choices: str) -> Callable[[str], str]:
     return parse
 
 
+def _format(f: Field, value: Any) -> str:
+    """A keyed field's value as ``_parser(f)`` reads it back: a finite gate
+    count as an integer, a bool in lower case, anything else as ``str``."""
+    if f.metadata.get("int_or_inf") and math.isfinite(value):
+        return str(int(value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
 _PARSERS: dict[type, Callable[[str], Any]] = {
     float: _parse_float, int: _parse_int, bool: _parse_bool, str: str,
 }
@@ -152,9 +160,10 @@ class RunConfig:
         return cfg
 
     def describe(self) -> str:
-        """Documented key table with current values."""
+        """Documented key table with current values, as a config file that
+        ``from_file`` loads back to this config."""
         return "\n".join(
-            f"{key} = {reduce(getattr, path, self)!r}  # {f.metadata['doc']}"
+            f"{key} = {_format(f, reduce(getattr, path, self))}  # {f.metadata['doc']}"
             for key, (path, f) in _KEYS.items()
         )
 

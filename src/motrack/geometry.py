@@ -12,10 +12,10 @@ import numpy as np
 class BoundingBox:
     """Axis-aligned box in pixel units, stored as (left, top, width, height).
 
-    Extents must be strictly positive, and all coordinates, the right and
-    bottom edges and the area finite; invalid boxes are rejected at
-    construction time so downstream scoring never sees degenerate geometry
-    or overflows.
+    Extents must be strictly positive, all coordinates, the right and
+    bottom edges finite, and the area finite and not underflowing to 0;
+    invalid boxes are rejected at construction time so downstream scoring
+    never sees degenerate geometry or overflows.
     """
 
     x: float
@@ -34,6 +34,8 @@ class BoundingBox:
                             ("w * h", self.w * self.h)):
             if not math.isfinite(value):
                 raise ValueError(f"box {name} must be finite, got {value!r}")
+        if self.w * self.h == 0.0:
+            raise ValueError(f"box w * h must be positive, got {self.w * self.h!r}")
 
     @classmethod
     def _checked(cls, x: float, y: float, w: float, h: float) -> "BoundingBox":
@@ -112,14 +114,10 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def invalid_boxes(boxes: np.ndarray) -> np.ndarray:
     """Mask of the rows of an (n, 4) (x, y, w, h) array that ``BoundingBox``
-    rejects: a non-positive extent, or a non-finite value, edge (x + w,
-    y + h) or area. An edge is finite only when both its terms are."""
+    rejects: a non-positive extent, a non-finite value, edge (x + w, y + h)
+    or area, or an area of 0. An edge is finite only when both its terms are."""
     x, y, w, h = boxes.T
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(x + w) & np.isfinite(y + h) & np.isfinite(w * h)
-    return ~(finite & (w > 0) & (h > 0))
-
-
-def center(a: BoundingBox) -> tuple[float, float]:
-    """Center point of a box, (x + w/2, y + h/2)."""
-    return (a.x + a.w / 2.0, a.y + a.h / 2.0)
+        area = w * h
+        finite = np.isfinite(x + w) & np.isfinite(y + h) & np.isfinite(area)
+    return ~(finite & (w > 0) & (h > 0) & (area != 0.0))

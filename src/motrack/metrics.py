@@ -99,16 +99,12 @@ class TrajectorySet:
         return ts
 
     def add(self, frame: int, identity: int, box: BoundingBox) -> None:
-        """Insert one box into new copies of the columns, O(n) per call; a
-        (frame, identity) already in the set is a ValueError and leaves the
-        set unchanged. Build whole sets with ``from_records``/``from_columns``."""
-        frame, identity = int(frame), int(identity)
-        lo, hi = np.searchsorted(self._frame, frame), np.searchsorted(self._frame, frame, side="right")
-        at = lo + int(np.searchsorted(self._ident[lo:hi], identity))
-        if at < hi and self._ident[at] == identity:
-            raise ValueError(f"identity {identity} appears twice in frame {frame}")
-        self._store(np.insert(self._frame, at, frame), np.insert(self._ident, at, identity),
-                    np.insert(self._boxes, at, box.as_tuple(), axis=0))
+        """Insert one box by rebuilding the set with ``from_records``, a box
+        object per row per call; a (frame, identity) already in the set is a
+        ValueError and leaves the set unchanged. Build whole sets with
+        ``from_records``/``from_columns``: this plants one box in a built
+        set, as the benchmark's tests do."""
+        self._store(*TrajectorySet.from_records([*self.records(), (frame, identity, box)]).columns())
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only ``(frame, ident, boxes)`` sorted by (frame, identity)."""
@@ -117,11 +113,6 @@ class TrajectorySet:
     @property
     def frames(self) -> list[int]:
         return np.unique(self.columns()[0]).tolist()
-
-    def at(self, frame: int) -> dict[int, BoundingBox]:
-        frames, idents, boxes = self.columns()
-        lo, hi = np.searchsorted(frames, frame), np.searchsorted(frames, frame, side="right")
-        return {i: BoundingBox(*b) for i, b in zip(idents[lo:hi].tolist(), boxes[lo:hi].tolist())}
 
     def identities(self) -> list[int]:
         return np.unique(self.columns()[1]).tolist()
@@ -134,9 +125,6 @@ class TrajectorySet:
         frames, idents, boxes = self.columns()
         for frame, identity, box in zip(frames.tolist(), idents.tolist(), boxes.tolist()):
             yield frame, identity, BoundingBox(*box)
-
-    def __len__(self) -> int:
-        return len(self.frames)
 
 
 class _FrameTable(NamedTuple):
@@ -400,11 +388,10 @@ def _potential(frames: _FrameTable) -> np.ndarray:
 def hota(
     gt: TrajectorySet,
     hyp: TrajectorySet,
-    alphas: tuple[float, ...] = HOTA_ALPHAS,
     *,
     frames: _FrameTable | None = None,
 ) -> HotaResult:
-    """HOTA averaged over the localisation-threshold sweep.
+    """HOTA averaged over the localisation-threshold sweep, ``HOTA_ALPHAS``.
 
     The global alignment score of each identity pair is a soft Jaccard of
     their per-frame overlaps; its counts and potential are reductions over
@@ -446,9 +433,9 @@ def hota(
     del score
     matched = np.concatenate(matched)
     pair_cells = cell[matched]
-    keep = sim[matched] >= np.asarray(alphas, dtype=float)[:, np.newaxis] - _EPS
+    keep = sim[matched] >= np.array(HOTA_ALPHAS)[:, np.newaxis] - _EPS
 
-    n_alpha = len(alphas)
+    n_alpha = len(HOTA_ALPHAS)
     tp = keep.sum(axis=1).astype(float)
     fn = total_gt - tp
     fp = total_hyp - tp

@@ -54,10 +54,6 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 class _Columns(NamedTuple):
     """The data lines of a MOT file as columns, in file order."""
 
@@ -206,7 +202,7 @@ def load_detections(
 def _trajectory_text(rows: Iterable[tuple], conf: float) -> str:
     """MOT lines of (frame, id, x, y, w, h) rows; the one formatter behind
     every trajectory file."""
-    c = _fmt(conf)
+    c = repr(float(conf))
     lines = [
         f"{f},{i},{float(x)!r},{float(y)!r},{float(w)!r},{float(h)!r},{c},-1,-1,-1"
         for f, i, x, y, w, h in rows

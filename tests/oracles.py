@@ -603,6 +603,7 @@ def _sub_iou_matrix(boxes_a, boxes_b) -> np.ndarray:
 
 def clear_loop_oracle(gt, hyp, iou_threshold) -> tuple[float | None, int, int, int, int]:
     """(mota, fp, fn, ids, total_gt) by persist-then-complete frame matching."""
+    gt, hyp = DictTrajectorySet.of(gt), DictTrajectorySet.of(hyp)
     last: dict[int, int] = {}
     fp = fn = ids = 0
     for frame in sorted(set(gt.frames) | set(hyp.frames)):
@@ -646,6 +647,7 @@ def clear_loop_oracle(gt, hyp, iou_threshold) -> tuple[float | None, int, int, i
 
 def identity_loop_oracle(gt, hyp, iou_threshold) -> tuple[float | None, float | None, float | None, int]:
     """(idf1, idp, idr, idtp) from per-frame overlap counts and one assignment."""
+    gt, hyp = DictTrajectorySet.of(gt), DictTrajectorySet.of(hyp)
     total_gt = gt.total_boxes()
     total_hyp = hyp.total_boxes()
     if total_gt == 0:
@@ -678,6 +680,7 @@ def identity_loop_oracle(gt, hyp, iou_threshold) -> tuple[float | None, float | 
 
 def hota_loop_oracle(gt, hyp, alphas) -> tuple[float | None, float | None, float | None]:
     """(hota, deta, assa) with one matching per frame and a per-alpha count loop."""
+    gt, hyp = DictTrajectorySet.of(gt), DictTrajectorySet.of(hyp)
     if gt.total_boxes() == 0:
         return None, None, None
     if hyp.total_boxes() == 0:
@@ -758,6 +761,7 @@ def hota_potential_loop_oracle(gt, hyp) -> np.ndarray:
 def frame_table_loop_oracle(gt, hyp) -> list[tuple[list[int], list[int], np.ndarray]]:
     """Per frame of the union: GT and hypothesis identity indices and one
     ``iou_matrix`` of that frame's boxes in identity order."""
+    gt, hyp = DictTrajectorySet.of(gt), DictTrajectorySet.of(hyp)
     g_index = {g: i for i, g in enumerate(gt.identities())}
     h_index = {h: j for j, h in enumerate(hyp.identities())}
     rows = []
@@ -786,6 +790,14 @@ class DictTrajectorySet:
     def __init__(self) -> None:
         self._frames: dict[int, dict[int, BoundingBox]] = {}
 
+    @classmethod
+    def of(cls, ts) -> "DictTrajectorySet":
+        """The boxes of any trajectory set, read through its records."""
+        out = cls()
+        for frame, identity, box in ts.records():
+            out.add(frame, identity, box)
+        return out
+
     def add(self, frame: int, identity: int, box: BoundingBox) -> None:
         per_frame = self._frames.setdefault(int(frame), {})
         if identity in per_frame:
@@ -813,9 +825,6 @@ class DictTrajectorySet:
             per_frame = self._frames[frame]
             for identity in sorted(per_frame):
                 yield frame, identity, per_frame[identity]
-
-    def __len__(self) -> int:
-        return len(self._frames)
 
 
 def parse_rows_oracle(path) -> list[tuple[int, int, BoundingBox, float]]:

@@ -272,12 +272,16 @@ class TestScoreMatrices:
             _score_matrices([track], [cand((0, 0, 10, 10), embedding=np.full(2, 1e200))], 0.5)
 
 
+def _pairs(result) -> list[tuple[int, int]]:
+    return [(m.track_id, m.candidate_index) for m in result.matches]
+
+
 class TestAssociateFrame:
     def test_single_pair_above_threshold_matches(self):
         cfg = TrackerConfig()
         track = make_track(1, (0, 0, 10, 10))
         result = associate_frame([track], [cand((1, 0, 10, 10))], cfg)
-        assert result.pairs() == [(1, 0)]
+        assert _pairs(result) == [(1, 0)]
         assert result.unmatched_tracks == ()
         assert result.unmatched_candidates == ()
 
@@ -288,7 +292,7 @@ class TestAssociateFrame:
         c0 = cand((500, 0, 10, 10), s_mask={10: 0.9, 11: 0.3})
         c1 = cand((500, 100, 10, 10), s_mask={10: 0.2, 11: 0.8})
         result = associate_frame([t0, t1], [c0, c1], cfg)
-        assert sorted(result.pairs()) == [(10, 0), (11, 1)]
+        assert sorted(_pairs(result)) == [(10, 0), (11, 1)]
 
     def test_greedy_collision_lower_scorer_unmatched(self):
         cfg = TrackerConfig(alpha=1.0, mode="greedy")
@@ -297,7 +301,7 @@ class TestAssociateFrame:
         c0 = cand((0, 0, 10, 10), s_mask={1: 0.9, 2: 0.7})
         c1 = cand((300, 300, 10, 10), s_mask={1: 0.05, 2: 0.05})
         result = associate_frame([t0, t1], [c0, c1], cfg)
-        assert result.pairs() == [(1, 0)]
+        assert _pairs(result) == [(1, 0)]
         assert result.unmatched_tracks == (2,)
         assert 1 in result.unmatched_candidates
 
@@ -307,7 +311,7 @@ class TestAssociateFrame:
         c0 = cand((0, 0, 10, 10), s_mask=0.8)
         c1 = cand((0, 0, 10, 10), s_mask=0.8)
         result = associate_frame([track], [c0, c1], cfg)
-        assert result.pairs() == [(1, 0)]
+        assert _pairs(result) == [(1, 0)]
 
     def test_hungarian_matches_brute_force_and_beats_greedy(self):
         rng = np.random.default_rng(9)
@@ -615,7 +619,6 @@ class TestColumnsMatchPerTrackOracle:
             assert result.matches == expected.matches
             assert result.unmatched_tracks == expected.unmatched_tracks
             assert result.unmatched_candidates == expected.unmatched_candidates
-            assert result.pairs() == [(m.track_id, m.candidate_index) for m in expected.matches]
             oracle, _ = step_tracker_oracle(oracle, frame)
 
     def test_crowd_sequence_bit_equal(self, monkeypatch):
@@ -663,7 +666,6 @@ class TestColumnsMatchPerTrackOracle:
         frame = [cand((400, 0, 10, 10)), cand((900, 0, 10, 10)), cand((0, 0, 10, 10))]
         result = associate_frame(tracks, frame, TrackerConfig())
         assert result.rows.tolist() == [0, 2] and result.cols.tolist() == [2, 0]
-        assert result.pairs() == [(5, 2), (9, 0)]
         assert [(m.track_id, m.candidate_index) for m in result.matches] == [(5, 2), (9, 0)]
         assert all(type(m.score) is float and type(m.track_id) is int for m in result.matches)
         assert result.unmatched_tracks == (7,)

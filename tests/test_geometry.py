@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motrack import BoundingBox, center, iou, iou_matrix
+from motrack import BoundingBox, iou, iou_matrix
 from motrack.geometry import invalid_boxes, iou_pairs
 
 from oracles import boxes_array, pixel_count_iou
@@ -57,18 +57,6 @@ def test_symmetry_and_bounds():
         assert ab == iou(b, a)
         assert 0.0 <= ab <= 1.0
         assert iou(a, a) == 1.0
-
-
-@pytest.mark.parametrize(
-    "box, expected",
-    [
-        (BoundingBox(0, 0, 10, 10), (5, 5)),
-        (BoundingBox(3, 4, 0.5, 0.5), (3.25, 4.25)),
-        (BoundingBox(-10, -10, 20, 20), (0, 0)),
-    ],
-)
-def test_center(box, expected):
-    assert center(box) == pytest.approx(expected)
 
 
 @pytest.mark.parametrize("w, h", [(0, 10), (10, 0), (-1, 10), (10, -3)])
@@ -190,6 +178,7 @@ def test_overflowing_intermediates_score_as_scalar_iou_without_warning():
     ((0.0, 1.7e308, 1.0, 1e308), "box y + h must be finite, got inf"),
     ((0.0, 0.0, 1e200, 1e200), "box w * h must be finite, got inf"),
     ((0.0, 0.0, 1e308, 1e-308), None),
+    ((0.0, 0.0, 5e-324, 0.5), "box w * h must be positive, got 0.0"),
 ])
 def test_boxes_whose_edges_or_area_overflow_are_rejected(box, message):
     if message is None:

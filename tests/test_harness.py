@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from motrack import BoundingBox, ConfigError, RunConfig, runner
+from motrack import BoundingBox, ConfigError, DetectionCandidate, RunConfig, runner
 from motrack.cli import main
 from motrack.mot_io import (
     MotParseError,
@@ -143,6 +143,14 @@ class TestConfigRegistry:
         assert reduce(getattr, path, cfg) == expected
         assert cfg.describe() != RunConfig().describe()
 
+    def test_describe_loads_back(self, tmp_path):
+        every_key = {key: other_value(f)[0] for key, _, f in keyed_fields(RunConfig)}
+        for overrides in ({}, every_key, {"kf.tau_kf": "inf", "kf.pos_noise": "1e-05"}):
+            cfg = RunConfig().with_overrides(overrides)
+            path = tmp_path / "described.cfg"
+            path.write_text(cfg.describe() + "\n")
+            assert RunConfig.from_file(path) == cfg
+
     def test_describe_lists_each_key_once(self):
         listed = [line.split(" = ", 1)[0] for line in RunConfig().describe().splitlines()]
         assert listed == [key for key, _, _ in keyed_fields(RunConfig)]
@@ -195,7 +203,7 @@ class TestMotIo:
         path = tmp_path / "gt.txt"
         path.write_text("1,3,10,20,30,40,1,-1,-1,-1\n")
         ts = load_trajectories(path)
-        assert ts.at(1)[3] == BoundingBox(10, 20, 30, 40)
+        assert list(ts.records()) == [(1, 3, BoundingBox(10, 20, 30, 40))]
 
     def test_empty_file_empty_set(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -338,6 +346,7 @@ class TestMotIo:
         ("0,-1e308,10,-1e308", "box extents must be positive, got w=10.0, h=-1e+308"),
         ("0,1e308,10,1e308", "box y + h must be finite, got inf"),
         ("0,0,1e200,1e200", "box w * h must be finite, got inf"),
+        ("0,0,5e-324,0.5", "box w * h must be positive, got 0.0"),
     ])
     def test_overflowing_box_named_by_track_and_eval(self, tmp_path, capsys, box, message):
         det = tmp_path / "d.txt"
@@ -399,6 +408,15 @@ class TestTrackFrames:
         report = run_scenario(scenario_by_name("crossing2"), RunConfig(), with_hota=False)
         assert report.ids == 0
         assert report.idf1 > 0.9
+
+    def test_include_tentative_writes_unconfirmed_tracks(self):
+        # One box in frames 1 and 2: its track has 2 hits, fewer than
+        # n_init = 3, so it never confirms and retires unmatched in frame 3.
+        box = BoundingBox(0, 0, 20, 20)
+        frames = [[DetectionCandidate(box, 0.9)], [DetectionCandidate(box, 0.9)], []]
+        for overrides, expected in (({}, []), ({"output.include_lost": "true"}, []),
+                                    ({"output.include_tentative": "true"}, [(1, 1, box), (2, 1, box)])):
+            assert list(track_frames(frames, RunConfig().with_overrides(overrides)).records()) == expected
 
     def test_include_flags_change_output(self):
         gt, frames = generate(scenario_by_name("crossing2"))

@@ -250,31 +250,27 @@ _GRID_BOX = st.builds(
 )
 
 
-def _put(ts: TrajectorySet, frame: int, identity: int, box: BoundingBox) -> None:
-    if identity not in ts.at(frame):
-        ts.add(frame, identity, box)
-
-
 @st.composite
 def _trajectory_pairs(draw):
     """Random GT/hypothesis sets: frames and ids in either set alone, ids
     that start late, hypothesis copies of GT boxes (IoU exactly 1) and
     pairs whose IoU is exactly k/20 (0.5 and every HOTA alpha)."""
-    gt, hyp = TrajectorySet(), TrajectorySet()
+    gt, hyp = {}, {}  # (frame, identity) -> box; the first box of a key stays
     for frame, g, box in draw(st.lists(st.tuples(_FRAME, _ID, _GRID_BOX), max_size=30)):
-        _put(gt, frame, g, box)
+        gt.setdefault((frame, g), box)
     for frame, h, box in draw(st.lists(st.tuples(_FRAME, _ID, _GRID_BOX), max_size=30)):
-        _put(hyp, frame, 100 + h, box)
-    for frame, _g, box in list(gt.records()):
+        hyp.setdefault((frame, 100 + h), box)
+    for (frame, _g), box in sorted(gt.items()):
         if draw(st.booleans()):
-            _put(hyp, frame, 100 + draw(_ID), box)
+            hyp.setdefault((frame, 100 + draw(_ID)), box)
     ratio_pairs = st.tuples(_FRAME, _ID, _ID, st.integers(1, 20))
     for frame, g, h, k in draw(st.lists(ratio_pairs, max_size=8)):
         # (x, 50, 20, 1) against (x, 50, k, 1): intersection k, union 20.
         x = 100.0 + 40.0 * g
-        _put(gt, frame, g, BoundingBox(x, 50.0, 20.0, 1.0))
-        _put(hyp, frame, 100 + h, BoundingBox(x, 50.0, float(k), 1.0))
-    return gt, hyp
+        gt.setdefault((frame, g), BoundingBox(x, 50.0, 20.0, 1.0))
+        hyp.setdefault((frame, 100 + h), BoundingBox(x, 50.0, float(k), 1.0))
+    return tuple(TrajectorySet.from_records((f, i, box) for (f, i), box in records.items())
+                 for records in (gt, hyp))
 
 
 def _dense_pair(rng):

@@ -10,6 +10,15 @@ from motrack.mot_io import trajectory_lines, write_detections
 DATA = Path(__file__).parent / "data"
 
 
+def generate_by_frame(cfg):
+    """``generate(cfg)`` with the ground truth as {frame: {identity: box}}."""
+    gt, frames = generate(cfg)
+    by_frame = {}
+    for frame, identity, box in gt.records():
+        by_frame.setdefault(frame, {})[identity] = box
+    return by_frame, frames
+
+
 def small_config(**overrides):
     base = dict(n_agents=3, n_frames=40, arena=(400.0, 300.0), seed=5)
     base.update(overrides)
@@ -21,10 +30,10 @@ class TestGenerate:
         cfg = small_config(detection_noise=0.0, miss_rate=0.0, fp_rate=0.0,
                            occlusion_rate=0.0, proximity_merge=False,
                            affinity_fidelity=1.0)
-        gt, frames = generate(cfg)
+        gt, frames = generate_by_frame(cfg)
         assert len(frames) == cfg.n_frames
         for t, frame in enumerate(frames):
-            truth = gt.at(t + 1)
+            truth = gt[t + 1]
             assert len(frame) == cfg.n_agents
             matched = 0
             for cand in frame:
@@ -56,19 +65,19 @@ class TestGenerate:
 
     def test_trajectories_stay_inside_arena(self):
         cfg = small_config(n_frames=300, speed_range=(10.0, 30.0))
-        gt, _ = generate(cfg)
+        gt, _ = generate_by_frame(cfg)
         w, h = cfg.arena
-        for frame in gt.frames:
-            for box in gt.at(frame).values():
+        for per_frame in gt.values():
+            for box in per_frame.values():
                 assert box.x >= -1e-9 and box.y >= -1e-9
                 assert box.right <= w + 1e-9 and box.bottom <= h + 1e-9
 
     def test_every_gt_box_has_candidate_within_noise_bound(self):
         cfg = small_config(detection_noise=0.05, miss_rate=0.0, fp_rate=0.0,
                            occlusion_rate=0.0, proximity_merge=False)
-        gt, frames = generate(cfg)
+        gt, frames = generate_by_frame(cfg)
         for t, frame in enumerate(frames):
-            for box in gt.at(t + 1).values():
+            for box in gt[t + 1].values():
                 dists = [
                     abs(c.box.x - box.x) + abs(c.box.y - box.y) for c in frame
                 ]
@@ -79,10 +88,10 @@ class TestGenerate:
     def test_occlusion_windows_drop_detections(self):
         cfg = small_config(occlusion_windows=((1, 10, 20),), proximity_merge=False,
                            detection_noise=0.0)
-        gt, frames = generate(cfg)
+        gt, frames = generate_by_frame(cfg)
         for t in range(9, 20):
             frame = frames[t]
-            true_box = gt.at(t + 1)[1]
+            true_box = gt[t + 1][1]
             assert all(iou(c.box, true_box) != 1.0 for c in frame)
             assert len(frame) == cfg.n_agents - 1
 
@@ -102,12 +111,12 @@ class TestGenerate:
             turn_rate=0.0, speed_range=(3.0, 4.0), proximity_merge=True,
             merge_iou=0.05, seed=2,
         )
-        gt, frames = generate(cfg)
+        gt, frames = generate_by_frame(cfg)
         merge_frames = [t for t, f in enumerate(frames) if len(f) == 1]
         assert merge_frames, "crossing never merged"
         for t in merge_frames:
             union = frames[t][0].box
-            for box in gt.at(t + 1).values():
+            for box in gt[t + 1].values():
                 assert union.x <= box.x + 1e-9 and union.right >= box.right - 1e-9
                 assert union.y <= box.y + 1e-9 and union.bottom >= box.bottom - 1e-9
             assert frames[t][0].s_obj < 0.6
@@ -124,17 +133,17 @@ class TestGenerate:
         def swap_fraction(fidelity):
             cfg = small_config(n_agents=4, n_frames=200, proximity_merge=False,
                                affinity_fidelity=fidelity, detection_noise=0.0)
-            gt, frames = generate(cfg)
+            gt, frames = generate_by_frame(cfg)
             sigs = {}
             for t, frame in enumerate(frames):
-                truth = gt.at(t + 1)
+                truth = gt[t + 1]
                 for c in frame:
                     agent = max(truth, key=lambda i: iou(c.box, truth[i]))
                     sigs.setdefault(agent, []).append(c.embedding)
             anchors = {a: np.mean(e, axis=0) for a, e in sigs.items()}
             wrong = total = 0
             for t, frame in enumerate(frames):
-                truth = gt.at(t + 1)
+                truth = gt[t + 1]
                 for c in frame:
                     agent = max(truth, key=lambda i: iou(c.box, truth[i]))
                     best = max(anchors, key=lambda a: float(np.dot(anchors[a], c.embedding)))
