@@ -25,7 +25,7 @@ from .runner import (
     run_sweep,
     track_frames,
 )
-from .simulator import generate, scenario_by_name, standard_suite
+from .simulator import generate, scenario_by_name
 
 
 class CliError(Exception):
@@ -40,35 +40,25 @@ def _load_config(path: str | None) -> RunConfig:
     return RunConfig.from_file(path)
 
 
-def _require(value: str, flag: str) -> str:
-    if not value:
-        raise CliError(f"missing {flag} (flag or config path key)")
-    return value
-
-
 def _cmd_track(args) -> int:
     cfg = _load_config(args.config)
-    det_path = _require(args.det or cfg.paths_det, "--det")
-    out_path = _require(args.out or cfg.paths_out, "--out")
-    if not Path(det_path).exists():
-        raise CliError(f"detection file not found: {det_path}")
-    frames = load_detections(det_path, sidecar=args.aff)
+    if not Path(args.det).exists():
+        raise CliError(f"detection file not found: {args.det}")
+    frames = load_detections(args.det, sidecar=args.aff)
     hypothesis = track_frames(frames, cfg)
-    write_trajectories(out_path, hypothesis)
-    print(f"wrote {hypothesis.total_boxes()} boxes for {len(hypothesis.identities())} tracks to {out_path}")
+    write_trajectories(args.out, hypothesis)
+    print(f"wrote {hypothesis.total_boxes()} boxes for {len(hypothesis.identities())} tracks to {args.out}")
     return 0
 
 
 def _cmd_eval(args) -> int:
     cfg = _load_config(args.config)
-    gt_path = _require(args.gt or cfg.paths_gt, "--gt")
-    for path in (gt_path, args.hyp):
+    for path in (args.gt, args.hyp):
         if not Path(path).exists():
             raise CliError(f"file not found: {path}")
-    gt = load_trajectories(gt_path)
+    gt = load_trajectories(args.gt)
     hyp = load_trajectories(args.hyp)
-    threshold = args.iou if args.iou is not None else cfg.eval_iou_threshold
-    report = evaluate(gt, hyp, threshold)
+    report = evaluate(gt, hyp, cfg.eval_iou_threshold)
     if args.format == "kv":
         print("\n".join(report.as_kv_lines()))
     else:
@@ -78,7 +68,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    out_dir = Path(_require(args.out_dir or cfg.paths_out_dir, "--out-dir"))
+    out_dir = Path(args.out_dir)
     try:
         scenario = scenario_by_name(args.scenario)
     except KeyError as exc:
@@ -111,19 +101,12 @@ def _parse_grid(items: list[str]) -> dict[str, list[str]]:
     return grid
 
 
-def _suite(name: str):
-    if name != "standard":
-        raise CliError(f"unknown suite {name!r}; only 'standard' is defined")
-    return standard_suite()
-
-
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    scenarios = _suite(args.suite)
     grid = _parse_grid(args.grid or [])
     try:
         results = run_sweep(
-            cfg, grid, scenarios, seeds=range(args.seeds), jobs=args.jobs,
+            cfg, grid, seeds=range(args.seeds), jobs=args.jobs,
             with_hota=not args.no_hota,
         )
     except ConfigError as exc:
@@ -139,9 +122,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ablate(args) -> int:
     cfg = _load_config(args.config)
-    scenarios = _suite(args.suite)
     results = run_ablation(
-        cfg, scenarios, seeds=range(args.seeds), jobs=args.jobs,
+        cfg, seeds=range(args.seeds), jobs=args.jobs,
         with_hota=not args.no_hota,
     )
     print(format_ablation_table(results))
@@ -156,16 +138,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_track = sub.add_parser("track", help="run the tracker over a detection file")
-    p_track.add_argument("--det", help="MOT detection file")
+    p_track.add_argument("--det", required=True, help="MOT detection file")
     p_track.add_argument("--aff", help="explicit affinity sidecar (default: <det>.aff)")
     p_track.add_argument("--config", help="key = value config file")
-    p_track.add_argument("--out", help="hypothesis output file")
+    p_track.add_argument("--out", required=True, help="hypothesis output file")
     p_track.set_defaults(func=_cmd_track)
 
     p_eval = sub.add_parser("eval", help="score a hypothesis against ground truth")
-    p_eval.add_argument("--gt", help="ground-truth MOT file")
+    p_eval.add_argument("--gt", required=True, help="ground-truth MOT file")
     p_eval.add_argument("--hyp", required=True, help="hypothesis MOT file")
-    p_eval.add_argument("--iou", type=float, help="IoU threshold (default from config)")
     p_eval.add_argument("--config", help="key = value config file")
     p_eval.add_argument("--format", choices=("table", "kv"), default="table")
     p_eval.set_defaults(func=_cmd_eval)
@@ -173,12 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate a named scenario to MOT files")
     p_sim.add_argument("--scenario", required=True, help="name from the standard suite")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--out-dir", help="output directory")
+    p_sim.add_argument("--out-dir", required=True, help="output directory")
     p_sim.add_argument("--config", help="key = value config file")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="run the suite across a config grid")
-    p_sweep.add_argument("--suite", default="standard")
     p_sweep.add_argument("--config", help="key = value config file")
     p_sweep.add_argument("--grid", action="append", help="key=v1,v2,... (repeatable)")
     p_sweep.add_argument("--seeds", type=int, default=100, help="seeds per scenario")
@@ -191,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "ablate",
         help=f"compare presets {sorted(PRESETS)} over the suite",
     )
-    p_abl.add_argument("--suite", default="standard")
     p_abl.add_argument("--config", help="key = value config file")
     p_abl.add_argument("--seeds", type=int, default=100)
     p_abl.add_argument("--jobs", type=int, default=1)

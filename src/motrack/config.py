@@ -80,9 +80,7 @@ def _format(f: Field, value: Any) -> str:
     return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-_PARSERS: dict[type, Callable[[str], Any]] = {
-    float: _parse_float, int: _parse_int, bool: _parse_bool, str: str,
-}
+_PARSERS: dict[type, Callable[[str], Any]] = {float: _parse_float, int: _parse_int, bool: _parse_bool}
 
 
 def _parser(f: Field) -> Callable[[str], Any]:
@@ -100,7 +98,7 @@ class RunConfig:
 
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     embed_dim: int = field(default=DEFAULT_EMBED_DIM, metadata={
-        "key": "embed.dim", "doc": "embedding dimension used by the simulator and seeded weights"})
+        "key": "embed.dim", "doc": "embedding dimension used by the simulator"})
     eval_iou_threshold: float = field(default=DEFAULT_IOU_THRESHOLD, metadata={
         "key": "eval.iou_threshold", "doc": "IoU threshold for CLEAR and identity matching"})
     output_include_lost: bool = field(default=False, metadata={
@@ -109,14 +107,6 @@ class RunConfig:
     output_include_tentative: bool = field(default=False, metadata={
         "key": "output.include_tentative",
         "doc": "emit not-yet-confirmed tracks in hypothesis output"})
-    paths_det: str = field(default="", metadata={
-        "key": "paths.det", "doc": "default detection file for 'track'"})
-    paths_gt: str = field(default="", metadata={
-        "key": "paths.gt", "doc": "default ground-truth file for 'eval'"})
-    paths_out: str = field(default="", metadata={
-        "key": "paths.out", "doc": "default output file for 'track'"})
-    paths_out_dir: str = field(default="", metadata={
-        "key": "paths.out_dir", "doc": "default output directory for 'simulate'"})
 
     def __post_init__(self) -> None:
         if self.embed_dim < 1:

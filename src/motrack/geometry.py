@@ -68,7 +68,9 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     Symmetric; 0 for disjoint boxes, including boxes that only share an
     edge (zero-area intersection). Identical boxes score exactly 1: the
     (x + w) - x edge arithmetic is not exact in floating point, so the
-    identity case is resolved before it and the ratio is clamped at 1.
+    identity case is resolved before it. The overlap is divided by the
+    larger of union and overlap, so a union that rounds below the overlap
+    (near 2**53, even to 0 or below) scores 1, not above 1 or an error.
     """
     if a == b:
         return 1.0
@@ -77,7 +79,7 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
-    return min(inter / (a.area + b.area - inter), 1.0)
+    return inter / max(a.area + b.area - inter, inter)
 
 
 def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -85,7 +87,7 @@ def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Every entry equals ``iou`` of its two boxes bit for bit: the same
     (x + w) edge arithmetic, exactly 1 for equal rows, 0 for disjoint or
-    edge-sharing boxes, and the ratio clamped at 1.
+    edge-sharing boxes, and the overlap divided by max(union, overlap).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -99,7 +101,7 @@ def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ix = np.maximum(np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx), 0.0)
         iy = np.maximum(np.minimum(ay + ah, by + bh) - np.maximum(ay, by), 0.0)
         inter = ix * iy
-        out = np.asarray(np.minimum(inter / (aw * ah + bw * bh - inter), 1.0))
+        out = np.asarray(inter / np.maximum(aw * ah + bw * bh - inter, inter))
     out[(ax == bx) & (ay == by) & (aw == bw) & (ah == bh)] = 1.0
     return out
 

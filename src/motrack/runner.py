@@ -91,7 +91,8 @@ def run_suite(
     if scenarios is None:
         scenarios = standard_suite()
     seeds = list(seeds)
-    tasks = [(name, seed, replace(cfg, seed=seed)) for name, cfg in scenarios for seed in seeds]
+    tasks = [(name, seed, replace(cfg, seed=seed, embed_dim=run_cfg.embed_dim))
+             for name, cfg in scenarios for seed in seeds]
 
     def run(task):
         name, seed, scenario = task

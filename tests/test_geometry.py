@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motrack import BoundingBox, iou, iou_matrix
@@ -151,7 +151,7 @@ def test_iou_matrix_edges_and_empty_shapes():
     a = boxes_array([BoundingBox(0, 0, 10, 10)])
     b = boxes_array([BoundingBox(10, 0, 10, 10), BoundingBox(0, 0, 10, 10), BoundingBox(2, 2, 5, 5)])
     assert iou_matrix(a, b).tolist() == [[0.0, 1.0, 0.25]]
-    # One ulp apart: the edge arithmetic overshoots and the ratio is clamped.
+    # One ulp apart: the edge arithmetic overshoots and the union rounds below the overlap.
     near = [BoundingBox(76.2280082457942, 44.538719405480144, 0.2050920622204236, 36.10484761380505),
             BoundingBox(76.2280082457942, 44.53871940548015, 0.2050920622204236, 36.10484761380505)]
     assert iou_matrix(boxes_array(near[:1]), boxes_array(near[1:])).tolist() == [[1.0]]
@@ -170,6 +170,35 @@ def test_overflowing_intermediates_score_as_scalar_iou_without_warning():
         got = iou_matrix(boxes_array(boxes), boxes_array(boxes))
     assert got.tobytes() == _scalar_matrix(boxes, boxes).tobytes()
     assert got[0, 1] == got[2, 3] == 0.0
+
+
+_NEAR_2_53 = st.one_of(
+    st.sampled_from((0.0, 1e-300, 2.0**53 - 1, 2.0**53, 2.0**53 + 2)),
+    st.floats(2.0**53 - 16, 2.0**53 + 16),
+)
+_SMALL_EXTENTS = st.one_of(st.sampled_from((1.0, 1.01, 1.02, 2.0)), st.floats(0.5, 8.0))
+_BOXES_NEAR_2_53 = st.lists(
+    st.builds(BoundingBox, _NEAR_2_53, _NEAR_2_53, _SMALL_EXTENTS, _SMALL_EXTENTS), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BOXES_NEAR_2_53, _BOXES_NEAR_2_53)
+@example([BoundingBox(0.0, 9007199254740994.0, 1.0, 1.0)],
+         [BoundingBox(1e-300, 9007199254740994.0, 1.0, 1.0)])
+@example([BoundingBox(2.0**53, 2.0**53, 1.01, 1.01)], [BoundingBox(2.0**53, 2.0**53, 1.02, 1.01)])
+def test_union_rounding_below_overlap_scores_one_in_every_kernel(boxes_a, boxes_b):
+    # Near 2**53 the edges x + w round to a multiple of 2, so the overlap can
+    # exceed the union, or the union round to 0 or below it.
+    boxes_b = boxes_a + boxes_b
+    pairs = [(a, b) for a in boxes_a for b in boxes_b]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = _scalar_matrix(boxes_a, boxes_b)
+        matrix = iou_matrix(boxes_array(boxes_a), boxes_array(boxes_b))
+        flat = iou_pairs(boxes_array(a for a, _ in pairs), boxes_array(b for _, b in pairs))
+    assert np.all((scalar >= 0.0) & (scalar <= 1.0))
+    assert matrix.tobytes() == scalar.tobytes()
+    assert flat.tobytes() == scalar.reshape(-1).tobytes()
 
 
 @pytest.mark.parametrize("box, message", [

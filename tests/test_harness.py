@@ -121,15 +121,13 @@ def other_value(f):
         return str(not f.default).lower(), not f.default
     if isinstance(f.default, int):
         return str(f.default + 2), f.default + 2
-    if isinstance(f.default, float):
-        return "0.25", 0.25
-    return "some/file.txt", "some/file.txt"
+    return "0.25", 0.25
 
 
 class TestConfigRegistry:
     def test_every_field_has_exactly_one_key(self):
         keys = [key for key, _, _ in keyed_fields(RunConfig)]
-        assert len(keys) == len(set(keys)) == 20
+        assert len(keys) == len(set(keys)) == 16
 
     @pytest.mark.parametrize(
         "key,path,f", [pytest.param(*entry, id=entry[0]) for entry in keyed_fields(RunConfig)]
@@ -155,7 +153,8 @@ class TestConfigRegistry:
         listed = [line.split(" = ", 1)[0] for line in RunConfig().describe().splitlines()]
         assert listed == [key for key, _, _ in keyed_fields(RunConfig)]
 
-    @pytest.mark.parametrize("key", ["queue.T", "cache.k", "cache.reduce"])
+    @pytest.mark.parametrize("key", ["queue.T", "cache.k", "cache.reduce",
+                                     "paths.det", "paths.gt", "paths.out", "paths.out_dir"])
     def test_removed_keys_unknown(self, key):
         with pytest.raises(ConfigError, match="unknown config key"):
             RunConfig().with_overrides({key: "4"})
@@ -187,6 +186,24 @@ class TestConfigRegistry:
             RunConfig.from_file(path)
         assert main(["track", "--config", str(path), "--det", "d.txt", "--out", "o.txt"]) == 1
         assert f"bad.cfg:3: key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--grid", "embed.dim=4"],
+        ["ablate", "--config", "embed4.cfg"],
+    ], ids=lambda argv: argv[0])
+    def test_suite_scenarios_take_embed_dim(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "embed4.cfg").write_text("embed.dim = 4\n")
+        dims = set()
+
+        def recording_generate(scenario):
+            gt, frames = generate(scenario)
+            dims.update(frame.embeddings.shape[1] for frame in frames)
+            return gt, frames
+
+        monkeypatch.setattr(runner, "generate", recording_generate)
+        assert main(argv + ["--seeds", "1", "--no-hota"]) == 0
+        assert dims == {4}
 
     def test_sweep_builds_every_cell_before_running(self, monkeypatch, capsys):
         ran = []
@@ -469,21 +486,25 @@ class TestCli:
         (step,) = [s for s in workflow["jobs"]["tests"]["steps"] if s.get("name") == "Console script end to end"]
         commands = [shlex.split(line.replace("$RUNNER_TEMP", str(tmp_path)))
                     for line in step["run"].splitlines() if line.strip()]
-        assert [argv[0] for argv in commands] == ["motrack"] + ["cmp"] * 3 + ["motrack"] * 3 + ["cmp"]
-        assert [argv[1] for argv in commands if argv[0] == "motrack"] == ["simulate", "track", "eval", "eval"]
-        assert commands[-2][-2] == ">" and commands[-1][1:] == [commands[-2][-1], "tests/data/crossing2_seed0_eval.kv"]
-        for argv in commands:
-            if argv[0] == "motrack":
-                capsys.readouterr()
-                redirect = argv[-1] if argv[-2] == ">" else None
-                assert self.run_cli(*(argv[1:-2] if redirect else argv[1:])) == 0, argv
-                out = capsys.readouterr().out
-                if redirect:
-                    Path(redirect).write_text(out)
-                elif argv[1] == "eval":
-                    assert "MOTA" in out.upper()
-            else:
-                assert Path(argv[1]).read_bytes() == (root / argv[2]).read_bytes(), argv
+        assert [argv[0] for argv in commands] == (
+            ["motrack"] + ["cmp"] * 3 + ["motrack"] * 3 + ["cmp"] + ["motrack"] * 2)
+        assert [argv[1] for argv in commands if argv[0] == "motrack"] == [
+            "simulate", "track", "eval", "eval", "sweep", "ablate"]
+        assert commands[-4][-2] == ">" and commands[-3][1:] == [commands[-4][-1], "tests/data/crossing2_seed0_eval.kv"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # as the step's PYTHONWARNINGS
+            for argv in commands:
+                if argv[0] == "motrack":
+                    capsys.readouterr()
+                    redirect = argv[-1] if argv[-2] == ">" else None
+                    assert self.run_cli(*(argv[1:-2] if redirect else argv[1:])) == 0, argv
+                    out = capsys.readouterr().out
+                    if redirect:
+                        Path(redirect).write_text(out)
+                    elif argv[1] == "eval":
+                        assert "MOTA" in out.upper()
+                else:
+                    assert Path(argv[1]).read_bytes() == (root / argv[2]).read_bytes(), argv
 
     def test_track_is_deterministic(self, tmp_path):
         self.run_cli("simulate", "--scenario", "crossing2", "--seed", "1",
@@ -515,6 +536,28 @@ class TestCli:
         assert code == 1
         assert "unknown scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["track", "--det", "d.txt"],
+        ["track", "--out", "o.txt"],
+        ["eval", "--hyp", "h.txt"],
+        ["simulate", "--scenario", "crossing2"],
+        ["eval", "--gt", "g.txt", "--hyp", "h.txt", "--iou", "0.3"],
+        ["sweep", "--suite", "standard", "--seeds", "1", "--no-hota"],
+        ["ablate", "--suite", "standard", "--seeds", "1", "--no-hota"],
+    ], ids=" ".join)
+    def test_missing_path_flag_or_removed_flag_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        write_trajectories(tmp_path / "g.txt", perfect_gt())
+        write_trajectories(tmp_path / "h.txt", perfect_gt())
+        (tmp_path / "d.txt").write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n")
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exit_info:
+            self.run_cli(*argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: motrack") and captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_bad_config_key_is_clean_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("made.up = 1\n")
@@ -543,7 +586,7 @@ class TestCli:
 
     def test_sweep_summarises_grid(self, tmp_path, capsys):
         code = self.run_cli(
-            "sweep", "--suite", "standard", "--grid", "assoc.alpha=0.0,1.0",
+            "sweep", "--grid", "assoc.alpha=0.0,1.0",
             "--seeds", "2", "--no-hota", "--out", str(tmp_path / "sweep.txt"),
         )
         assert code == 0
