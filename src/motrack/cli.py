@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -32,16 +33,21 @@ class CliError(Exception):
     pass
 
 
-def _load_config(path: str | None) -> RunConfig:
-    if path is None:
+# The config keys of the commands that read only some of them; any other key
+# in their --config file is an error rather than silently ignored.
+KEYS_READ = {"eval": ("eval.iou_threshold",), "simulate": ("embed.dim",)}
+
+
+def _load_config(args) -> RunConfig:
+    if args.config is None:
         return RunConfig()
-    if not Path(path).exists():
-        raise CliError(f"config file not found: {path}")
-    return RunConfig.from_file(path)
+    if not Path(args.config).exists():
+        raise CliError(f"config file not found: {args.config}")
+    return RunConfig.from_file(args.config, only=KEYS_READ.get(args.command), reader=f"motrack {args.command}")
 
 
 def _cmd_track(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     if not Path(args.det).exists():
         raise CliError(f"detection file not found: {args.det}")
     frames = load_detections(args.det, sidecar=args.aff)
@@ -52,7 +58,7 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     for path in (args.gt, args.hyp):
         if not Path(path).exists():
             raise CliError(f"file not found: {path}")
@@ -67,7 +73,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     out_dir = Path(args.out_dir)
     try:
         scenario = scenario_by_name(args.scenario)
@@ -102,7 +108,7 @@ def _parse_grid(items: list[str]) -> dict[str, list[str]]:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     grid = _parse_grid(args.grid or [])
     try:
         results = run_sweep(
@@ -121,7 +127,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     results = run_ablation(
         cfg, seeds=range(args.seeds), jobs=args.jobs,
         with_hota=not args.no_hota,
@@ -184,7 +190,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a reader gone away fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at interpreter exit does
+        # not raise again; the output was cut short, so the run failed.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CliError, ConfigError, MotParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -114,9 +114,11 @@ class RunConfig:
         check_iou_threshold(self.eval_iou_threshold)
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
+    def from_file(cls, path: str | Path, only: tuple[str, ...] | None = None, reader: str = "") -> "RunConfig":
         """Parse a line-oriented ``key = value`` file; '#' starts a comment.
-        The first bad line is a ConfigError naming its ``file:line``."""
+        The first bad line is a ConfigError naming its ``file:line``. Given
+        ``only``, the keys that ``reader`` reads, a line setting any other
+        known key is bad too, as the reader would silently ignore it."""
         cfg, seen = cls(), set()
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -128,6 +130,9 @@ class RunConfig:
             if key in seen:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             seen.add(key)
+            if only is not None and key in _KEYS and key not in only:
+                raise ConfigError(f"{path}:{lineno}: {reader} does not read config key {key!r}; "
+                                  f"it reads only {', '.join(only)}")
             try:
                 cfg = cfg.with_overrides({key: value})
             except ConfigError as exc:

@@ -160,7 +160,8 @@ def _occlusion_mask(rng, config: ScenarioConfig) -> np.ndarray:
 
 
 def _merge_clusters(boxes: list[BoundingBox], threshold: float) -> list[list[int]]:
-    """Connected components of the overlap graph over the given boxes."""
+    """Connected components of the overlap graph (IoU above a threshold >= 0)
+    over the given boxes, each ascending, ordered by their first box."""
     n = len(boxes)
     parent = list(range(n))
 
@@ -170,14 +171,17 @@ def _merge_clusters(boxes: list[BoundingBox], threshold: float) -> list[list[int
             a = parent[a]
         return a
 
-    # Scalar ``iou`` on purpose: the standard suite compares 2 to 8 visible
-    # boxes a frame, where one ``iou_matrix`` a frame costs more. Measured per
-    # frame on a shared 2-CPU VM: 2 boxes 10 against 35 us, 4 boxes 17 against
-    # 35 us, 8 boxes about even (60 to 100 against 62 to 67 us); the matrix wins
-    # only in crowds (24 boxes: 55 against 480 us).
-    for i in range(n):
-        for j in range(i + 1, n):
-            if iou(boxes[i], boxes[j]) > threshold:
+    # Sweep in x order: a pair above a threshold >= 0 overlaps in x or is one
+    # box twice, so each box meets only the later boxes that start left of its
+    # right edge or at its own x (equal boxes whose x + w rounds to x).
+    xs = [box.x for box in boxes]
+    order = sorted(range(n), key=xs.__getitem__)
+    for pos, i in enumerate(order):
+        a, x, right = boxes[i], xs[i], boxes[i].right
+        for j in order[pos + 1:]:
+            if xs[j] >= right and xs[j] != x:
+                break
+            if iou(a, boxes[j]) > threshold:
                 parent[find(j)] = find(i)
 
     clusters: dict[int, list[int]] = {}
@@ -193,7 +197,7 @@ def _union_box(rows: np.ndarray) -> np.ndarray:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
+    n = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic for a 1-D float vector
     return v / n if n > 0 else v
 
 

@@ -26,8 +26,10 @@ functions, themselves checked against the dense filter and the closed-form EMA.
 scenario generator from before detections became one ``Frame`` of columns per
 frame: a dict of per-entry tuples, and one ``DetectionCandidate`` per
 detection. ``generate_oracle`` calls the scalar spawns, occlusion chain and
-union box that the generator used before it worked on per-frame arrays,
-copied here unchanged, so it shares none of those paths with the library.
+union box that the generator used before it worked on per-frame arrays, and
+the all-pairs merge test and ``np.linalg.norm`` unit vectors it used before
+it swept the merge test in x order, copied here unchanged, so it shares none
+of those paths with the library.
 ``boxes_array`` stacks ``BoundingBox``es, as the tracker did before it read a
 Frame's box column.
 """
@@ -61,8 +63,7 @@ from motrack.association import (
 from motrack.geometry import BoundingBox, iou, iou_matrix
 from motrack.metrics import TrajectorySet
 from motrack.mot_io import MotParseError, sidecar_path
-from motrack.simulator import (CLUTTER_SOBJ, EMBED_NOISE, MEAN_OCCLUSION_LEN, MERGED_SOBJ, ScenarioConfig,
-                               _merge_clusters, _signatures, _unit)
+from motrack.simulator import CLUTTER_SOBJ, EMBED_NOISE, MEAN_OCCLUSION_LEN, MERGED_SOBJ, ScenarioConfig, _signatures
 
 
 # ---------------------------------------------------------------------------
@@ -1008,6 +1009,33 @@ def _occlusion_mask(rng, config: ScenarioConfig) -> np.ndarray:
                 state = (u < p_stay) if state else (u < p_on)
                 occluded[i, t] = occluded[i, t] or state
     return occluded
+
+
+def _merge_clusters(boxes: list[BoundingBox], threshold: float) -> list[list[int]]:
+    """Connected components of the overlap graph over the given boxes."""
+    n = len(boxes)
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if iou(boxes[i], boxes[j]) > threshold:
+                parent[find(j)] = find(i)
+
+    clusters: dict[int, list[int]] = {}
+    for i in range(n):
+        clusters.setdefault(find(i), []).append(i)
+    return sorted(clusters.values(), key=lambda c: c[0])
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    n = np.linalg.norm(v)
+    return v / n if n > 0 else v
 
 
 def _union_box(boxes: list[BoundingBox]) -> BoundingBox:

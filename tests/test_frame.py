@@ -21,6 +21,7 @@ from motrack import (BoundingBox, DetectionCandidate, Frame, ScenarioConfig, Tra
                      scenario_by_name, standard_suite, step_tracker)
 from motrack.mot_io import load_detections, load_sidecar, sidecar_path, write_detections
 
+import oracles
 from oracles import boxes_array, generate_oracle, load_detections_oracle
 from test_association import _output_bits, _track_bits, tracker_streams
 
@@ -243,11 +244,30 @@ class TestGenerateAgainstOracle:
             assert_frame_holds(frame, old)
 
     def test_standard_suite_bit_equal(self):
-        for _, config in [*standard_suite(),
-                          ("crowd24", replace(scenario_by_name("crowd8_occl20"), n_agents=24, n_frames=60,
-                                              arena=(1920.0, 1080.0), fp_rate=1.0))]:
+        for _, config in standard_suite():
             for frame, old in zip(generate(config)[1], generate_oracle(config)[1]):
                 assert_frame_holds(frame, old)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_crowd_bit_equal(self, seed, monkeypatch):
+        # The benchmark's crowd shape: crowd8_occl20's occlusion and merges
+        # with 24 agents in a 1080p arena, where the merge sweep skips most pairs.
+        config = replace(scenario_by_name("crowd8_occl20"), n_agents=24, n_frames=60,
+                         arena=(1920.0, 1080.0), fp_rate=1.0, seed=seed)
+        cluster_sizes, all_pairs = [], oracles._merge_clusters
+
+        def all_pairs_merge(boxes, threshold):
+            clusters = all_pairs(boxes, threshold)
+            cluster_sizes.extend(map(len, clusters))
+            return clusters
+
+        monkeypatch.setattr(oracles, "_merge_clusters", all_pairs_merge)
+        gt, frames = generate(config)
+        gt_old, cands = generate_oracle(config)
+        assert max(cluster_sizes) > 1, "no agents merged"
+        assert [c.tobytes() for c in gt.columns()] == [c.tobytes() for c in gt_old.columns()]
+        for frame, old in zip(frames, cands):
+            assert_frame_holds(frame, old)
 
     @pytest.mark.parametrize("n_agents", [1, 3])
     def test_stationary_crossing_agents_spawn_on_the_waypoint(self, n_agents):

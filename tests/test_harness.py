@@ -1,5 +1,8 @@
 import math
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, is_dataclass
 from functools import reduce
@@ -479,17 +482,19 @@ class TestCli:
 
     def test_ci_console_script_step_in_process(self, tmp_path, capsys):
         """The CI step that runs the installed ``motrack`` script, run here
-        line by line through ``main``: simulate reproduces the golden files,
-        track and eval run on them, and eval's kv report is the golden one."""
+        line by line through ``main``: simulate reproduces the crossing2 and
+        crowd8_occl20 golden files, track and eval run on crossing2's, and
+        eval's kv report is the golden one."""
         root = Path(__file__).resolve().parents[1]
         workflow = yaml.safe_load((root / ".github/workflows/tests.yml").read_text())
         (step,) = [s for s in workflow["jobs"]["tests"]["steps"] if s.get("name") == "Console script end to end"]
         commands = [shlex.split(line.replace("$RUNNER_TEMP", str(tmp_path)))
                     for line in step["run"].splitlines() if line.strip()]
         assert [argv[0] for argv in commands] == (
-            ["motrack"] + ["cmp"] * 3 + ["motrack"] * 3 + ["cmp"] + ["motrack"] * 2)
+            (["motrack"] + ["cmp"] * 3) * 2 + ["motrack"] * 3 + ["cmp"] + ["motrack"] * 2)
         assert [argv[1] for argv in commands if argv[0] == "motrack"] == [
-            "simulate", "track", "eval", "eval", "sweep", "ablate"]
+            "simulate", "simulate", "track", "eval", "eval", "sweep", "ablate"]
+        assert [argv[3] for argv in commands if argv[1] == "simulate"] == ["crossing2", "crowd8_occl20"]
         assert commands[-4][-2] == ">" and commands[-3][1:] == [commands[-4][-1], "tests/data/crossing2_seed0_eval.kv"]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # as the step's PYTHONWARNINGS
@@ -564,6 +569,58 @@ class TestCli:
         code = self.run_cli("eval", "--gt", "x", "--hyp", "y", "--config", str(cfg))
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,reads,value", [
+        ("simulate", "embed.dim", "4"),
+        ("eval", "eval.iou_threshold", "0.9"),
+    ])
+    def test_config_keys_a_command_ignores_are_refused(self, tmp_path, capsys, command, reads, value):
+        gt = tmp_path / "gt.txt"
+        write_trajectories(gt, perfect_gt())
+        argv = {"simulate": ["simulate", "--scenario", "crossing2", "--out-dir", str(tmp_path / "sim")],
+                "eval": ["eval", "--gt", str(gt), "--hyp", str(gt), "--format", "kv"]}[command]
+        cfg = tmp_path / "c.cfg"
+        for ignored in ("assoc.alpha = 0.3", "lifecycle.n_init = 5",
+                        "embed.dim = 4" if command == "eval" else "eval.iou_threshold = 0.9"):
+            cfg.write_text(f"{reads} = {value}\n{ignored}\n")
+            capsys.readouterr()
+            assert self.run_cli(*argv, "--config", str(cfg)) == 1
+            captured = capsys.readouterr()
+            key = ignored.split(" = ")[0]
+            assert captured.err == (f"error: {cfg}:2: motrack {command} does not read config key {key!r}; "
+                                    f"it reads only {reads}\n")
+            assert captured.out == ""
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "gt.txt"]
+        cfg.write_text(f"{reads} = {value}\n")
+        assert self.run_cli(*argv, "--config", str(cfg)) == 0
+        if command == "simulate":
+            assert load_sidecar(tmp_path / "sim" / "crossing2_seed0_det.aff").embeddings.shape[1] == 4
+        else:
+            assert "mota=1.000000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("lines_read,unbuffered", [(0, False), (0, True), (1, True)])
+    def test_reader_closing_the_pipe_is_no_traceback(self, tmp_path, lines_read, unbuffered):
+        # With no line read, the pipe closes before the report is written, so
+        # the write always fails; unbuffered, print fails, else the flush does.
+        gt = tmp_path / "gt.txt"
+        write_trajectories(gt, perfect_gt())
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "motrack.cli", "eval", "--gt", str(gt), "--hyp", str(gt), "--format", "kv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+        for _ in range(lines_read):
+            assert proc.stdout.readline() == "mota=1.000000\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert "Traceback" not in err
+        assert err == ""
+        assert code in ((1,) if lines_read == 0 else (0, 1))
 
     @pytest.mark.parametrize("overrides", [
         "kf.obs_noise = 1e-200\nkf.pos_noise = 0\nkf.vel_noise = 0\nkf.tau_kf = 0\n",

@@ -3,9 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from motrack import ScenarioConfig, generate, iou, scenario_by_name, standard_suite
+from motrack import BoundingBox, ScenarioConfig, generate, iou, scenario_by_name, standard_suite
 from motrack.mot_io import trajectory_lines, write_detections
+from motrack.simulator import _merge_clusters
+
+import oracles
 
 DATA = Path(__file__).parent / "data"
 
@@ -222,3 +227,40 @@ class TestGoldenFiles:
             longest = max(longest, run)
             prev = t
         assert longest >= 5
+
+
+@st.composite
+def merge_inputs(draw):
+    """Boxes for the merge test: small integer offsets from 0, 2**53 or 1e17
+    (where x + w rounds to x for the narrow widths and many x values tie),
+    with edge-sharing neighbours (b.x == a.x + a.w) and repeated boxes."""
+    base = draw(st.sampled_from([0.0, 2.0**53, 1e17]))
+    offset = st.integers(-40, 40).map(lambda k: base + k)
+    size = st.sampled_from([0.5, 1.0, 3.0, 8.0, 20.0, 64.0])
+    pool = draw(st.lists(st.builds(BoundingBox, offset, offset, size, size), min_size=1, max_size=8))
+    for a in draw(st.lists(st.sampled_from(list(pool)), max_size=4)):
+        pool.append(BoundingBox(a.right, a.y + draw(st.integers(-2, 2)), draw(size), draw(size)))
+    boxes = draw(st.lists(st.sampled_from(pool), max_size=16))
+    return boxes, draw(st.sampled_from([0.0, 0.05, 1.0]))
+
+
+class TestMergeSweepAgainstOracle:
+    """The x-order sweep finds the clusters of the all-pairs merge test."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(merge_inputs())
+    def test_same_clusters_as_all_pairs(self, case):
+        boxes, threshold = case
+        assert _merge_clusters(boxes, threshold) == oracles._merge_clusters(boxes, threshold)
+
+    def test_equal_boxes_whose_right_edge_rounds_to_x_merge(self):
+        # 1e17 + 0.5 rounds to 1e17, so the box's right edge is its left edge.
+        box = BoundingBox(1e17, 1e17, 0.5, 0.5)
+        other = BoundingBox(1e17 - 64.0, 0.0, 8.0, 8.0)
+        assert box.right == box.x
+        assert _merge_clusters([box, other, box], 0.05) == [[0, 2], [1]]
+
+    def test_edge_sharing_boxes_stay_apart(self):
+        a = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        b = BoundingBox(a.right, 0.0, 10.0, 10.0)
+        assert _merge_clusters([b, a], 0.0) == [[0], [1]]
