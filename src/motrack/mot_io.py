@@ -15,8 +15,9 @@ optional scalar appearance affinity and an optional embedding to detections
 by (frame, candidate index): ``frame,cand,s_mask_or_dash[,e0,...,e_{dim-1}]``.
 A negative dim, an s_mask outside [0, 1], a non-finite embedding value or a
 second entry for one (frame, cand) is a MotParseError naming ``file:line``.
-Detections load as one ``Frame`` of candidate columns per frame, and write
-from those columns.
+A detection sequence is one column set, checked once: a file loads as per-frame
+``Frame`` views of it, ``write_detections`` gathers and checks its input in one
+pass, and one formatter writes every detection and trajectory line.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .association import DetectionCandidate, Frame
+from .association import Frame
 from .geometry import BoundingBox, invalid_boxes
 from .metrics import TrajectorySet, key_order
 
@@ -154,6 +155,8 @@ def load_detections(
 ) -> dict[int, Frame]:
     """Read a detection file into one ``Frame`` per frame, keyed by frame
     number in order of first appearance; candidates keep their file order.
+    The file's rows are checked once, as one column set, and each Frame is a
+    read-only view of that frame's rows.
 
     The id column is ignored, conf becomes the objectness score (clamped to
     [0, 1]), and frames are numbered from 1. When a sidecar exists
@@ -189,29 +192,23 @@ def load_detections(
                                 f"matches no detection in {path}")
         at = first[group] + side.cand
         s_mask[at], embeddings[at], has_embedding[at] = side.s_mask, side.embeddings, side.has_embedding
-    boxes = rows.boxes[order]
-    frames: dict[int, Frame] = {}
-    numbers, first, count = numbers.tolist(), first.tolist(), count.tolist()
-    for k in np.argsort(order[first], kind="stable").tolist():
-        span = slice(first[k], first[k] + count[k])
-        frames[numbers[k]] = Frame._checked(boxes[span], s_obj[span], s_mask[span],
-                                            embeddings[span], has_embedding[span])
-    return frames
+    views = Frame._checked(rows.boxes[order], s_obj, s_mask, embeddings, has_embedding)._split(count)
+    return {numbers[k]: views[k] for k in np.argsort(order[first], kind="stable").tolist()}
 
 
-def _trajectory_text(rows: Iterable[tuple], conf: float) -> str:
-    """MOT lines of (frame, id, x, y, w, h) rows; the one formatter behind
-    every trajectory file."""
-    c = repr(float(conf))
+def _mot_text(rows: Iterable[tuple]) -> str:
+    """MOT lines of (frame, id, x, y, w, h, conf text) rows; the one formatter
+    behind every detection and trajectory file."""
     lines = [
         f"{f},{i},{float(x)!r},{float(y)!r},{float(w)!r},{float(h)!r},{c},-1,-1,-1"
-        for f, i, x, y, w, h in rows
+        for f, i, x, y, w, h, c in rows
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def trajectory_lines(records: Iterable[tuple[int, int, BoundingBox]], conf: float = 1.0) -> str:
-    return _trajectory_text(((f, i, box.x, box.y, box.w, box.h) for f, i, box in records), conf)
+    c = repr(float(conf))
+    return _mot_text((f, i, box.x, box.y, box.w, box.h, c) for f, i, box in records)
 
 
 def write_trajectories(path: str | Path, ts: TrajectorySet) -> None:
@@ -222,84 +219,69 @@ def write_trajectories(path: str | Path, ts: TrajectorySet) -> None:
     if (ident < 0).any():
         r = int(np.argmax(ident < 0))
         raise ValueError(f"frame {frame[r]}, id {ident[r]}: a negative id marks a detection line")
-    rows = zip(frame.tolist(), ident.tolist(), *boxes.T.tolist())
-    atomic_write_text(path, _trajectory_text(rows, 1.0))
+    rows = zip(frame.tolist(), ident.tolist(), *boxes.T.tolist(), ["1.0"] * len(frame))
+    atomic_write_text(path, _mot_text(rows))
 
 
 def write_detections(path: str | Path, frames) -> None:
     """Write per-frame candidates; companions with appearance data get a sidecar.
 
     ``frames`` is a mapping frame -> candidates or a list whose position i
-    holds frame i+1, each a ``Frame`` or a list of candidates. Both files'
-    text is built and checked before either is written: a per-track s_mask
-    mapping, which has no sidecar form, is a ValueError naming its frame and
-    candidate index, and so are embeddings of two dimensions and a frame
-    before 1, which ``load_detections`` rejects. When no candidate has
-    appearance data, a sidecar left by an earlier write is removed, so it
-    cannot attach to these detections. A detection path ending in ``.aff``
-    is its own sidecar path: a ValueError.
+    holds frame i+1, each a ``Frame`` or a list of candidates, gathered into
+    one column set and checked in one pass; both files' text is built from
+    it before either is written. A per-track s_mask mapping, which has no
+    sidecar form, is a ValueError naming its frame and candidate index, and
+    so are embeddings of two dimensions and a frame before 1, which
+    ``load_detections`` rejects. When no candidate has appearance data, a
+    sidecar left by an earlier write is removed, so it cannot attach to these
+    detections. A detection path ending in ``.aff`` is its own sidecar path:
+    a ValueError.
     """
     aff_path = sidecar_path(path)
     if aff_path == Path(path):
         raise ValueError(f"detection path {str(path)!r} ends in .aff, the sidecar suffix")
-    items = _frame_items(frames)
-    dims = []  # per frame, {embedding dim: first candidate index with it}
-    for number, candidates in items:
-        if number < 1:
-            raise ValueError(f"frame {number} is before frame 1, where detection files start")
-        mapped = _mapped_candidates(candidates)
+    numbers = sorted(frames) if isinstance(frames, Mapping) else range(1, len(frames) + 1)
+    frames = [frames[number] for number in numbers] if isinstance(frames, Mapping) else list(frames)
+    if numbers and numbers[0] < 1:
+        raise ValueError(f"frame {numbers[0]} is before frame 1, where detection files start")
+    dims = []  # per frame, each candidate's embedding dim (0 for none); a list may mix dims
+    for number, candidates in zip(numbers, frames):
+        if isinstance(candidates, Frame):
+            mapped = list(candidates.mapped)
+            dims.append(candidates.has_embedding * candidates.embeddings.shape[1])
+        else:
+            mapped = [j for j, c in enumerate(candidates) if isinstance(c.s_mask, Mapping)]
+            dims.append([0 if c.embedding is None else c.embedding.size for c in candidates])
         if mapped:
             raise ValueError(f"frame {number}, candidate {mapped[0]}: a per-track s_mask has no sidecar form")
-        dims.append(_embedding_dims(candidates))
-    dim = max((d for per_frame in dims for d in per_frame), default=0)
-    for (number, _), per_frame in zip(items, dims):
-        mismatched = sorted((j, d) for d, j in per_frame.items() if d != dim)
-        if mismatched:
-            j, d = mismatched[0]
-            raise ValueError(f"frame {number}, candidate {j}: embedding dim {d} does not match sidecar dim {dim}")
+    counts = [len(d) for d in dims]
+    number = np.repeat(numbers, counts)
+    index = np.arange(len(number)) - np.repeat(np.cumsum(counts, dtype=np.int64) - counts, counts)
+    dims = np.concatenate([np.zeros(0, dtype=np.int64), *dims])
+    dim = int(dims.max(initial=0))
+    if ((dims > 0) & (dims != dim)).any():
+        r = int(np.argmax((dims > 0) & (dims != dim)))
+        raise ValueError(f"frame {number[r]}, candidate {index[r]}: embedding dim {dims[r]} "
+                         f"does not match sidecar dim {dim}")
 
-    lines, aff_lines = [], [f"aff 1 {dim}"]
-    for number, candidates in items:
-        frame = Frame.of(candidates)
-        lines += [f"{number},-1,{x!r},{y!r},{w!r},{h!r},{s_obj!r},-1,-1,-1"
-                  for (x, y, w, h), s_obj in zip(frame.boxes.tolist(), frame.s_obj.tolist())]
-        entry = frame.has_embedding | ~np.isnan(frame.s_mask)
-        for j, s_mask, keyed, embedding in zip(np.flatnonzero(entry).tolist(), frame.s_mask[entry].tolist(),
-                                               frame.has_embedding[entry].tolist(),
-                                               frame.embeddings[entry].tolist()):
-            fields = f"{number},{j},{'-' if math.isnan(s_mask) else repr(s_mask)}"
-            aff_lines.append(",".join([fields, *map(repr, embedding)]) if keyed else fields)
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    frames = [Frame.of(candidates) for candidates in frames]  # a Frame as it is, a list converted
+    boxes = np.concatenate([np.zeros((0, 4)), *(f.boxes for f in frames)])
+    s_obj = np.concatenate([np.zeros(0), *(f.s_obj for f in frames)])
+    s_mask = np.concatenate([np.zeros(0), *(f.s_mask for f in frames)])
+    embeddings = np.concatenate([np.zeros((0, dim)), *(f.embeddings if f.embeddings.shape[1] == dim
+                                                       else np.zeros((len(f), dim)) for f in frames)])
+    text = _mot_text(zip(number.tolist(), [-1] * len(number), *boxes.T.tolist(), map(repr, s_obj.tolist())))
+    entry = (dims > 0) | ~np.isnan(s_mask)
+    aff_lines = [f"aff 1 {dim}"]
+    for f, j, m, keyed, embedding in zip(number[entry].tolist(), index[entry].tolist(), s_mask[entry].tolist(),
+                                         (dims[entry] > 0).tolist(), embeddings[entry]):
+        fields = f"{f},{j},{'-' if math.isnan(m) else repr(m)}"
+        aff_lines.append(",".join([fields, *map(repr, embedding.tolist())]) if keyed else fields)
+    atomic_write_text(path, text)
     if len(aff_lines) > 1:
         atomic_write_text(aff_path, "\n".join(aff_lines) + "\n")
     else:
         aff_path.unlink(missing_ok=True)
-
-
-def _frame_items(frames) -> list[tuple[int, Frame | list[DetectionCandidate]]]:
-    if isinstance(frames, Mapping):
-        return [(frame, frames[frame]) for frame in sorted(frames)]
-    return [(i + 1, candidates) for i, candidates in enumerate(frames)]
-
-
-def _mapped_candidates(candidates) -> list[int]:
-    """Indices of the candidates with a per-track s_mask mapping, increasing."""
-    if isinstance(candidates, Frame):
-        return list(candidates.mapped)
-    return [j for j, c in enumerate(candidates) if isinstance(c.s_mask, Mapping)]
-
-
-def _embedding_dims(candidates) -> dict[int, int]:
-    """{embedding dim: index of the first candidate with it}; a list of
-    candidates may hold embeddings of two dimensions, a Frame not."""
-    if isinstance(candidates, Frame):
-        keyed = np.flatnonzero(candidates.has_embedding)
-        return {candidates.embeddings.shape[1]: int(keyed[0])} if keyed.size else {}
-    dims: dict[int, int] = {}
-    for j, c in enumerate(candidates):
-        if c.embedding is not None:
-            dims.setdefault(c.embedding.size, j)
-    return dims
 
 
 def sidecar_path(det_path: str | Path) -> Path:

@@ -39,13 +39,10 @@ def track_frames(
     columns are already sorted as ``TrajectorySet.from_columns`` checks.
     """
     if isinstance(frames, Mapping):
-        if frames:
-            first, last = min(frames), max(frames)
-            stream = [(f, frames.get(f, [])) for f in range(first, last + 1)]
-        else:
-            stream = []
+        numbers = range(min(frames), max(frames) + 1) if frames else ()
+        stream = [(f, frames.get(f, [])) for f in numbers]
     else:
-        stream = [(i + 1, candidates) for i, candidates in enumerate(frames)]
+        stream = list(enumerate(frames, start=1))
 
     included = {CONFIRMED}
     if run_cfg.output_include_lost:

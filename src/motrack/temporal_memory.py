@@ -3,18 +3,15 @@ selection, a FIFO motion queue with a pluggable forecaster, and sigmoid-gated
 feature fusion.
 
 Feature matrices are plain row-major numpy arrays (rows = frames or tokens,
-columns = feature dimension). Projection and gate weights either load from a
-small text tensor file (header line ``dims: d`` followed by whitespace
-separated row-major numbers) or derive from a seeded generator; nothing here
-is trained.
+columns = feature dimension). Projection and gate weights derive from a
+seeded generator or are given as arrays; nothing here is trained.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -77,21 +74,6 @@ class ProjectionPair:
             rng.normal(0.0, scale, size=(dim, dim)),
             rng.normal(0.0, scale, size=(dim, dim)),
         )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ProjectionPair":
-        dim, values = load_tensor_file(path)
-        expected = 2 * dim * dim
-        if values.size != expected:
-            raise ValueError(
-                f"{path}: expected {expected} values for a projection pair, got {values.size}"
-            )
-        w_q = values[: dim * dim].reshape(dim, dim)
-        w_k = values[dim * dim :].reshape(dim, dim)
-        return cls(w_q, w_k)
-
-    def to_file(self, path: str | Path) -> None:
-        save_tensor_file(path, self.dim, [self.w_q, self.w_k])
 
 
 def attention_scores(f_q, f_k, proj: ProjectionPair) -> np.ndarray:
@@ -281,21 +263,6 @@ class GateNetwork:
         one input."""
         return cls(np.zeros((dim, 2 * dim)), np.full(dim, float(bias)))
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "GateNetwork":
-        dim, values = load_tensor_file(path)
-        expected = dim * 2 * dim + dim
-        if values.size != expected:
-            raise ValueError(
-                f"{path}: expected {expected} values for a gate network, got {values.size}"
-            )
-        weights = values[: dim * 2 * dim].reshape(dim, 2 * dim)
-        bias = values[dim * 2 * dim :]
-        return cls(weights, bias)
-
-    def to_file(self, path: str | Path) -> None:
-        save_tensor_file(path, self.dim, [self.weights, self.bias])
-
     def gate_values(self, z_h: np.ndarray, z_hat: np.ndarray) -> np.ndarray:
         stacked = np.concatenate([z_h, z_hat])
         logits = self.weights @ stacked + self.bias
@@ -322,31 +289,3 @@ def gated_fuse(z_h, z_hat, gate: GateNetwork) -> tuple[np.ndarray, np.ndarray]:
     g = gate.gate_values(a, b)
     fused = (1.0 - g) * a + g * b
     return fused, g
-
-
-def save_tensor_file(path: str | Path, dim: int, arrays: Sequence[np.ndarray]) -> None:
-    """Write tensors as ``dims: d`` followed by row-major numbers, 8 per line."""
-    flat = np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays])
-    lines = [f"dims: {dim}"]
-    for start in range(0, flat.size, 8):
-        chunk = flat[start : start + 8]
-        lines.append(" ".join(repr(float(v)) for v in chunk))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_tensor_file(path: str | Path) -> tuple[int, np.ndarray]:
-    """Parse a tensor file; returns (dim, flat row-major values)."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("dims:"):
-        raise ValueError(f"{path}: missing 'dims: d' header line")
-    try:
-        dim = int(lines[0].split(":", 1)[1].strip())
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed dims header {lines[0]!r}") from exc
-    if dim < 1:
-        raise ValueError(f"{path}: dims must be >= 1, got {dim}")
-    values = np.array(" ".join(lines[1:]).split(), dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{path}: non-finite tensor values")
-    return dim, values

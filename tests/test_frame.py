@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motrack import (BoundingBox, DetectionCandidate, Frame, ScenarioConfig, TrackerState, generate,
+from motrack import (BoundingBox, DetectionCandidate, Frame, RunConfig, ScenarioConfig, TrackerState, generate,
                      scenario_by_name, standard_suite, step_tracker)
 from motrack.mot_io import load_detections, load_sidecar, sidecar_path, write_detections
+from motrack.runner import track_frames
 
 import oracles
 from oracles import boxes_array, generate_oracle, load_detections_oracle
@@ -269,6 +270,24 @@ class TestGenerateAgainstOracle:
         for frame, old in zip(frames, cands):
             assert_frame_holds(frame, old)
 
+    def test_clutter_outgrows_one_candidate_per_agent_and_frame(self):
+        # generate fills room for one candidate per agent and frame, and
+        # grows it when clutter brings more.
+        config = ScenarioConfig(n_agents=2, n_frames=40, fp_rate=3.0, embed_dim=3, seed=5)
+        _, frames = generate(config)
+        _, cands = generate_oracle(config)
+        assert sum(map(len, frames)) > 2 * config.n_agents * config.n_frames
+        for frame, old in zip(frames, cands, strict=True):
+            assert_frame_holds(frame, old)
+
+    def test_box_a_frame_rejects_fails_the_sequence_check(self):
+        # The sequence is checked once, with the message a Frame gives for
+        # its first bad box (here the area of every box overflows).
+        config = ScenarioConfig(n_agents=2, n_frames=3, arena=(1.7e308, 1.7e308),
+                                box_size_range=(1e307, 1e308), speed_range=(0.0, 0.0), seed=1)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^box w \* h must be finite, got inf$"):
+            generate(config)
+
     @pytest.mark.parametrize("n_agents", [1, 3])
     def test_stationary_crossing_agents_spawn_on_the_waypoint(self, n_agents):
         # No agent moves, so no axis bounds the crossing back-off time: the
@@ -281,6 +300,57 @@ class TestGenerateAgainstOracle:
         assert np.array_equal(boxes, np.tile(boxes[:n_agents], (config.n_frames, 1)))
         for frame, old in zip(frames, cands):
             assert_frame_holds(frame, old)
+
+
+class TestEmptySequences:
+    """Frames with no candidates, as the one column set is cut: a sequence
+    with none at all, and one whose first, middle and last frames are empty."""
+
+    COLUMNS = ("boxes", "s_obj", "s_mask", "embeddings", "has_embedding")
+
+    def assert_empty_views(self, frames, numbers, embed_dim):
+        for number in numbers:
+            frame = frames[number - 1]
+            assert len(frame) == 0
+            assert frame.boxes.shape == (0, 4) and frame.s_obj.shape == (0,) and frame.s_mask.shape == (0,)
+            assert frame.embeddings.shape == (0, embed_dim) and frame.has_embedding.shape == (0,)
+            for name in self.COLUMNS:
+                assert not getattr(frame, name).flags.writeable, name
+
+    def test_agent_occluded_on_every_frame(self, tmp_path):
+        config = ScenarioConfig(n_agents=1, n_frames=6, occlusion_windows=((1, 1, 6),), embed_dim=5)
+        gt, frames = generate(config)
+        assert len(frames) == 6 and gt.total_boxes() == 6
+        self.assert_empty_views(frames, range(1, 7), 5)
+        path = tmp_path / "det.txt"
+        sidecar_path(path).write_text("aff 1 5\n")  # left by an earlier write
+        write_detections(path, frames)
+        assert path.read_bytes() == b"" and not sidecar_path(path).exists()
+        assert load_detections(path) == {}
+        assert track_frames(frames, RunConfig()).total_boxes() == 0
+        assert track_frames(load_detections(path), RunConfig()).total_boxes() == 0
+
+    def test_empty_first_middle_and_last_frames(self, tmp_path):
+        config = ScenarioConfig(n_agents=1, n_frames=7, occlusion_windows=((1, 1, 1), (1, 4, 4), (1, 7, 7)),
+                                embed_dim=3, seed=2)
+        _, frames = generate(config)
+        assert [len(frame) for frame in frames] == [0, 1, 1, 0, 1, 1, 0]
+        self.assert_empty_views(frames, (1, 4, 7), 3)
+        for frame in frames:
+            for name in self.COLUMNS:
+                assert not getattr(frame, name).flags.writeable, name
+            with pytest.raises(ValueError):
+                frame.s_obj[:] = 0.5
+        path = tmp_path / "det.txt"
+        write_detections(path, frames)
+        loaded = load_detections(path)
+        assert list(loaded) == [2, 3, 5, 6]
+        for number, frame in loaded.items():
+            for name in ("boxes", "s_obj", "embeddings", "has_embedding"):
+                assert getattr(frame, name).tobytes() == getattr(frames[number - 1], name).tobytes(), name
+        # An empty frame's tracks coast without output, so skipping frames 1
+        # and 7 (the file has no line for them) leaves the hypothesis as it is.
+        assert list(track_frames(loaded, RunConfig()).records()) == list(track_frames(frames, RunConfig()).records())
 
 
 class TestLoadedFrames:

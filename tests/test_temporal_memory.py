@@ -12,7 +12,6 @@ from motrack import (
     memory_cache_select,
     spatial_pool,
 )
-from motrack.temporal_memory import load_tensor_file, save_tensor_file
 
 from oracles import attention_oracle, memory_select_oracle, softmax_oracle
 
@@ -269,33 +268,3 @@ class TestGatedFuse:
         with pytest.raises(ValueError):
             gated_fuse(np.ones(2), np.ones(3), gate)
 
-
-class TestTensorFiles:
-    def test_projection_round_trip(self, tmp_path):
-        proj = ProjectionPair.from_seed(5, 42)
-        path = tmp_path / "proj.txt"
-        proj.to_file(path)
-        assert path.read_text().startswith("dims: 5\n")
-        loaded = ProjectionPair.from_file(path)
-        assert np.array_equal(loaded.w_q, proj.w_q)
-        assert np.array_equal(loaded.w_k, proj.w_k)
-
-    def test_gate_round_trip(self, tmp_path):
-        gate = GateNetwork.from_seed(4, 7)
-        path = tmp_path / "gate.txt"
-        gate.to_file(path)
-        loaded = GateNetwork.from_file(path)
-        assert np.array_equal(loaded.weights, gate.weights)
-        assert np.array_equal(loaded.bias, gate.bias)
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "broken.txt"
-        path.write_text("1.0 2.0\n")
-        with pytest.raises(ValueError):
-            load_tensor_file(path)
-
-    def test_value_count_checked(self, tmp_path):
-        path = tmp_path / "short.txt"
-        save_tensor_file(path, 3, [np.ones(4)])
-        with pytest.raises(ValueError):
-            ProjectionPair.from_file(path)
