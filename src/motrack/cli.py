@@ -8,16 +8,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .metrics import evaluate
-from .mot_io import (
-    MotParseError,
-    atomic_write_text,
-    load_detections,
-    load_trajectories,
-    write_detections,
-    write_trajectories,
-)
+from .mot_io import atomic_write_text, load_detections, load_trajectories, write_detections, write_trajectories
 from .runner import (
     PRESETS,
     format_ablation_table,
@@ -41,15 +34,11 @@ KEYS_READ = {"eval": ("eval.iou_threshold",), "simulate": ("embed.dim",)}
 def _load_config(args) -> RunConfig:
     if args.config is None:
         return RunConfig()
-    if not Path(args.config).exists():
-        raise CliError(f"config file not found: {args.config}")
     return RunConfig.from_file(args.config, only=KEYS_READ.get(args.command), reader=f"motrack {args.command}")
 
 
 def _cmd_track(args) -> int:
     cfg = _load_config(args)
-    if not Path(args.det).exists():
-        raise CliError(f"detection file not found: {args.det}")
     frames = load_detections(args.det, sidecar=args.aff)
     hypothesis = track_frames(frames, cfg)
     write_trajectories(args.out, hypothesis)
@@ -59,9 +48,6 @@ def _cmd_track(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_config(args)
-    for path in (args.gt, args.hyp):
-        if not Path(path).exists():
-            raise CliError(f"file not found: {path}")
     gt = load_trajectories(args.gt)
     hyp = load_trajectories(args.hyp)
     report = evaluate(gt, hyp, cfg.eval_iou_threshold)
@@ -78,7 +64,7 @@ def _cmd_simulate(args) -> int:
     try:
         scenario = scenario_by_name(args.scenario)
     except KeyError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(exc.args[0]) from exc
     scenario = replace(scenario, seed=args.seed, embed_dim=cfg.embed_dim)
     gt, frames = generate(scenario)
 
@@ -110,13 +96,7 @@ def _parse_grid(items: list[str]) -> dict[str, list[str]]:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     grid = _parse_grid(args.grid or [])
-    try:
-        results = run_sweep(
-            cfg, grid, seeds=range(args.seeds), jobs=args.jobs,
-            with_hota=not args.no_hota,
-        )
-    except ConfigError as exc:
-        raise CliError(str(exc)) from exc
+    results = run_sweep(cfg, grid, seeds=range(args.seeds), jobs=args.jobs, with_hota=not args.no_hota)
     report = format_sweep_report(results)
     if args.out:
         atomic_write_text(args.out, report + "\n")
@@ -128,10 +108,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ablate(args) -> int:
     cfg = _load_config(args)
-    results = run_ablation(
-        cfg, seeds=range(args.seeds), jobs=args.jobs,
-        with_hota=not args.no_hota,
-    )
+    results = run_ablation(cfg, seeds=range(args.seeds), jobs=args.jobs, with_hota=not args.no_hota)
     print(format_ablation_table(results))
     return 0
 
@@ -142,45 +119,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Motion-gated multi-object tracking, metrics, and occlusion simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="key = value config file")
+    suite = argparse.ArgumentParser(add_help=False, parents=[config])
+    suite.add_argument("--seeds", type=int, default=100, help="seeds per scenario")
+    suite.add_argument("--jobs", type=int, default=1, help="worker threads")
+    suite.add_argument("--no-hota", action="store_true", help="skip the HOTA sweep")
 
-    p_track = sub.add_parser("track", help="run the tracker over a detection file")
+    p_track = sub.add_parser("track", parents=[config], help="run the tracker over a detection file")
     p_track.add_argument("--det", required=True, help="MOT detection file")
-    p_track.add_argument("--aff", help="explicit affinity sidecar (default: <det>.aff)")
-    p_track.add_argument("--config", help="key = value config file")
+    p_track.add_argument("--aff", help="explicit affinity sidecar (default: <det>.aff, if it exists)")
     p_track.add_argument("--out", required=True, help="hypothesis output file")
     p_track.set_defaults(func=_cmd_track)
 
-    p_eval = sub.add_parser("eval", help="score a hypothesis against ground truth")
+    p_eval = sub.add_parser("eval", parents=[config], help="score a hypothesis against ground truth")
     p_eval.add_argument("--gt", required=True, help="ground-truth MOT file")
     p_eval.add_argument("--hyp", required=True, help="hypothesis MOT file")
-    p_eval.add_argument("--config", help="key = value config file")
     p_eval.add_argument("--format", choices=("table", "kv"), default="table")
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_sim = sub.add_parser("simulate", help="generate a named scenario to MOT files")
+    p_sim = sub.add_parser("simulate", parents=[config], help="generate a named scenario to MOT files")
     p_sim.add_argument("--scenario", required=True, help="name from the standard suite")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out-dir", required=True, help="output directory")
-    p_sim.add_argument("--config", help="key = value config file")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_sweep = sub.add_parser("sweep", help="run the suite across a config grid")
-    p_sweep.add_argument("--config", help="key = value config file")
+    p_sweep = sub.add_parser("sweep", parents=[suite], help="run the suite across a config grid")
     p_sweep.add_argument("--grid", action="append", help="key=v1,v2,... (repeatable)")
-    p_sweep.add_argument("--seeds", type=int, default=100, help="seeds per scenario")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="worker threads")
-    p_sweep.add_argument("--no-hota", action="store_true", help="skip the HOTA sweep")
     p_sweep.add_argument("--out", help="write the report to a file")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_abl = sub.add_parser(
-        "ablate",
-        help=f"compare presets {sorted(PRESETS)} over the suite",
-    )
-    p_abl.add_argument("--config", help="key = value config file")
-    p_abl.add_argument("--seeds", type=int, default=100)
-    p_abl.add_argument("--jobs", type=int, default=1)
-    p_abl.add_argument("--no-hota", action="store_true")
+    p_abl = sub.add_parser("ablate", parents=[suite], help=f"compare presets {sorted(PRESETS)} over the suite")
     p_abl.set_defaults(func=_cmd_ablate)
 
     return parser
@@ -198,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         # not raise again; the output was cut short, so the run failed.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (CliError, ConfigError, MotParseError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:  # a config, parse, file or range error
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -476,29 +476,19 @@ class EvalReport:
 
     def as_kv_lines(self) -> list[str]:
         """Machine-readable form, one ``name=value`` metric per line."""
-        lines = []
-        for name in self._FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                lines.append(f"{name}=na")
-            elif isinstance(value, int):
-                lines.append(f"{name}={value}")
-            else:
-                lines.append(f"{name}={value:.6f}")
-        return lines
+        return [f"{name}={format_metric(getattr(self, name), '.6f', 'na')}" for name in self._FIELDS]
 
     def as_table(self) -> str:
-        header = "  ".join(f"{name.upper():>6s}" for name in self._FIELDS)
-        cells = []
-        for name in self._FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                cells.append(f"{'n/a':>6s}")
-            elif isinstance(value, int):
-                cells.append(f"{value:>6d}")
-            else:
-                cells.append(f"{value:>6.3f}")
-        return header + "\n" + "  ".join(cells)
+        """Human-readable form: the metric names over their values."""
+        return "\n".join("  ".join(cell.rjust(6) for cell in row) for row in (
+            [name.upper() for name in self._FIELDS],
+            [format_metric(getattr(self, name), ".3f", "n/a") for name in self._FIELDS]))
+
+
+def format_metric(value: float | int | None, float_spec: str, na: str) -> str:
+    """A metric value as every report prints it: ``na`` for None, an int as
+    it is and a float by ``float_spec``."""
+    return na if value is None else str(value) if isinstance(value, int) else format(value, float_spec)
 
 
 def evaluate(
@@ -518,17 +508,5 @@ def evaluate(
     clear = clear_metrics(gt, hyp, iou_threshold, frames=frames)
     ident = identity_metrics(gt, hyp, iou_threshold, frames=frames)
     h = hota(gt, hyp, frames=frames) if with_hota else HotaResult(None, None, None)
-    return EvalReport(
-        mota=clear.mota,
-        idf1=ident.idf1,
-        idp=ident.idp,
-        idr=ident.idr,
-        ids=clear.ids,
-        fp=clear.fp,
-        fn=clear.fn,
-        hota=h.hota,
-        deta=h.deta,
-        assa=h.assa,
-        total_gt=clear.total_gt,
-        total_hyp=hyp.total_boxes(),
-    )
+    return EvalReport(**vars(clear), **vars(h), idf1=ident.idf1, idp=ident.idp, idr=ident.idr,
+                      total_hyp=hyp.total_boxes())

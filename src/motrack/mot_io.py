@@ -44,7 +44,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file in the target directory plus rename; a failed
     run never leaves a partial output file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    except OSError as exc:
+        exc.filename = str(path)  # the output the caller named, not a random temp name
+        raise
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -159,13 +163,14 @@ def load_detections(
     read-only view of that frame's rows.
 
     The id column is ignored, conf becomes the objectness score (clamped to
-    [0, 1]), and frames are numbered from 1. When a sidecar exists
-    (explicit path, or the detection path with an .aff suffix), its
-    affinities and embeddings attach by (frame, candidate index); an entry
-    that matches no detection is an error.
+    [0, 1]), and frames are numbered from 1. The sidecar, an explicit path
+    that must exist or else the detection path with an .aff suffix if that
+    exists, attaches affinities and embeddings by (frame, candidate index);
+    an entry that matches no detection is an error.
     """
-    sidecar = Path(sidecar) if sidecar is not None else sidecar_path(path)
-    side = load_sidecar(sidecar) if sidecar.exists() else None
+    explicit = sidecar is not None
+    sidecar = Path(sidecar) if explicit else sidecar_path(path)
+    side = load_sidecar(sidecar) if explicit or sidecar.exists() else None
 
     rows = _parse_columns(path)
     early = np.flatnonzero(rows.frame < 1)
@@ -231,17 +236,20 @@ def write_detections(path: str | Path, frames) -> None:
     one column set and checked in one pass; both files' text is built from
     it before either is written. A per-track s_mask mapping, which has no
     sidecar form, is a ValueError naming its frame and candidate index, and
-    so are embeddings of two dimensions and a frame before 1, which
-    ``load_detections`` rejects. When no candidate has appearance data, a
-    sidecar left by an earlier write is removed, so it cannot attach to these
-    detections. A detection path ending in ``.aff`` is its own sidecar path:
-    a ValueError.
+    so are embeddings of two dimensions, a frame before 1 and a frame key
+    that is not an integer below 2**63, which ``load_detections`` rejects.
+    When no candidate has appearance data, a sidecar left by an earlier
+    write is removed, so it cannot attach to these detections. A detection
+    path ending in ``.aff`` is its own sidecar path: a ValueError.
     """
     aff_path = sidecar_path(path)
     if aff_path == Path(path):
         raise ValueError(f"detection path {str(path)!r} ends in .aff, the sidecar suffix")
     numbers = sorted(frames) if isinstance(frames, Mapping) else range(1, len(frames) + 1)
     frames = [frames[number] for number in numbers] if isinstance(frames, Mapping) else list(frames)
+    bad = [n for n in numbers if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n >= 2**63]
+    if bad:
+        raise ValueError(f"frame key {bad[0]!r} is not an integer below 2**63")
     if numbers and numbers[0] < 1:
         raise ValueError(f"frame {numbers[0]} is before frame 1, where detection files start")
     dims = []  # per frame, each candidate's embedding dim (0 for none); a list may mix dims
@@ -324,7 +332,10 @@ def load_sidecar(path: str | Path) -> Sidecar:
         raise MotParseError(f"{path}:1: sidecar dim must be >= 0, got {dim}")
 
     frames, cands, s_masks, keyed, lines = [], [], [], [], []  # one entry per data line
-    embeddings = np.zeros((len(text), dim))  # entry k's embedding, if any, in row k
+    # Entry k's embedding, if any, in row k; allocated at the first line that
+    # carries one, whose field count bounds dim, so a file of 3-field entries
+    # has no embedding columns whatever its header says.
+    embeddings = np.zeros((len(text), 0))
     seen: set[tuple[int, int]] = set()
     error = None  # "line: problem" of the first bad line; the loop stops there
     for lineno, raw in enumerate(text[1:], start=2):
@@ -340,6 +351,8 @@ def load_sidecar(path: str | Path) -> Sidecar:
             cand = int(parts[1])
             s_mask = math.nan if parts[2] == "-" else float(parts[2])
             if len(parts) > 3:
+                if embeddings.shape[1] < dim:
+                    embeddings = np.zeros((len(text), dim))
                 embeddings[len(frames)] = parts[3:]
         except ValueError:
             error = f"{lineno}: malformed line {raw!r}"

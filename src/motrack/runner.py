@@ -11,7 +11,7 @@ from dataclasses import replace
 
 from .association import CONFIRMED, LOST, TENTATIVE, DetectionCandidate, Frame, TrackerState, step_tracker
 from .config import RunConfig
-from .metrics import EvalReport, TrajectorySet, evaluate
+from .metrics import EvalReport, TrajectorySet, evaluate, format_metric
 from .simulator import ScenarioConfig, generate, standard_suite
 
 # Ablation presets. tau_kf = inf switches the confidence gate permanently
@@ -156,11 +156,8 @@ def format_ablation_table(results: dict[str, dict[str, dict[str, float]]]) -> st
         lines.append(header)
         for preset, per_scenario in results.items():
             agg = per_scenario.get(name, {})
-            cells = []
-            for m in metrics:
-                v = agg.get(m)
-                cells.append(f"{'n/a':>8s}" if v is None else f"{v:>8.3f}")
-            lines.append(f"  {preset:<{width}}" + "".join(cells))
+            lines.append(f"  {preset:<{width}}" + "".join(format_metric(agg.get(m), ".3f", "n/a").rjust(8)
+                                                         for m in metrics))
     return "\n".join(lines)
 
 

@@ -318,6 +318,27 @@ class TestMotIo:
             load_detections(det)
         assert str(info.value) == f"{tmp_path}/{message}"
 
+    @pytest.mark.parametrize("dim", ["4", "10000000000000"])
+    def test_sidecar_of_3_field_entries_has_no_embedding_columns(self, tmp_path, capsys, dim):
+        # No line carries an embedding, so the header's dim sizes nothing:
+        # 10**13 columns for one entry would be a 146 TiB allocation.
+        det = tmp_path / "d.txt"
+        det.write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n1,-1,20,0,10,10,0.8,-1,-1,-1\n")
+        (tmp_path / "d.aff").write_text(f"aff 1 {dim}\n1,1,0.75\n")
+        side = load_sidecar(tmp_path / "d.aff")
+        assert side.embeddings.shape == (1, 0) and side.s_mask.tolist() == [0.75]
+        frames = load_detections(det)
+        assert frames[1].embeddings.shape == (2, 0) and frames[1][1].s_mask == 0.75
+        assert main(["track", "--det", str(det), "--out", str(tmp_path / "hyp.txt")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_explicit_sidecar_must_exist(self, tmp_path):
+        det = tmp_path / "d.txt"
+        det.write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n")
+        assert load_detections(det)[1][0].s_mask is None  # the default <det>.aff is optional
+        with pytest.raises(FileNotFoundError, match="missing.aff"):
+            load_detections(det, sidecar=tmp_path / "missing.aff")
+
     def test_track_cli_fails_on_unmatched_sidecar_entry(self, tmp_path, capsys):
         det = tmp_path / "d.txt"
         det.write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n")
@@ -529,17 +550,51 @@ class TestCli:
         for name in ("clutter4_seed9_gt.txt", "clutter4_seed9_det.txt", "clutter4_seed9_det.aff"):
             assert (dir_a / name).read_text() == (dir_b / name).read_text()
 
-    def test_missing_input_is_clean_error(self, tmp_path, capsys):
-        code = self.run_cli("track", "--det", str(tmp_path / "nope.txt"),
-                            "--out", str(tmp_path / "o.txt"))
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-        assert not (tmp_path / "o.txt").exists()
-
     def test_unknown_scenario_is_clean_error(self, tmp_path, capsys):
         code = self.run_cli("simulate", "--scenario", "warpdrive", "--out-dir", str(tmp_path))
         assert code == 1
-        assert "unknown scenario" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: unknown scenario 'warpdrive'; known scenarios: "
+                                           "crossing2, crowd8_occl20, fastmotion4, clutter4\n")
+
+    @pytest.mark.parametrize("command, flag, value, problem", [
+        ("track", "--det", "missing", "No such file or directory"),
+        ("eval", "--gt", "missing", "No such file or directory"),
+        ("eval", "--hyp", "missing", "No such file or directory"),
+        ("track", "--config", "missing", "No such file or directory"),
+        ("track", "--aff", "missing", "No such file or directory"),
+        ("eval", "--gt", ".", "Is a directory"),
+        ("track", "--out", "missing/dir/hyp.txt", "No such file or directory"),
+    ], ids=["det", "gt", "hyp", "config", "aff", "gt_dir", "out_dir"])
+    def test_missing_input_is_clean_error(self, tmp_path, monkeypatch, capsys, command, flag, value, problem):
+        """A missing input file, a directory as --gt or an output under a
+        missing directory is one ``error:`` line naming the path, exit 1,
+        and no file written."""
+        monkeypatch.chdir(tmp_path)
+        write_trajectories("gt.txt", perfect_gt())
+        Path("d.txt").write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n")
+        flags = {"track": {"--det": "d.txt", "--out": "hyp.txt"}, "eval": {"--gt": "gt.txt", "--hyp": "gt.txt"}}
+        argv = [command, *(arg for pair in {**flags[command], flag: value}.items() for arg in pair)]
+        assert self.run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno ") and captured.err.endswith(f"] {problem}: {value!r}\n")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.txt", "gt.txt"]
+
+    def test_ci_console_script_failures_step_in_process(self, tmp_path, monkeypatch, capsys):
+        """The CI step of bad inputs, run here line by line through ``main``:
+        each command exits 1 with exactly one ``error:`` line on stderr."""
+        root = Path(__file__).resolve().parents[1]
+        workflow = yaml.safe_load((root / ".github/workflows/tests.yml").read_text())
+        (step,) = [s for s in workflow["jobs"]["tests"]["steps"] if s.get("name") == "Console script failures"]
+        commands = [shlex.split(line.replace("$RUNNER_TEMP", str(tmp_path)))[1:]
+                    for line in step["run"].splitlines() if line.startswith("expect_error motrack")]
+        assert [argv[1] for argv in commands] == ["track", "eval", "eval", "track"]
+        monkeypatch.chdir(root)
+        for argv in commands:
+            assert self.run_cli(*argv[1:]) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["track", "--det", "d.txt"],

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motrack import BoundingBox, TrajectorySet
@@ -187,6 +187,62 @@ _BOX = st.builds(BoundingBox, st.floats(-100, 100), st.floats(-100, 100),
 _RECORDS = st.lists(st.tuples(st.integers(-2, 9), st.integers(0, 6), _BOX), max_size=40)
 
 
+_GOLDEN = {suffix: (Path(__file__).parent / "data" / f"crossing2_seed0{suffix}").read_text().splitlines()
+           for suffix in ("_gt.txt", "_det.txt", "_det.aff")}
+_TOKENS = st.sampled_from(["", " ", "nan", "inf", "-inf", "1e309", "-1e309", "1_0", "9223372036854775808",
+                           "-9223372036854775809", "10000000000000", "5e-324", "-", "0", "-1", "1.5", "1e3",
+                           "0x10", "True", "aff"])
+
+
+@st.composite
+def golden_mutations(draw):
+    """The suffix of one crossing2 golden file and its text with one line
+    mutated: a field (space-separated in the sidecar header, else
+    comma-separated) replaced, dropped or inserted from a token pool, or the
+    line duplicated or blanked. Half the mutations hit the first line, the
+    sidecar's header."""
+    suffix = draw(st.sampled_from(sorted(_GOLDEN)))
+    lines = list(_GOLDEN[suffix])
+    at = draw(st.just(0) | st.integers(0, len(lines) - 1))
+    sep = " " if suffix == "_det.aff" and at == 0 else ","
+    fields = lines[at].split(sep)
+    k = draw(st.integers(0, len(fields) - 1))
+    op = draw(st.sampled_from(["replace", "drop", "insert", "duplicate", "blank"]))
+    if op == "replace":
+        fields[k] = draw(_TOKENS)
+    elif op == "drop":
+        del fields[k]
+    elif op == "insert":
+        fields.insert(k, draw(_TOKENS))
+    lines[at] = sep.join(fields) if op != "blank" else draw(st.sampled_from(["", "  "]))
+    if op == "duplicate":
+        lines.insert(at, lines[at])
+    return suffix, "\n".join(lines) + "\n"
+
+
+class TestLoaderFuzzing:
+    @settings(max_examples=200, deadline=None)
+    @given(golden_mutations())
+    @example(("_det.aff", "\n".join(["aff 1 10000000000000", *_GOLDEN["_det.aff"][1:]]) + "\n"))
+    def test_mutated_golden_loads_or_names_a_file(self, mutation):
+        """A mutated golden file loads, or fails with a MotParseError naming
+        the file; for detections, also the sidecar whose entry it orphans.
+        Any other exception fails."""
+        suffix, text = mutation
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {s: Path(tmp) / f"crossing2_seed0{s}" for s in _GOLDEN}
+            for s, path in paths.items():
+                path.write_text(text if s == suffix else "\n".join(_GOLDEN[s]) + "\n")
+            named = [paths[suffix]] + ([paths["_det.aff"]] if suffix == "_det.txt" else [])
+            try:
+                if suffix == "_gt.txt":
+                    load_trajectories(paths[suffix])
+                else:
+                    load_detections(paths["_det.txt"])
+            except MotParseError as exc:
+                assert str(exc).startswith(tuple(f"{path}:" for path in named)), exc
+
+
 class TestTrajectorySetAgainstDictSet:
     @settings(max_examples=300, deadline=None)
     @given(_RECORDS, st.integers(1, 8))
@@ -318,6 +374,19 @@ class TestWritersRefuseWhatLoadersReject:
         with pytest.raises(ValueError, match="frame 0 is before frame 1"):
             write_detections(tmp_path / "det.txt", {0: [DetectionCandidate(box, 0.9, s_mask=0.5)]})
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key", [1.5, True, 2**63], ids=["float", "bool", "2**63"])
+    def test_frame_key_the_loader_rejects_refused_before_any_file(self, tmp_path, key):
+        box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        with pytest.raises(ValueError, match=rf"frame key {key!r} is not an integer below 2\*\*63"):
+            write_detections(tmp_path / "det.txt", {key: [DetectionCandidate(box, 0.9, s_mask=0.5)]})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_integer_frame_keys_written(self, tmp_path):
+        box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        path = tmp_path / "det.txt"
+        write_detections(path, {np.int64(2): [DetectionCandidate(box, 0.9)], np.uint8(5): []})
+        assert list(load_detections(path)) == [2]
 
     def test_unloadable_box_rejected_before_the_file(self, tmp_path):
         with pytest.raises(ValueError, match="frame 1, id 1: box extents must be positive"):
