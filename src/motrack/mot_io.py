@@ -2,11 +2,12 @@
 
 Data lines are ``frame,id,left,top,width,height,conf,a,b,c``; lines with
 id = -1 are detections, non-negative ids trajectory boxes. Frames need not
-be sorted in the file; they are grouped on load. A file is parsed in one
-pass into frame, id, box and conf columns, and the first bad line in file
-order is a MotParseError naming ``file:line``: a malformed or non-finite
-field, a box with a non-positive extent, a negative id or a repeated
-(frame, id) in a trajectory file, or a frame before 1 in a detection file.
+be sorted in the file; they are grouped on load. One bulk read parses a
+file into frame, id, box and conf columns; a file it refuses is parsed line
+by line, and the first bad line in file order is a MotParseError naming
+``file:line``: a malformed or non-finite field, a box with a non-positive
+extent, a negative id or a repeated (frame, id) in a trajectory file, or a
+frame before 1 in a detection file.
 Floats are written with their shortest round-trip representation so
 write -> read -> write is byte-identical.
 
@@ -15,6 +16,7 @@ optional scalar appearance affinity and an optional embedding to detections
 by (frame, candidate index): ``frame,cand,s_mask_or_dash[,e0,...,e_{dim-1}]``.
 A negative dim, an s_mask outside [0, 1], a non-finite embedding value or a
 second entry for one (frame, cand) is a MotParseError naming ``file:line``.
+It is read in bulk the same way when its entries all have 3 fields, or all 3 + dim.
 A detection sequence is one column set, checked once: a file loads as per-frame
 ``Frame`` views of it, ``write_detections`` gathers and checks its input in one
 pass, and one formatter writes every detection and trajectory line.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
@@ -69,14 +72,42 @@ class _Columns(NamedTuple):
     line: np.ndarray  # (n,) 1-based line number in the file
 
 
-def _parse_columns(path: str | Path) -> _Columns:
-    """Parse every data line into columns; blank lines are skipped.
+def _loadtxt(lines: list[str], dtype, usecols=None) -> np.ndarray | None:
+    """One pass of numpy's C reader over comma-separated lines, which skips
+    empty lines; None where it raises or warns, so the caller falls back."""
+    with warnings.catch_warnings():
+        # Any warning refuses: numpy 1.24-1.26 parse "1.0" into an int column
+        # with only a DeprecationWarning.
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
+        except (ValueError, Warning):
+            return None
 
-    The first bad line, in file order, is a MotParseError naming
-    ``path:line``: too few fields or an unparsable number, a non-finite
-    conf, a frame or id outside int64, or a box ``BoundingBox`` rejects.
-    """
+
+def _parse_columns(path: str | Path) -> _Columns:
+    """Parse every data line into columns, skipping blank lines, in one bulk
+    read; a file it refuses, or with a row that fails a check, goes to
+    ``_parse_lines``, which names the first bad line."""
     raw_lines = Path(path).read_text().splitlines()
+    table = _loadtxt(raw_lines, [("frame", "i8"), ("ident", "f8"), ("boxes", "f8", (4,)), ("conf", "f8")], range(7))
+    if table is not None:
+        ident, boxes, conf = table["ident"], table["boxes"], table["conf"]
+        line = np.arange(1, len(table) + 1)
+        if len(table) < len(raw_lines):
+            line = np.array([k for k, raw in enumerate(raw_lines, start=1) if raw], dtype=np.int64)
+        # int(float(id)) needs a finite id in int64's range; NaN fails both bounds.
+        if (len(line) == len(table) and ((ident >= -2.0**63) & (ident < 2.0**63)).all()
+                and np.isfinite(conf).all() and not invalid_boxes(boxes).any()):
+            return _Columns(table["frame"], ident.astype(np.int64), boxes, conf, line)
+    return _parse_lines(path, raw_lines)
+
+
+def _parse_lines(path: str | Path, raw_lines: list[str]) -> _Columns:
+    """Parse the lines one at a time. The first bad line, in file order, is
+    a MotParseError naming ``path:line``: too few fields or an unparsable
+    number, a non-finite conf, a frame or id outside int64, or a box
+    ``BoundingBox`` rejects."""
     frame, ident, xs, ys, ws, hs, confs, linenos = columns = ([], [], [], [], [], [], [], [])
     error = cause = None
     for lineno, raw in enumerate(raw_lines, start=1):
@@ -196,7 +227,8 @@ def load_detections(
             raise MotParseError(f"{sidecar}: entry for frame {side.frame[r]}, candidate {side.cand[r]} "
                                 f"matches no detection in {path}")
         at = first[group] + side.cand
-        s_mask[at], embeddings[at], has_embedding[at] = side.s_mask, side.embeddings, side.has_embedding
+        s_mask[at], has_embedding[at] = side.s_mask, side.has_embedding
+        embeddings[at[side.has_embedding]] = side.embeddings
     views = Frame._checked(rows.boxes[order], s_obj, s_mask, embeddings, has_embedding)._split(count)
     return {numbers[k]: views[k] for k in np.argsort(order[first], kind="stable").tolist()}
 
@@ -299,8 +331,9 @@ def sidecar_path(det_path: str | Path) -> Path:
 @dataclass(frozen=True, eq=False)
 class Sidecar:
     """An affinity sidecar's entries as columns, in file order: ``frame`` and
-    ``cand`` (k,) int64, ``s_mask`` (k,) (NaN for '-'), and ``embeddings``
-    (k, dim) holding the embeddings of the entries ``has_embedding`` marks.
+    ``cand`` (k,) int64, ``s_mask`` (k,) (NaN for '-'), ``has_embedding``
+    (k,) bool, and ``embeddings`` (e, dim), the embeddings of the e entries
+    ``has_embedding`` marks, in entry order (width 0 when there are none).
     Its length is the number of entries."""
 
     frame: np.ndarray
@@ -331,55 +364,61 @@ def load_sidecar(path: str | Path) -> Sidecar:
     if dim < 0:
         raise MotParseError(f"{path}:1: sidecar dim must be >= 0, got {dim}")
 
-    frames, cands, s_masks, keyed, lines = [], [], [], [], []  # one entry per data line
-    # Entry k's embedding, if any, in row k; allocated at the first line that
-    # carries one, whose field count bounds dim, so a file of 3-field entries
-    # has no embedding columns whatever its header says.
-    embeddings = np.zeros((len(text), 0))
-    seen: set[tuple[int, int]] = set()
-    error = None  # "line: problem" of the first bad line; the loop stops there
+    side = _load_sidecar_bulk(text[1:], dim)
+    return _load_sidecar_lines(path, text, dim) if side is None else side
+
+
+def _load_sidecar_bulk(lines: list[str], dim: int) -> Sidecar | None:
+    """One bulk read of a sidecar's data lines, or None where it refuses or
+    any check fails, as for a file whose entries differ in field count."""
+    widths = {raw.count(",") - 2 for raw in lines if raw}  # embedding fields per entry
+    if len(widths) != 1 or not widths & {0, dim}:
+        return None
+    width = widths.pop()
+    table = _loadtxt(lines, [("frame", "i8"), ("cand", "i8"), ("s_mask", "O"), ("embedding", "f8", (width,))])
+    if table is None:
+        return None
+    try:
+        s_mask = np.array([math.nan if s == "-" else float(s) for s in table["s_mask"].tolist()])
+    except ValueError:
+        return None
+    if (not ((table["s_mask"] == "-") | ((s_mask >= 0.0) & (s_mask <= 1.0))).all()
+            or key_order(table["frame"], table["cand"])[1].any()
+            or not np.isfinite(table["embedding"]).all()):
+        return None
+    has_embedding = np.full(len(table), width > 0)
+    return Sidecar(table["frame"], table["cand"], s_mask, table["embedding"][has_embedding], has_embedding)
+
+
+def _load_sidecar_lines(path: str | Path, text: list[str], dim: int) -> Sidecar:
+    """Parse a sidecar's data lines one at a time, up to the first bad one."""
+    entries: dict[tuple[int, int], tuple[float, bool]] = {}  # (frame, cand) -> (s_mask, keyed), in file order
+    rows = []  # the keyed lines' embeddings, end to end
     for lineno, raw in enumerate(text[1:], start=2):
         line = raw.strip()
         if not line:
             continue
         parts = line.split(",")
         if len(parts) not in (3, 3 + dim):
-            error = f"{lineno}: expected 3 or {3 + dim} fields, got {len(parts)}"
-            break
+            raise MotParseError(f"{path}:{lineno}: expected 3 or {3 + dim} fields, got {len(parts)}")
         try:
             frame = int(parts[0])
             cand = int(parts[1])
             s_mask = math.nan if parts[2] == "-" else float(parts[2])
-            if len(parts) > 3:
-                if embeddings.shape[1] < dim:
-                    embeddings = np.zeros((len(text), dim))
-                embeddings[len(frames)] = parts[3:]
-        except ValueError:
-            error = f"{lineno}: malformed line {raw!r}"
-            break
+            embedding = list(map(float, parts[3:]))
+        except ValueError as exc:
+            raise MotParseError(f"{path}:{lineno}: malformed line {raw!r}") from exc
         if not (-2**63 <= frame < 2**63 and -2**63 <= cand < 2**63):
-            error = f"{lineno}: frame or candidate outside int64"
-            break
-        if (frame, cand) in seen:
-            error = f"{lineno}: a second entry for frame {frame}, candidate {cand}"
-            break
+            raise MotParseError(f"{path}:{lineno}: frame or candidate outside int64")
+        if (frame, cand) in entries:
+            raise MotParseError(f"{path}:{lineno}: a second entry for frame {frame}, candidate {cand}")
         if not 0.0 <= s_mask <= 1.0 and parts[2] != "-":
-            error = f"{lineno}: s_mask must be in [0, 1], got {parts[2]!r}"
-            break
-        seen.add((frame, cand))
-        frames.append(frame)
-        cands.append(cand)
-        s_masks.append(s_mask)
-        keyed.append(len(parts) > 3)
-        lines.append(lineno)
-
-    # The embeddings of the lines before the stop are checked finite in one
-    # pass, and a bad one comes first.
-    embeddings = embeddings[:len(frames)]
-    bad = ~np.isfinite(embeddings).all(axis=1)
-    if bad.any():
-        raise MotParseError(f"{path}:{lines[int(np.argmax(bad))]}: embedding contains non-finite entries")
-    if error is not None:
-        raise MotParseError(f"{path}:{error}")
-    return Sidecar(np.array(frames, dtype=np.int64), np.array(cands, dtype=np.int64),
-                   np.array(s_masks, dtype=float), embeddings, np.array(keyed, dtype=bool))
+            raise MotParseError(f"{path}:{lineno}: s_mask must be in [0, 1], got {parts[2]!r}")
+        if not all(map(math.isfinite, embedding)):
+            raise MotParseError(f"{path}:{lineno}: embedding contains non-finite entries")
+        entries[frame, cand] = s_mask, len(parts) > 3
+        if len(parts) > 3:
+            rows.extend(embedding)
+    frame, cand = np.array(list(entries), dtype=np.int64).reshape(-1, 2).T
+    s_mask, keyed = np.array(list(entries.values()), dtype=float).reshape(-1, 2).T
+    return Sidecar(frame, cand, s_mask, np.array(rows).reshape(-1, dim) if rows else np.zeros((0, 0)), keyed == 1.0)

@@ -372,7 +372,7 @@ class TestLoadedFrames:
         assert side.frame.tolist() == [3, 1, 2] and side.cand.tolist() == [1, 0, 4]
         assert side.s_mask[0] == 0.5 and np.isnan(side.s_mask[1:]).all()
         assert side.has_embedding.tolist() == [True, False, True]
-        assert side.embeddings.tolist() == [[1.0, 2.0], [0.0, 0.0], [0.5, 0.25]]
+        assert side.embeddings.tolist() == [[1.0, 2.0], [0.5, 0.25]]  # the keyed entries' rows only
 
     @pytest.mark.parametrize("body, message", [
         ("1,0,-,1.0,x\n1,1,-,1.0,nan\n", r"d\.aff:2: malformed line '1,0,-,1.0,x'"),

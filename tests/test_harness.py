@@ -326,7 +326,7 @@ class TestMotIo:
         det.write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n1,-1,20,0,10,10,0.8,-1,-1,-1\n")
         (tmp_path / "d.aff").write_text(f"aff 1 {dim}\n1,1,0.75\n")
         side = load_sidecar(tmp_path / "d.aff")
-        assert side.embeddings.shape == (1, 0) and side.s_mask.tolist() == [0.75]
+        assert side.embeddings.shape == (0, 0) and side.s_mask.tolist() == [0.75]
         frames = load_detections(det)
         assert frames[1].embeddings.shape == (2, 0) and frames[1][1].s_mask == 0.75
         assert main(["track", "--det", str(det), "--out", str(tmp_path / "hyp.txt")]) == 0
@@ -505,18 +505,23 @@ class TestCli:
         """The CI step that runs the installed ``motrack`` script, run here
         line by line through ``main``: simulate reproduces the crossing2 and
         crowd8_occl20 golden files, track and eval run on crossing2's, and
-        eval's kv report is the golden one."""
+        eval's kv report is the golden one, also on CRLF copies of its files
+        that ``awk`` writes with an empty second line."""
         root = Path(__file__).resolve().parents[1]
         workflow = yaml.safe_load((root / ".github/workflows/tests.yml").read_text())
         (step,) = [s for s in workflow["jobs"]["tests"]["steps"] if s.get("name") == "Console script end to end"]
         commands = [shlex.split(line.replace("$RUNNER_TEMP", str(tmp_path)))
                     for line in step["run"].splitlines() if line.strip()]
         assert [argv[0] for argv in commands] == (
-            (["motrack"] + ["cmp"] * 3) * 2 + ["motrack"] * 3 + ["cmp"] + ["motrack"] * 2)
+            (["motrack"] + ["cmp"] * 3) * 2 + ["motrack"] * 3 + ["cmp"] + ["awk"] * 2 + ["motrack", "cmp"]
+            + ["motrack"] * 2)
         assert [argv[1] for argv in commands if argv[0] == "motrack"] == [
-            "simulate", "simulate", "track", "eval", "eval", "sweep", "ablate"]
+            "simulate", "simulate", "track", "eval", "eval", "eval", "sweep", "ablate"]
         assert [argv[3] for argv in commands if argv[1] == "simulate"] == ["crossing2", "crowd8_occl20"]
-        assert commands[-4][-2] == ">" and commands[-3][1:] == [commands[-4][-1], "tests/data/crossing2_seed0_eval.kv"]
+        for at in (-8, -4):
+            assert commands[at][-2] == ">" and commands[at + 1][1:] == [commands[at][-1],
+                                                                       "tests/data/crossing2_seed0_eval.kv"]
+        assert [argv[-1] for argv in commands[-6:-4]] == [commands[-4][3], commands[-4][5]]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # as the step's PYTHONWARNINGS
             for argv in commands:
@@ -529,6 +534,10 @@ class TestCli:
                         Path(redirect).write_text(out)
                     elif argv[1] == "eval":
                         assert "MOTA" in out.upper()
+                elif argv[0] == "awk":
+                    copy = subprocess.run(argv[:-2], capture_output=True, check=True).stdout
+                    assert copy.count(b"\r\n") == Path(argv[-3]).read_text().count("\n") + 1
+                    Path(argv[-1]).write_bytes(copy)
                 else:
                     assert Path(argv[1]).read_bytes() == (root / argv[2]).read_bytes(), argv
 

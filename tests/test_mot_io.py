@@ -1,20 +1,25 @@
 """MOT file loading and writing against the per-line loaders and the
-dict-backed trajectory set they filled (tests/oracles.py), plus the
-write -> read -> write byte identity of trajectory and detection files."""
+dict-backed trajectory set they filled (tests/oracles.py), the loaders'
+bulk reads against their own per-line paths, plus the write -> read ->
+write byte identity of trajectory and detection files."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motrack import BoundingBox, TrajectorySet
+from motrack import BoundingBox, TrajectorySet, mot_io
 from motrack.association import DetectionCandidate
 from motrack.mot_io import (
     MotParseError,
+    Sidecar,
     load_detections,
+    load_sidecar,
     load_trajectories,
     sidecar_path,
     write_detections,
@@ -241,6 +246,162 @@ class TestLoaderFuzzing:
                     load_detections(paths["_det.txt"])
             except MotParseError as exc:
                 assert str(exc).startswith(tuple(f"{path}:" for path in named)), exc
+
+
+def _arrays(result) -> list:
+    """Dtype, shape and bytes of every column a loader's result holds."""
+    if isinstance(result, TrajectorySet):
+        columns = list(result.columns())
+    elif isinstance(result, Sidecar):
+        columns = [result.frame, result.cand, result.s_mask, result.embeddings, result.has_embedding]
+    else:  # one Frame per frame
+        columns = [np.array(list(result), dtype=np.int64)] + [
+            column for frame in result.values()
+            for column in (frame.boxes, frame.s_obj, frame.s_mask, frame.embeddings, frame.has_embedding)]
+    return [(column.dtype.str, column.shape, column.tobytes()) for column in columns]
+
+
+def _assert_bulk_matches_per_line(load, path):
+    """``load(path)`` gives byte-equal columns, or an equal MotParseError,
+    with and without its bulk read; returns the bulk-first outcome."""
+    bulk, bulk_err = _outcome(load, path)
+    with mock.patch.object(mot_io, "_loadtxt", return_value=None):  # every bulk read refuses
+        per_line, per_line_err = _outcome(load, path)
+    if per_line_err is None:
+        assert bulk_err is None, bulk_err
+        assert _arrays(bulk) == _arrays(per_line)
+    else:
+        assert type(bulk_err) is type(per_line_err) and str(bulk_err) == str(per_line_err)
+    return bulk, bulk_err
+
+
+_TAIL = "0,0,10,10,1"  # box and conf fields
+
+
+class TestBulkAgainstPerLineParsing:
+    @settings(max_examples=300, deadline=None)
+    @given(mot_texts(detections=False))
+    def test_trajectories(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "traj.txt"
+            path.write_text(text)
+            _assert_bulk_matches_per_line(load_trajectories, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mot_texts(detections=True), sidecar_texts())
+    def test_detections_and_sidecar(self, text, sidecar):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "det.txt"
+            path.write_text(text)
+            if sidecar is not None:
+                sidecar_path(path).write_text(sidecar)
+                _assert_bulk_matches_per_line(load_sidecar, sidecar_path(path))
+            _assert_bulk_matches_per_line(load_detections, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(golden_mutations())
+    def test_mutated_golden(self, mutation):
+        suffix, text = mutation
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {s: Path(tmp) / f"crossing2_seed0{s}" for s in _GOLDEN}
+            for s, path in paths.items():
+                path.write_text(text if s == suffix else "\n".join(_GOLDEN[s]) + "\n")
+            if suffix == "_gt.txt":
+                _assert_bulk_matches_per_line(load_trajectories, paths[suffix])
+            else:
+                _assert_bulk_matches_per_line(load_sidecar, paths["_det.aff"])
+                _assert_bulk_matches_per_line(load_detections, paths["_det.txt"])
+
+    def test_well_formed_files_parse_in_bulk(self, tmp_path):
+        """The golden files, and a copy with CRLF line ends and an empty line,
+        pass every bulk check: the per-line parsers never run."""
+        data = Path(__file__).parent / "data"
+        crlf = tmp_path / "gt.txt"
+        lines = _GOLDEN["_gt.txt"]
+        crlf.write_bytes("\r\n".join([lines[0], "", *lines[1:]]).encode() + b"\r\n")
+        with mock.patch.object(mot_io, "_parse_lines", side_effect=AssertionError), \
+                mock.patch.object(mot_io, "_load_sidecar_lines", side_effect=AssertionError):
+            for name in ("crossing2", "crowd8_occl20"):
+                load_trajectories(data / f"{name}_seed0_gt.txt")
+                assert len(load_detections(data / f"{name}_seed0_det.txt")) > 0
+            assert _arrays(load_trajectories(crlf)) == _arrays(load_trajectories(data / "crossing2_seed0_gt.txt"))
+            crlf.write_text(f"1,1,{_TAIL}\n\n\n1,1,{_TAIL}\n")
+            with pytest.raises(MotParseError, match=r"gt\.txt:4: identity 1 appears twice in frame 1"):
+                load_trajectories(crlf)
+
+    # Inputs where numpy's reader and Python's int/float differ, each with
+    # the keys it loads or the error after "path:".
+    @pytest.mark.parametrize("text, expected", [
+        (f"1.0,1,{_TAIL}\n", "1: malformed line '1.0,1,0,0,10,10,1'"),
+        (f"1e0,1,{_TAIL}\n", "1: malformed line '1e0,1,0,0,10,10,1'"),
+        (f"1_0,1,{_TAIL}\n", [(10, 1)]),
+        (f"1,1_0,{_TAIL}\n", [(1, 10)]),
+        ("1,1,1_0,0,10,10,1\n", [(1, 1)]),
+        ("1,1,0#,0,10,10,1\n", "1: malformed line '1,1,0#,0,10,10,1'"),
+        ('1,1,"0",0,10,10,1\n', "1: malformed line '1,1,\"0\",0,10,10,1'"),
+        (f"1,1,{_TAIL}\r2,1,{_TAIL}\r", [(1, 1), (2, 1)]),
+        (f"1,1,{_TAIL}\x0c2,1,{_TAIL}\n", [(1, 1), (2, 1)]),
+        (f"1,1,{_TAIL}\n\n   \n1,1,{_TAIL}\n", "4: identity 1 appears twice in frame 1"),
+        (f"1,1,{_TAIL}\n\n1,2,{_TAIL}\n1,1,{_TAIL}\n", "4: identity 1 appears twice in frame 1"),
+        (f"1,nan,{_TAIL}\n", "1: malformed line '1,nan,0,0,10,10,1'"),
+        (f"1,9223372036854775808,{_TAIL}\n", "1: frame or id outside int64"),
+        (f"1,1,{_TAIL}\n1,2,{_TAIL},-1\n2,1,{_TAIL},-1,-1,-1\n", [(1, 1), (1, 2), (2, 1)]),
+        ("", []),
+    ], ids=["frame_1.0", "frame_1e0", "underscore_frame", "underscore_id", "underscore_float", "hash",
+            "quoted", "cr_only", "form_feed", "blank_lines_before_repeat", "empty_line_before_repeat",
+            "nan_id", "id_2_63", "7_8_10_fields", "empty_file"])
+    def test_mot_edge_cases(self, tmp_path, text, expected):
+        path = tmp_path / "t.txt"
+        path.write_bytes(text.encode())
+        loaded, err = _assert_bulk_matches_per_line(load_trajectories, path)
+        _assert_bulk_matches_per_line(load_detections, path)
+        if isinstance(expected, str):
+            assert str(err) == f"{path}:{expected}"
+        else:
+            assert err is None and [(f, i) for f, i, _ in loaded.records()] == expected
+
+    @pytest.mark.parametrize("text, expected", [
+        ("aff 1 2\n1,0,-\n1,1,0.5,1,2\n", [False, True]),
+        ("aff 1 2\n1,1,0.5,1,2\n1,0,-\n", [True, False]),
+        ("aff 1 2\n1_0,0,-,1,2\n", [True]),
+        ("aff 1 2\n1,0,-,1_0,2\n", [True]),
+        ("aff 1 2\n1,0,-,1,2\n   \n1,1,-,1,2\n", [True, True]),
+        ("aff 1 2\r1,0,-,1,2\r1,1,-,1,2\r", [True, True]),
+        ("aff 1 2\x0c1,0,-,1,2\x0c1,1,-,1,2\n", [True, True]),
+        ("aff 1 0\n1,0,- \n", [False]),
+        ("aff 1 0\n1,0, -\n", "2: malformed line '1,0, -'"),
+        ("aff 1 0\n1,0,nan\n", "2: s_mask must be in [0, 1], got 'nan'"),
+        ("aff 1 0\n1,0,-\n\n1,0,0.5\n", "4: a second entry for frame 1, candidate 0"),
+        ("aff 1 1\n1,0,-,inf\n", "2: embedding contains non-finite entries"),
+        ('aff 1 1\n1,0,"-",1\n', "2: malformed line '1,0,\"-\",1'"),
+        ("aff 1 1\n1,0,-,1#\n", "2: malformed line '1,0,-,1#'"),
+        (f"aff 1 0\n{2**63},0,-\n", "2: frame or candidate outside int64"),
+        ("aff 1 3\n\n", []),
+    ], ids=["three_then_keyed", "keyed_then_three", "underscore_frame", "underscore_embedding",
+            "whitespace_line", "cr_only", "form_feed", "dash_space", "space_dash", "nan_s_mask",
+            "repeat_after_empty_line", "inf_embedding", "quoted", "hash", "frame_2_63", "no_entries"])
+    def test_sidecar_edge_cases(self, tmp_path, text, expected):
+        path = tmp_path / "s.aff"
+        path.write_bytes(text.encode())
+        side, err = _assert_bulk_matches_per_line(load_sidecar, path)
+        if isinstance(expected, str):
+            assert str(err) == f"{path}:{expected}"
+        else:
+            assert err is None and side.has_embedding.tolist() == expected
+
+    def test_per_line_sidecar_sizes_only_the_keyed_rows(self, tmp_path):
+        # 2000 three-field entries and one keyed entry of dim 5000 go to the
+        # per-line path; a block of every line x dim would be 80 MB.
+        aff = tmp_path / "m.aff"
+        aff.write_text("aff 1 5000\n" + "".join(f"1,{j},-\n" for j in range(2000)) + "2,0,-" + ",0.5" * 5000 + "\n")
+        tracemalloc.start()
+        try:
+            side = load_sidecar(aff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert side.embeddings.shape == (1, 5000) and side.has_embedding.sum() == 1
+        assert peak < 8e6, peak
 
 
 class TestTrajectorySetAgainstDictSet:
