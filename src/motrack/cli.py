@@ -8,7 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig
+from .config import KEYS, RunConfig
 from .metrics import evaluate
 from .mot_io import atomic_write_text, load_detections, load_trajectories, write_detections, write_trajectories
 from .runner import (
@@ -27,8 +27,10 @@ class CliError(Exception):
 
 
 # The config keys of the commands that read only some of them; any other key
-# in their --config file is an error rather than silently ignored.
+# in their --config file is an error rather than silently ignored. track reads
+# every key but the two that only eval and simulate read.
 KEYS_READ = {"eval": ("eval.iou_threshold",), "simulate": ("embed.dim",)}
+KEYS_READ["track"] = tuple(key for key in KEYS if key not in KEYS_READ["eval"] + KEYS_READ["simulate"])
 
 
 def _load_config(args) -> RunConfig:

@@ -130,7 +130,7 @@ class RunConfig:
             if key in seen:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             seen.add(key)
-            if only is not None and key in _KEYS and key not in only:
+            if only is not None and key in KEYS and key not in only:
                 raise ConfigError(f"{path}:{lineno}: {reader} does not read config key {key!r}; "
                                   f"it reads only {', '.join(only)}")
             try:
@@ -144,7 +144,7 @@ class RunConfig:
         each one; a bad key or value is a ConfigError naming the key."""
         cfg = self
         for key, value in pairs.items():
-            entry = _KEYS.get(key)
+            entry = KEYS.get(key)
             if entry is None:
                 raise ConfigError(f"unknown config key {key!r}")
             path, f = entry
@@ -159,7 +159,7 @@ class RunConfig:
         ``from_file`` loads back to this config."""
         return "\n".join(
             f"{key} = {_format(f, reduce(getattr, path, self))}  # {f.metadata['doc']}"
-            for key, (path, f) in _KEYS.items()
+            for key, (path, f) in KEYS.items()
         )
 
 
@@ -179,6 +179,6 @@ def _walk(cls: type, path: tuple[str, ...] = ()) -> Iterator[tuple[str, tuple[st
             yield from _walk(f.default_factory, path + (f.name,))
 
 
-_KEYS: dict[str, tuple[tuple[str, ...], Field]] = {
+KEYS: dict[str, tuple[tuple[str, ...], Field]] = {
     key: (path, f) for key, path, f in _walk(RunConfig)
 }

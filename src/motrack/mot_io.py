@@ -4,10 +4,10 @@ Data lines are ``frame,id,left,top,width,height,conf,a,b,c``; lines with
 id = -1 are detections, non-negative ids trajectory boxes. Frames need not
 be sorted in the file; they are grouped on load. One bulk read parses a
 file into frame, id, box and conf columns; a file it refuses is parsed line
-by line, and the first bad line in file order is a MotParseError naming
-``file:line``: a malformed or non-finite field, a box with a non-positive
-extent, a negative id or a repeated (frame, id) in a trajectory file, or a
-frame before 1 in a detection file.
+by line, each line checked as it is read, and the first bad line in file
+order is a MotParseError naming ``file:line``: a malformed or non-finite
+field, a box with a non-positive extent, a negative id or a repeated
+(frame, id) in a trajectory file, or a frame before 1 in a detection file.
 Floats are written with their shortest round-trip representation so
 write -> read -> write is byte-identical.
 
@@ -74,7 +74,8 @@ class _Columns(NamedTuple):
 
 def _loadtxt(lines: list[str], dtype, usecols=None) -> np.ndarray | None:
     """One pass of numpy's C reader over comma-separated lines, which skips
-    empty lines; None where it raises or warns, so the caller falls back."""
+    empty lines; None where it raises or warns, so the caller falls back.
+    It swaps the process-wide warning filters, so it is not thread-safe."""
     with warnings.catch_warnings():
         # Any warning refuses: numpy 1.24-1.26 parse "1.0" into an int column
         # with only a DeprecationWarning.
@@ -104,66 +105,35 @@ def _parse_columns(path: str | Path) -> _Columns:
 
 
 def _parse_lines(path: str | Path, raw_lines: list[str]) -> _Columns:
-    """Parse the lines one at a time. The first bad line, in file order, is
-    a MotParseError naming ``path:line``: too few fields or an unparsable
-    number, a non-finite conf, a frame or id outside int64, or a box
-    ``BoundingBox`` rejects."""
-    frame, ident, xs, ys, ws, hs, confs, linenos = columns = ([], [], [], [], [], [], [], [])
-    error = cause = None
+    """Parse the lines one at a time, up to the first bad one: a MotParseError
+    naming ``path:line`` for too few fields or an unparsable number, a frame
+    or id outside int64, a non-finite conf, or a box ``BoundingBox`` rejects,
+    checked in that order."""
+    keys, values = [], []  # per row (frame, id, line) and (left, top, width, height, conf)
     for lineno, raw in enumerate(raw_lines, start=1):
+        if not raw.strip():
+            continue
         parts = raw.split(",")
         if len(parts) < 7:
-            if not raw.strip():
-                continue
-            error = f"{path}:{lineno}: expected at least 7 fields, got {len(parts)}"
-            break
+            raise MotParseError(f"{path}:{lineno}: expected at least 7 fields, got {len(parts)}")
         try:
-            f = int(parts[0])
-            i = int(float(parts[1]))
-            x = float(parts[2])
-            y = float(parts[3])
-            w = float(parts[4])
-            h = float(parts[5])
-            c = float(parts[6])
+            key = (int(parts[0]), int(float(parts[1])), lineno)
+            row = tuple(map(float, parts[2:7]))
         except (ValueError, OverflowError) as exc:
-            error, cause = f"{path}:{lineno}: malformed line {raw!r}", exc
-            break
-        frame.append(f)
-        ident.append(i)
-        xs.append(x)
-        ys.append(y)
-        ws.append(w)
-        hs.append(h)
-        confs.append(c)
-        linenos.append(lineno)
-
-    try:
-        frame_col, ident_col = np.array(frame, dtype=np.int64), np.array(ident, dtype=np.int64)
-    except OverflowError:  # the rows from the first too-wide one on are dropped
-        r = next(r for r, pair in enumerate(zip(frame, ident))
-                 if not all(-2**63 <= v < 2**63 for v in pair))
-        error, cause = f"{path}:{linenos[r]}: frame or id outside int64", None
-        for column in columns:
-            del column[r:]
-        frame_col, ident_col = np.array(frame, dtype=np.int64), np.array(ident, dtype=np.int64)
-    # The loop stopped at the first line it could not parse; the rows before
-    # it are checked here, so a bad value on an earlier line is still first.
-    boxes = np.column_stack([xs, ys, ws, hs]) if xs else np.zeros((0, 4))
-    conf = np.array(confs, dtype=float)
-    bad = ~np.isfinite(conf) | invalid_boxes(boxes)
-    if bad.any():
-        r = int(np.argmax(bad))
-        where = f"{path}:{linenos[r]}"
-        if not np.isfinite(conf[r]):
-            field = raw_lines[linenos[r] - 1].strip().split(",")[6].strip()
-            raise MotParseError(f"{where}: conf must be finite, got {field!r}")
+            raise MotParseError(f"{path}:{lineno}: malformed line {raw!r}") from exc
+        if not (-2**63 <= key[0] < 2**63 and -2**63 <= key[1] < 2**63):
+            raise MotParseError(f"{path}:{lineno}: frame or id outside int64")
+        if not math.isfinite(row[4]):
+            raise MotParseError(f"{path}:{lineno}: conf must be finite, got {parts[6].strip()!r}")
         try:
-            BoundingBox(*boxes[r].tolist())
+            BoundingBox(*row[:4])
         except ValueError as exc:
-            raise MotParseError(f"{where}: {exc}") from exc
-    if error is not None:
-        raise MotParseError(error) from cause
-    return _Columns(frame_col, ident_col, boxes, conf, np.array(linenos, dtype=np.int64))
+            raise MotParseError(f"{path}:{lineno}: {exc}") from exc
+        keys.append(key)
+        values.append(row)
+    frame, ident, line = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+    values = np.array(values, dtype=float).reshape(-1, 5)
+    return _Columns(frame, ident, values[:, :4], values[:, 4], line)
 
 
 def load_trajectories(path: str | Path) -> TrajectorySet:

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 import yaml
 
-from motrack import BoundingBox, ConfigError, DetectionCandidate, RunConfig, runner
-from motrack.cli import main
+from motrack import BoundingBox, ConfigError, DetectionCandidate, RunConfig, mot_io, runner
+from motrack.cli import KEYS_READ, main
 from motrack.mot_io import (
     MotParseError,
     load_detections,
@@ -187,7 +187,13 @@ class TestConfigRegistry:
         path.write_text(f"# run\nassoc.mode = greedy\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"bad.cfg:3: key '{key}': {message}"):
             RunConfig.from_file(path)
-        assert main(["track", "--config", str(path), "--det", "d.txt", "--out", "o.txt"]) == 1
+        # The command that reads the key; eval and simulate refuse assoc.mode.
+        argv = {"eval.iou_threshold": ["eval", "--gt", "g.txt", "--hyp", "h.txt"],
+                "embed.dim": ["simulate", "--scenario", "crossing2", "--out-dir", str(tmp_path / "sim")],
+                }.get(key, ["track", "--det", "d.txt", "--out", "o.txt"])
+        if argv[0] != "track":
+            path.write_text(f"# run\n\n{key} = {value}\n")
+        assert main([*argv, "--config", str(path)]) == 1
         assert f"bad.cfg:3: key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
@@ -541,6 +547,52 @@ class TestCli:
                 else:
                     assert Path(argv[1]).read_bytes() == (root / argv[2]).read_bytes(), argv
 
+    def test_ci_per_line_parser_step_in_process(self, tmp_path, capsys, monkeypatch):
+        """The CI step that drives the per-line MOT parser, run here line by
+        line through ``main`` from the checkout root: ``awk`` copies the
+        crossing2 GT, detections and hypothesis with a whitespace-only second
+        line, which the bulk read refuses; eval's kv report on the copies is
+        the golden one, and track on the detection copy writes the same
+        hypothesis as on the original."""
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.chdir(root)
+        workflow = yaml.safe_load((root / ".github/workflows/tests.yml").read_text())
+        (step,) = [s for s in workflow["jobs"]["tests"]["steps"] if s.get("name") == "Console script per-line parser"]
+        commands = [shlex.split(line.replace("$RUNNER_TEMP", str(tmp_path)))
+                    for line in step["run"].splitlines() if line.strip()]
+        assert [argv[1] if argv[0] == "motrack" else argv[0] for argv in commands] == [
+            "track", "awk", "awk", "eval", "cmp", "awk", "track", "cmp"]
+        track, gt_copy, hyp_copy, evaluate_copies, cmp_kv, det_copy, track_copy, cmp_hyp = commands
+        assert [argv[-3] for argv in (gt_copy, hyp_copy, det_copy)] == [
+            "tests/data/crossing2_seed0_gt.txt", track[-1], "tests/data/crossing2_seed0_det.txt"]
+        assert evaluate_copies[1:] == ["eval", "--gt", gt_copy[-1], "--hyp", hyp_copy[-1], "--format", "kv",
+                                       ">", cmp_kv[1]]
+        assert cmp_kv[2] == "tests/data/crossing2_seed0_eval.kv"
+        assert track_copy[1:-1] == ["track", "--det", det_copy[-1], "--aff", "tests/data/crossing2_seed0_det.aff",
+                                    "--out"]
+        assert cmp_hyp[1:] == [track_copy[-1], track[-1]]
+
+        parsed = []  # the files the per-line parser read
+        per_line = mot_io._parse_lines
+        monkeypatch.setattr(mot_io, "_parse_lines", lambda path, lines: parsed.append(path) or per_line(path, lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # as the step's PYTHONWARNINGS
+            for argv in commands:
+                if argv[0] == "motrack":
+                    capsys.readouterr()
+                    redirect = argv[-1] if argv[-2] == ">" else None
+                    assert self.run_cli(*(argv[1:-2] if redirect else argv[1:])) == 0, argv
+                    if redirect:
+                        Path(redirect).write_text(capsys.readouterr().out)
+                elif argv[0] == "awk":
+                    copy = subprocess.run(argv[:-2], capture_output=True, check=True).stdout.splitlines(True)
+                    original = Path(argv[-3]).read_bytes().splitlines(True)
+                    assert copy[1] == b" \t\n" and copy[:1] + copy[2:] == original
+                    Path(argv[-1]).write_bytes(b"".join(copy))
+                else:
+                    assert Path(argv[1]).read_bytes() == Path(argv[2]).read_bytes(), argv
+        assert parsed == [gt_copy[-1], hyp_copy[-1], det_copy[-1]]
+
     def test_track_is_deterministic(self, tmp_path):
         self.run_cli("simulate", "--scenario", "crossing2", "--seed", "1",
                      "--out-dir", str(tmp_path))
@@ -637,30 +689,41 @@ class TestCli:
     @pytest.mark.parametrize("command,reads,value", [
         ("simulate", "embed.dim", "4"),
         ("eval", "eval.iou_threshold", "0.9"),
+        ("track", "lifecycle.n_init", "5"),
     ])
     def test_config_keys_a_command_ignores_are_refused(self, tmp_path, capsys, command, reads, value):
         gt = tmp_path / "gt.txt"
         write_trajectories(gt, perfect_gt())
+        det = Path(__file__).parent / "data" / "crossing2_seed0_det.txt"
         argv = {"simulate": ["simulate", "--scenario", "crossing2", "--out-dir", str(tmp_path / "sim")],
-                "eval": ["eval", "--gt", str(gt), "--hyp", str(gt), "--format", "kv"]}[command]
+                "eval": ["eval", "--gt", str(gt), "--hyp", str(gt), "--format", "kv"],
+                "track": ["track", "--det", str(det), "--out", str(tmp_path / "hyp.txt")]}[command]
+        ignored_lines = {"simulate": ("assoc.alpha = 0.3", "lifecycle.n_init = 5", "eval.iou_threshold = 0.9"),
+                         "eval": ("assoc.alpha = 0.3", "lifecycle.n_init = 5", "embed.dim = 4"),
+                         "track": ("embed.dim = 4", "eval.iou_threshold = 0.9")}[command]
         cfg = tmp_path / "c.cfg"
-        for ignored in ("assoc.alpha = 0.3", "lifecycle.n_init = 5",
-                        "embed.dim = 4" if command == "eval" else "eval.iou_threshold = 0.9"):
+        for ignored in ignored_lines:
             cfg.write_text(f"{reads} = {value}\n{ignored}\n")
             capsys.readouterr()
             assert self.run_cli(*argv, "--config", str(cfg)) == 1
             captured = capsys.readouterr()
             key = ignored.split(" = ")[0]
             assert captured.err == (f"error: {cfg}:2: motrack {command} does not read config key {key!r}; "
-                                    f"it reads only {reads}\n")
+                                    f"it reads only {', '.join(KEYS_READ[command])}\n")
+            assert reads in KEYS_READ[command] and key not in KEYS_READ[command]
             assert captured.out == ""
             assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "gt.txt"]
         cfg.write_text(f"{reads} = {value}\n")
         assert self.run_cli(*argv, "--config", str(cfg)) == 0
         if command == "simulate":
             assert load_sidecar(tmp_path / "sim" / "crossing2_seed0_det.aff").embeddings.shape[1] == 4
-        else:
+        elif command == "eval":
             assert "mota=1.000000" in capsys.readouterr().out
+        else:
+            written = list(load_trajectories(tmp_path / "hyp.txt").records())
+            frames = load_detections(det)
+            assert written == list(track_frames(frames, RunConfig().with_overrides({reads: value})).records())
+            assert written != list(track_frames(frames, RunConfig()).records())
 
     @pytest.mark.parametrize("lines_read,unbuffered", [(0, False), (0, True), (1, True)])
     def test_reader_closing_the_pipe_is_no_traceback(self, tmp_path, lines_read, unbuffered):

@@ -347,9 +347,17 @@ class TestBulkAgainstPerLineParsing:
         (f"1,9223372036854775808,{_TAIL}\n", "1: frame or id outside int64"),
         (f"1,1,{_TAIL}\n1,2,{_TAIL},-1\n2,1,{_TAIL},-1,-1,-1\n", [(1, 1), (1, 2), (2, 1)]),
         ("", []),
+        # The first bad line wins, and within a line the conf before the box.
+        (f"1,1,{_TAIL}\n2,1,0,0,0,10,1\n3,1,0#,0,10,10,1\n", "2: box extents must be positive, got w=0.0, h=10.0"),
+        (f"1,1,{_TAIL}\n2,1,0#,0,10,10,1\n3,1,0,0,0,10,1\n", "2: malformed line '2,1,0#,0,10,10,1'"),
+        ("1,1,0,0,0,10,nan\n", "1: conf must be finite, got 'nan'"),
+        (f"1,1,{_TAIL}\n2,1,0,0,0,10,1\n3,{2**63},{_TAIL}\n", "2: box extents must be positive, got w=0.0, h=10.0"),
+        ("  \t\n1,1,0,0,0,10,1\n", "2: box extents must be positive, got w=0.0, h=10.0"),
     ], ids=["frame_1.0", "frame_1e0", "underscore_frame", "underscore_id", "underscore_float", "hash",
             "quoted", "cr_only", "form_feed", "blank_lines_before_repeat", "empty_line_before_repeat",
-            "nan_id", "id_2_63", "7_8_10_fields", "empty_file"])
+            "nan_id", "id_2_63", "7_8_10_fields", "empty_file", "bad_box_then_malformed",
+            "malformed_then_bad_box", "nan_conf_and_zero_width", "bad_box_then_id_2_63",
+            "whitespace_line_then_bad_box"])
     def test_mot_edge_cases(self, tmp_path, text, expected):
         path = tmp_path / "t.txt"
         path.write_bytes(text.encode())
