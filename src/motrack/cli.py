@@ -22,10 +22,6 @@ from .runner import (
 from .simulator import generate, scenario_by_name
 
 
-class CliError(Exception):
-    pass
-
-
 # The config keys of the commands that read only some of them; any other key
 # in their --config file is an error rather than silently ignored. track reads
 # every key but the two that only eval and simulate read.
@@ -66,7 +62,7 @@ def _cmd_simulate(args) -> int:
     try:
         scenario = scenario_by_name(args.scenario)
     except KeyError as exc:
-        raise CliError(exc.args[0]) from exc
+        raise ValueError(exc.args[0]) from exc
     scenario = replace(scenario, seed=args.seed, embed_dim=cfg.embed_dim)
     gt, frames = generate(scenario)
 
@@ -85,12 +81,15 @@ def _parse_grid(items: list[str]) -> dict[str, list[str]]:
     grid: dict[str, list[str]] = {}
     for item in items:
         if "=" not in item:
-            raise CliError(f"bad --grid entry {item!r}; expected key=v1,v2,...")
+            raise ValueError(f"bad --grid entry {item!r}; expected key=v1,v2,...")
         key, values = item.split("=", 1)
         key = key.strip()
-        parsed = [v.strip() for v in values.split(",") if v.strip()]
-        if not parsed:
-            raise CliError(f"bad --grid entry {item!r}: no values")
+        parsed = [v.strip() for v in values.split(",")]
+        if not any(parsed):
+            raise ValueError(f"bad --grid entry {item!r}: no values")
+        if "" in parsed or key in grid:
+            problem = "empty value" if "" in parsed else f"repeats key {key!r}"
+            raise ValueError(f"bad --grid entry {item!r}: {problem}")
         grid[key] = parsed
     return grid
 
@@ -169,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         # not raise again; the output was cut short, so the run failed.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (CliError, ValueError, OSError) as exc:  # a config, parse, file or range error
+    except (ValueError, OSError) as exc:  # a config, parse, file or range error
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -127,6 +127,15 @@ def preset_config(base: RunConfig, preset: str) -> RunConfig:
     return base.with_overrides(overrides)
 
 
+def _run_cells(base, cells, scenarios, seeds, jobs, with_hota) -> list[dict[str, dict[str, float]]]:
+    """Per-scenario means for each override cell, in cell order. The seeds are
+    listed and every config built before any cell runs, so bad input fails first."""
+    if not (seed_list := list(seeds)):
+        raise ValueError(f"seeds must name at least one seed, got {seeds!r}")
+    configs = [base.with_overrides(cell) for cell in cells]
+    return [mean_metrics(run_suite(cfg, scenarios, seed_list, jobs, with_hota)) for cfg in configs]
+
+
 def run_ablation(
     base: RunConfig,
     scenarios: Sequence[tuple[str, ScenarioConfig]] | None = None,
@@ -136,12 +145,7 @@ def run_ablation(
 ) -> dict[str, dict[str, dict[str, float]]]:
     """Mean metrics per preset per scenario, presets in PRESETS order:
     {preset: {scenario: {metric: mean}}}."""
-    seeds = list(seeds)
-    out: dict[str, dict[str, dict[str, float]]] = {}
-    for preset in PRESETS:
-        reports = run_suite(preset_config(base, preset), scenarios, seeds, jobs, with_hota)
-        out[preset] = mean_metrics(reports)
-    return out
+    return dict(zip(PRESETS, _run_cells(base, PRESETS.values(), scenarios, seeds, jobs, with_hota)))
 
 
 def format_ablation_table(results: dict[str, dict[str, dict[str, float]]]) -> str:
@@ -173,18 +177,13 @@ def run_sweep(
 
     Returns one (cell-assignment, per-scenario means) entry per grid cell,
     in deterministic lexicographic cell order. Every cell's config is built
-    before any cell runs, so a bad grid value fails before any work.
+    before any cell runs, so a bad or missing grid value fails before any work.
     """
-    seeds = list(seeds)
     keys = sorted(grid)
+    if empty := [key for key in keys if not grid[key]]:
+        raise ValueError(f"grid key {empty[0]!r} has no values")
     cells = [dict(zip(keys, combo)) for combo in product(*(grid[k] for k in keys))]
-    if not cells:
-        cells = [{}]
-    configs = [base.with_overrides(cell) for cell in cells]
-    return [
-        (cell, mean_metrics(run_suite(cfg, scenarios, seeds, jobs, with_hota)))
-        for cell, cfg in zip(cells, configs)
-    ]
+    return list(zip(cells, _run_cells(base, cells, scenarios, seeds, jobs, with_hota)))
 
 
 def format_sweep_report(results) -> str:

@@ -223,6 +223,29 @@ class TestConfigRegistry:
         assert "key 'assoc.alpha'" in capsys.readouterr().err
         assert ran == []
 
+    def test_sweep_key_without_values_fails_before_running(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(runner, "run_suite", lambda *args, **kwargs: ran.append(args) or {})
+        with pytest.raises(ValueError, match="grid key 'assoc.alpha' has no values"):
+            run_sweep(RunConfig(), {"assoc.alpha": []}, seeds=range(1))
+        assert ran == []
+        assert run_sweep(RunConfig(), {}, seeds=range(1)) == [({}, {})]
+        assert ran == [(RunConfig(), None, [0], 1, True)]
+
+    @pytest.mark.parametrize("grid, message", [
+        (["assoc.alpha=0.5", "assoc.alpha=1"], "bad --grid entry 'assoc.alpha=1': repeats key 'assoc.alpha'"),
+        (["assoc.alpha=0,,1"], "bad --grid entry 'assoc.alpha=0,,1': empty value"),
+        (["assoc.alpha="], "bad --grid entry 'assoc.alpha=': no values"),
+    ], ids=["repeated_key", "empty_value", "no_values"])
+    def test_grid_input_is_never_dropped(self, monkeypatch, capsys, grid, message):
+        ran = []
+        monkeypatch.setattr(runner, "run_suite", lambda *args, **kwargs: ran.append(args) or {})
+        argv = [arg for entry in grid for arg in ("--grid", entry)]
+        assert main(["sweep", "--seeds", "1", "--no-hota", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert ran == []
+
 
 class TestMotIo:
     def test_parse_documented_line(self, tmp_path):
@@ -649,7 +672,7 @@ class TestCli:
         (step,) = [s for s in workflow["jobs"]["tests"]["steps"] if s.get("name") == "Console script failures"]
         commands = [shlex.split(line.replace("$RUNNER_TEMP", str(tmp_path)))[1:]
                     for line in step["run"].splitlines() if line.startswith("expect_error motrack")]
-        assert [argv[1] for argv in commands] == ["track", "eval", "eval", "track"]
+        assert [argv[1] for argv in commands] == ["track", "eval", "eval", "track", "sweep", "ablate", "sweep"]
         monkeypatch.chdir(root)
         for argv in commands:
             assert self.run_cli(*argv[1:]) == 1, argv
@@ -802,6 +825,14 @@ class TestCli:
                 ids[parts[0]] = float(parts[1])
         assert ids["full"] < ids["appearance_only"]
 
+    @pytest.mark.parametrize("argv, golden", [
+        (["ablate", "--seeds", "1", "--no-hota"], "suite_ablate_seeds1.txt"),
+        (["sweep", "--seeds", "1", "--no-hota", "--grid", "assoc.alpha=0,1"], "suite_sweep_seeds1_alpha.txt"),
+    ], ids=["ablate", "sweep"])
+    def test_suite_report_matches_golden(self, capsys, argv, golden):
+        assert self.run_cli(*argv) == 0
+        assert capsys.readouterr().out == (Path(__file__).parent / "data" / golden).read_text()
+
 
 class TestJobsValidation:
     @pytest.mark.parametrize("jobs", [0, -1])
@@ -816,6 +847,29 @@ class TestJobsValidation:
         captured = capsys.readouterr()
         assert f"jobs must be at least 1, got {jobs}" in captured.err
         assert captured.out == ""
+
+
+class TestSeedsValidation:
+    @pytest.mark.parametrize("run", ["sweep", "ablation"])
+    def test_library_rejects_no_seeds_before_running(self, monkeypatch, run):
+        ran = []
+        monkeypatch.setattr(runner, "run_suite", lambda *args, **kwargs: ran.append(args) or {})
+        with pytest.raises(ValueError, match=r"seeds must name at least one seed, got range\(0, 0\)"):
+            if run == "sweep":
+                run_sweep(RunConfig(), {"assoc.alpha": ["0", "1"]}, seeds=range(0))
+            else:
+                runner.run_ablation(RunConfig(), seeds=range(0))
+        assert ran == []
+
+    @pytest.mark.parametrize("command", ["sweep", "ablate"])
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_cli_rejects_seeds_below_one(self, command, seeds, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(runner, "run_suite", lambda *args, **kwargs: ran.append(args) or {})
+        assert main([command, "--seeds", seeds, "--no-hota"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seeds must name at least one seed, got range(0, {seeds})\n"
+        assert captured.out == "" and ran == []
 
 
 class TestThreadedSuiteDeterminism:
