@@ -23,7 +23,7 @@ from scipy.optimize import linear_sum_assignment
 
 # `iou` is not called here since every frame goes through `iou_matrix`, but it
 # stays a module name: the benchmark's layer probes rebind `association.iou`.
-from .geometry import BoundingBox, invalid_boxes, iou, iou_matrix  # noqa: F401
+from .geometry import BoundingBox, check_fields, check_range, invalid_boxes, iou, iou_matrix  # noqa: F401
 # `kf_predict` and `kf_gated_update` (the per-track filter) likewise stay for those probes.
 from .kinematics import (OBS_DIM, KalmanTrackState, KinematicsConfig, _correct_axis,  # noqa: F401
                          _predict_axis, _predicted_box, kf_gated_update, kf_init, kf_predict)
@@ -40,10 +40,7 @@ AffinityValue = Union[float, Mapping[int, float], None]
 
 
 def _check_score(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    return value
+    return check_range(float(value), name, "[0, 1]")
 
 
 @dataclass(frozen=True)
@@ -312,35 +309,29 @@ class AssociationResult:
 @dataclass(frozen=True)
 class TrackerConfig:
     """Association, buffer, and lifecycle tuning; kinematics nested. Each
-    field's metadata holds its config-file key and doc string."""
+    field's metadata holds its config-file key, doc string and valid range."""
 
     alpha: float = field(default=0.5, metadata={
-        "key": "assoc.alpha", "doc": "weight of appearance affinity in the fused score"})
+        "key": "assoc.alpha", "range": "[0, 1]", "doc": "weight of appearance affinity in the fused score"})
     mode: str = field(default="hungarian", metadata={
         "key": "assoc.mode", "choices": MODES, "doc": "assignment mode"})
     tau_match: float = field(default=0.1, metadata={
-        "key": "assoc.tau_match", "doc": "minimum fused score for an admissible match"})
+        "key": "assoc.tau_match", "range": "[0, 1]", "doc": "minimum fused score for an admissible match"})
     tau_gamma: float = field(default=0.9, metadata={
-        "key": "buffer.tau_gamma",
+        "key": "buffer.tau_gamma", "range": "[0, 1]",
         "doc": "cap on motion confidence in the appearance-buffer decay"})
     tau_birth: float = field(default=0.6, metadata={
-        "key": "lifecycle.tau_birth",
+        "key": "lifecycle.tau_birth", "range": "[0, 1]",
         "doc": "objectness needed for an unmatched candidate to spawn a track"})
     n_init: int = field(default=3, metadata={
-        "key": "lifecycle.n_init", "doc": "consecutive hits before a tentative track confirms"})
+        "key": "lifecycle.n_init", "range": ">= 1",
+        "doc": "consecutive hits before a tentative track confirms"})
     max_age: int = field(default=30, metadata={
-        "key": "lifecycle.max_age", "doc": "coasting frames before a track retires"})
+        "key": "lifecycle.max_age", "range": ">= 0", "doc": "coasting frames before a track retires"})
     kinematics: KinematicsConfig = field(default_factory=KinematicsConfig)
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("alpha", "tau_match", "tau_gamma", "tau_birth"):
-            _check_score(getattr(self, name), name)
-        if self.n_init < 1:
-            raise ValueError(f"n_init must be >= 1, got {self.n_init}")
-        if self.max_age < 0:
-            raise ValueError(f"max_age must be >= 0, got {self.max_age}")
+        check_fields(self)
 
 
 def _box_column(boxes: Sequence[BoundingBox | None]) -> np.ndarray:

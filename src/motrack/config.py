@@ -1,11 +1,13 @@
 """Flat ``key = value`` run configuration covering every tunable in the engine.
 
 Each tunable is declared once, as a dataclass field whose metadata holds its
-config-file key and doc string: the tracker's own ``TrackerConfig`` and
-``KinematicsConfig`` fields, nested under ``RunConfig.tracker``, and
-RunConfig's run-level fields. The key registry is derived from those fields.
-Unknown keys are rejected and every value is parsed and validated at load
-time; each key has a default, so an empty config file is a complete one.
+config-file key, doc string, and choices or valid range: the tracker's own
+``TrackerConfig`` and ``KinematicsConfig`` fields, nested under
+``RunConfig.tracker``, and RunConfig's run-level fields. The key registry is
+derived from those fields. Unknown keys are rejected and every value is parsed
+at load time, then checked against its field's declared range by
+``geometry.check_fields``, so NaN fails every numeric key with its range's
+message; each key has a default, so an empty config file is a complete one.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from .association import TrackerConfig
-from .metrics import DEFAULT_IOU_THRESHOLD, check_iou_threshold
+from .geometry import check_fields
+from .metrics import DEFAULT_IOU_THRESHOLD
 from .simulator import DEFAULT_EMBED_DIM
 
 
@@ -27,25 +30,19 @@ class ConfigError(ValueError):
 
 def _parse_float(text: str) -> float:
     try:
-        v = float(text)
+        return float(text)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {text!r}") from exc
-    if math.isnan(v):
-        raise ConfigError("NaN is not a valid value")
-    return v
 
 
 def _parse_gate(text: str) -> float:
-    """tau_kf accepts non-negative integers or 'inf' (corrections disabled)."""
+    """tau_kf accepts integers within the float range or 'inf' (corrections disabled)."""
     if text.strip().lower() in ("inf", "infinity"):
         return math.inf
     try:
-        v = int(text)
-    except ValueError as exc:
+        return float(int(text))
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"expected an integer or 'inf', got {text!r}") from exc
-    if v < 0:
-        raise ConfigError(f"expected >= 0, got {v}")
-    return float(v)
 
 
 def _parse_int(text: str) -> int:
@@ -98,9 +95,10 @@ class RunConfig:
 
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     embed_dim: int = field(default=DEFAULT_EMBED_DIM, metadata={
-        "key": "embed.dim", "doc": "embedding dimension used by the simulator"})
+        "key": "embed.dim", "range": ">= 1", "doc": "embedding dimension used by the simulator"})
     eval_iou_threshold: float = field(default=DEFAULT_IOU_THRESHOLD, metadata={
-        "key": "eval.iou_threshold", "doc": "IoU threshold for CLEAR and identity matching"})
+        "key": "eval.iou_threshold", "range": "(0, 1)", "name": "iou_threshold",
+        "doc": "IoU threshold for CLEAR and identity matching"})
     output_include_lost: bool = field(default=False, metadata={
         "key": "output.include_lost",
         "doc": "emit coasting tracks' predicted boxes in hypothesis output"})
@@ -109,9 +107,7 @@ class RunConfig:
         "doc": "emit not-yet-confirmed tracks in hypothesis output"})
 
     def __post_init__(self) -> None:
-        if self.embed_dim < 1:
-            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        check_iou_threshold(self.eval_iou_threshold)
+        check_fields(self)
 
     @classmethod
     def from_file(cls, path: str | Path, only: tuple[str, ...] | None = None, reader: str = "") -> "RunConfig":

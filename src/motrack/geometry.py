@@ -1,11 +1,45 @@
-"""Axis-aligned bounding-box arithmetic shared by association, metrics, and the simulator."""
+"""Axis-aligned bounding-box arithmetic shared by association, metrics, and the
+simulator, and the range checker of every config dataclass."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any, Callable
 
 import numpy as np
+
+# The ranges a field's "range" metadata names: each one's test, written in
+# positive form so that NaN fails every range, and the words of its error.
+RANGES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "[0, 1]": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "(0, 1)": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "[0, inf)": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    "(0, inf)": (lambda v: 0 < v < math.inf, "finite and > 0"),
+    ">= 0": (lambda v: v >= 0, ">= 0"),
+    ">= 1": (lambda v: v >= 1, ">= 1"),
+}
+
+
+def check_range(value: Any, name: str, range_: str) -> Any:
+    """value, if it lies in the named range of ``RANGES``; else a ValueError
+    naming the value's name and the range."""
+    test, words = RANGES[range_]
+    if not test(value):
+        raise ValueError(f"{name} must be {words}, got {value}")
+    return value
+
+
+def check_fields(config: Any) -> None:
+    """Check a config dataclass's fields in field order against their
+    metadata's "range" and "choices"; an error names the field, or the
+    metadata's "name" when it has one."""
+    for f in fields(config):
+        value, name = getattr(config, f.name), f.metadata.get("name", f.name)
+        if "range" in f.metadata:
+            check_range(value, name, f.metadata["range"])
+        if "choices" in f.metadata and value not in f.metadata["choices"]:
+            raise ValueError(f"{name} must be one of {f.metadata['choices']}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +76,8 @@ class BoundingBox:
         """A box over values already checked as ``__post_init__`` checks them,
         such as a row of checked box columns."""
         box = object.__new__(cls)
-        fields = box.__dict__
-        fields["x"], fields["y"], fields["w"], fields["h"] = x, y, w, h
+        attrs = box.__dict__
+        attrs["x"], attrs["y"], attrs["w"], attrs["h"] = x, y, w, h
         return box
 
     @property

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import BoundingBox
+from .geometry import BoundingBox, check_fields
 
 OBS_DIM = 4
 MIN_EXTENT = 1e-3  # velocity extrapolation may drive a predicted w or h below this
@@ -23,32 +23,26 @@ _BOX_FLOOR = np.array([-math.inf, -math.inf, MIN_EXTENT, MIN_EXTENT])  # x and y
 
 @dataclass(frozen=True)
 class KinematicsConfig:
-    """Filter tuning knobs. Each field's metadata holds its config-file key
-    and doc string; tau_kf = 0 lets every correction fire."""
+    """Filter tuning knobs. Each field's metadata holds its config-file key,
+    doc string and valid range; tau_kf = 0 lets every correction fire, and
+    obs_noise > 0 keeps the innovation variance p_pp + r > 0."""
 
     tau_kf: float = field(default=3.0, metadata={
-        "key": "kf.tau_kf", "int_or_inf": True,
+        "key": "kf.tau_kf", "int_or_inf": True, "range": ">= 0",
         "doc": "reliable frames required before a Kalman correction fires; 'inf' disables corrections"})
     tau_obj: float = field(default=0.5, metadata={
-        "key": "kf.tau_obj", "doc": "objectness threshold for a reliable observation"})
+        "key": "kf.tau_obj", "range": "[0, 1]", "doc": "objectness threshold for a reliable observation"})
     pos_noise: float = field(default=0.05, metadata={
-        "key": "kf.pos_noise",
+        "key": "kf.pos_noise", "range": "[0, inf)",
         "doc": "process-noise std multiplier on position components (relative to box size)"})
     vel_noise: float = field(default=0.05, metadata={
-        "key": "kf.vel_noise", "doc": "process-noise std multiplier on velocity components"})
+        "key": "kf.vel_noise", "range": "[0, inf)",
+        "doc": "process-noise std multiplier on velocity components"})
     obs_noise: float = field(default=0.1, metadata={
-        "key": "kf.obs_noise", "doc": "observation-noise std multiplier"})
+        "key": "kf.obs_noise", "range": "(0, inf)", "doc": "observation-noise std multiplier"})
 
     def __post_init__(self) -> None:
-        if self.tau_kf < 0:
-            raise ValueError(f"tau_kf must be >= 0, got {self.tau_kf}")
-        if not 0.0 <= self.tau_obj <= 1.0:
-            raise ValueError(f"tau_obj must be in [0, 1], got {self.tau_obj!r}")
-        for name in ("pos_noise", "vel_noise"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
-        if not 0.0 < self.obs_noise < math.inf:  # keeps the innovation variance p_pp + r > 0
-            raise ValueError(f"obs_noise must be finite and > 0, got {self.obs_noise!r}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from scipy.optimize import linear_sum_assignment
 # `iou` is not called here since every frame goes through `iou_pairs`, but it
 # stays a module name: the benchmark's layer probes count calls to
 # `metrics.iou` (and `metrics.linear_sum_assignment`) by rebinding them.
-from .geometry import BoundingBox, invalid_boxes, iou, iou_pairs  # noqa: F401
+from .geometry import BoundingBox, check_range, invalid_boxes, iou, iou_pairs  # noqa: F401
 
 DEFAULT_IOU_THRESHOLD = 0.5
 HOTA_ALPHAS = tuple(k / 20.0 for k in range(1, 20))
@@ -212,12 +212,6 @@ class ClearResult:
     total_gt: int
 
 
-def check_iou_threshold(iou_threshold: float) -> None:
-    """The range rule of every CLEAR and identity IoU threshold: (0, 1)."""
-    if not 0 < iou_threshold < 1:
-        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
-
-
 def clear_metrics(
     gt: TrajectorySet,
     hyp: TrajectorySet,
@@ -234,7 +228,7 @@ def clear_metrics(
     hypotheses are false positives, unmatched ground truths false negatives.
     ``frames`` is the two sets' frame table when the caller already has it.
     """
-    check_iou_threshold(iou_threshold)
+    check_range(iou_threshold, "iou_threshold", "(0, 1)")
     if frames is None:
         frames = _frame_table(gt, hyp)
 
@@ -309,7 +303,7 @@ def identity_metrics(
     the total count defines IDTP.
     ``frames`` is the two sets' frame table when the caller already has it.
     """
-    check_iou_threshold(iou_threshold)
+    check_range(iou_threshold, "iou_threshold", "(0, 1)")
 
     total_gt = gt.total_boxes()
     total_hyp = hyp.total_boxes()

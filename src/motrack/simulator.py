@@ -16,12 +16,12 @@ a config fully determines the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .association import Frame
-from .geometry import BoundingBox, iou
+from .geometry import BoundingBox, check_fields, iou
 from .metrics import TrajectorySet
 
 # Internal constants, not scenario knobs: embedding jitter, merged-detection
@@ -38,29 +38,26 @@ DEFAULT_EMBED_DIM = 16  # also the default of the embed.dim config key
 class ScenarioConfig:
     """Full description of one synthetic scenario; the seed pins the output."""
 
-    n_agents: int
-    n_frames: int
+    n_agents: int = field(metadata={"range": ">= 1"})
+    n_frames: int = field(metadata={"range": ">= 1"})
     arena: tuple[float, float] = (640.0, 480.0)
     speed_range: tuple[float, float] = (2.0, 6.0)
-    turn_rate: float = 0.05                    # per-frame direction-change probability
+    turn_rate: float = field(default=0.05, metadata={"range": "[0, 1]"})  # per-frame P(direction change)
     box_size_range: tuple[float, float] = (24.0, 48.0)
     crossing: bool = False                     # spawn agents on converging linear paths
     occlusion_windows: tuple[tuple[int, int, int], ...] = ()  # (agent, first, last), 1-based
-    occlusion_rate: float = 0.0                # target fraction of occluded frames per agent
+    occlusion_rate: float = field(default=0.0, metadata={"range": "[0, 1]"})  # target occluded share per agent
     proximity_merge: bool = False              # overlapping agents collapse to one union box
-    merge_iou: float = 0.15                    # overlap that triggers a merge
-    detection_noise: float = 0.0               # box noise sigma, relative to box size
-    fp_rate: float = 0.0                       # expected clutter detections per frame
-    miss_rate: float = 0.0                     # per-detection drop probability
-    affinity_fidelity: float = 1.0             # P(true agent has the closest signature)
-    embed_dim: int = DEFAULT_EMBED_DIM
+    merge_iou: float = field(default=0.15, metadata={"range": "[0, 1]"})  # overlap that triggers a merge
+    detection_noise: float = field(default=0.0, metadata={"range": "[0, inf)"})  # box sigma / box size
+    fp_rate: float = field(default=0.0, metadata={"range": "[0, inf)"})  # expected clutter per frame
+    miss_rate: float = field(default=0.0, metadata={"range": "[0, 1]"})  # per-detection drop probability
+    affinity_fidelity: float = field(default=1.0, metadata={"range": "[0, 1]"})  # P(true agent is closest)
+    embed_dim: int = field(default=DEFAULT_EMBED_DIM, metadata={"range": ">= 1"})
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_agents < 1:
-            raise ValueError(f"n_agents must be >= 1, got {self.n_agents}")
-        if self.n_frames < 1:
-            raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
+        check_fields(self)
         for name in ("arena", "speed_range"):
             if not all(map(math.isfinite, getattr(self, name))):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -70,18 +67,8 @@ class ScenarioConfig:
             raise ValueError(f"box_size_range must satisfy 0 < lo <= hi, got {self.box_size_range}")
         if self.arena[0] <= self.box_size_range[1] or self.arena[1] <= self.box_size_range[1]:
             raise ValueError("arena must be larger than the largest agent box")
-        for name in ("turn_rate", "occlusion_rate", "miss_rate", "affinity_fidelity", "merge_iou"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        for name in ("fp_rate", "detection_noise"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if self.speed_range[0] < 0 or self.speed_range[1] < self.speed_range[0]:
             raise ValueError(f"bad speed_range {self.speed_range}")
-        if self.embed_dim < 1:
-            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
         for window in self.occlusion_windows:
             agent, first, last = window
             if not 1 <= agent <= self.n_agents:

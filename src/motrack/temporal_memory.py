@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import check_range
+
 ForecasterContract = Callable[[np.ndarray], np.ndarray]
 """A forecaster maps the queued states, shape (n, state_dim), to the
 predicted next state, shape (state_dim,). It must be deterministic for
@@ -139,10 +141,8 @@ class MotionQueue:
     """Bounded FIFO of motion-state vectors; the oldest entry is evicted first."""
 
     def __init__(self, capacity: int, dim: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        check_range(capacity, "capacity", ">= 1")
+        check_range(dim, "dim", ">= 1")
         self.capacity = capacity
         self.dim = dim
         self._entries: deque[np.ndarray] = deque(maxlen=capacity)

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import fields, is_dataclass
 from functools import reduce
@@ -11,9 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from motrack import BoundingBox, ConfigError, DetectionCandidate, RunConfig, mot_io, runner
+from motrack import (BoundingBox, ConfigError, DetectionCandidate, KinematicsConfig, RunConfig, TrackerConfig,
+                     mot_io, runner)
 from motrack.cli import KEYS_READ, main
+from motrack.config import KEYS
+from motrack.geometry import RANGES
 from motrack.mot_io import (
     MotParseError,
     load_detections,
@@ -245,6 +254,135 @@ class TestConfigRegistry:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
         assert ran == []
+
+    @pytest.mark.parametrize("cls,name,bound", [
+        (TrackerConfig, "max_age", ">= 0"),
+        (TrackerConfig, "n_init", ">= 1"),
+        (KinematicsConfig, "tau_kf", ">= 0"),
+        (RunConfig, "embed_dim", ">= 1"),
+    ])
+    def test_nan_fails_the_declared_range(self, cls, name, bound):
+        with pytest.raises(ValueError, match=f"^{name} must be {bound}, got nan$"):
+            cls(**{name: math.nan})
+
+    def test_gate_count_beyond_the_float_range_is_a_parse_error(self):
+        with pytest.raises(ConfigError, match="key 'kf.tau_kf': expected an integer or 'inf'"):
+            RunConfig().with_overrides({"kf.tau_kf": "1" + "0" * 400})
+
+
+NUMERIC_KEYS = [key for key, (_, f) in KEYS.items() if "range" in f.metadata]
+
+
+def range_bounds(f):
+    """(lo, hi, lo_in, hi_in, is_int) of a field's declared range: an integer
+    range ">= n" for the int fields and the gate count, else a float interval."""
+    spec = f.metadata["range"]
+    if spec.startswith(">= "):
+        return int(spec[3:]), math.inf, True, True, True
+    lo, hi = (float(v) for v in spec[1:-1].split(", "))
+    return lo, hi, spec[0] == "[", spec[-1] == "]", False
+
+
+def values_inside(key, f):
+    """Config-file text of a value in the key's declared range, its edges
+    included. Half the draws of an unbounded range come from its first few
+    units, so that drawn runs also track, not only fail on their noise or
+    never confirm a track."""
+    if "choices" in f.metadata:
+        return st.sampled_from(f.metadata["choices"])
+    if isinstance(f.default, bool):
+        return st.sampled_from(["true", "false"])
+    lo, hi, lo_in, hi_in, is_int = range_bounds(f)
+    if is_int:
+        if key == "embed.dim":  # it sizes the simulator's embedding block
+            return st.integers(lo, 64).map(str)
+        wide = st.integers(min_value=lo)
+        if f.metadata.get("int_or_inf"):  # a float count, so bounded by the float range
+            wide = st.integers(lo, int(sys.float_info.max)) | st.just("inf")
+        return (st.integers(lo, lo + 8) | wide).map(str)
+    edges = [lo if lo_in else math.nextafter(lo, math.inf),
+             min(hi if hi_in else math.nextafter(hi, -math.inf), sys.float_info.max)]
+    wide = st.sampled_from(edges) | st.floats(lo, hi, exclude_min=not lo_in, exclude_max=not hi_in,
+                                              allow_infinity=False)
+    if hi == math.inf:
+        wide = st.floats(lo, 1.0, exclude_min=not lo_in) | wide
+    return wide.map(repr)
+
+
+def values_outside(f):
+    """Config-file text of the nearest values outside the key's declared range,
+    and NaN for a float key."""
+    lo, hi, lo_in, hi_in, is_int = range_bounds(f)
+    if is_int:
+        below = [str(lo - 1)]
+    else:
+        below = [repr(math.nextafter(lo, -math.inf) if lo_in else lo)]
+        below.append(repr(math.nextafter(hi, math.inf) if hi_in else hi))
+    return below + (["nan"] if isinstance(f.default, float) else [])
+
+
+@st.composite
+def drawn_configs(draw, keys=tuple(KEYS)):
+    """Config-file lines setting each of ``keys``, in a drawn order, to a value
+    drawn from its declared range."""
+    order = draw(st.permutations(keys))
+    return [f"{key} = {draw(values_inside(key, KEYS[key][1]))}" for key in order]
+
+
+class TestRegistryDrawnConfigs:
+    """Configs drawn from the key registry's declared ranges (each key's
+    ``"range"`` or ``"choices"`` metadata)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn_configs())
+    def test_describe_loads_back_to_the_drawn_config(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            drawn, described = Path(tmp, "drawn.cfg"), Path(tmp, "described.cfg")
+            drawn.write_text("\n".join(lines) + "\n")
+            cfg = RunConfig.from_file(drawn)
+            described.write_text(cfg.describe() + "\n")
+            assert RunConfig.from_file(described) == cfg
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn_configs(), st.sampled_from(NUMERIC_KEYS), st.data())
+    def test_nearest_value_outside_a_range_names_file_line_and_key(self, lines, key, data):
+        f = KEYS[key][1]
+        value = data.draw(st.sampled_from(values_outside(f)))
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} = "))
+        lines[lineno - 1] = f"{key} = {value}"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "bad.cfg")
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ConfigError) as info:
+                RunConfig.from_file(path)
+        located = f"{path}:{lineno}: key '{key}': "
+        assert str(info.value).startswith(located)
+        if not (f.metadata.get("int_or_inf") and value == "nan"):  # a gate count parses as an integer
+            words = RANGES[f.metadata["range"]][1]
+            assert str(info.value).startswith(f"{located}{f.metadata.get('name', f.name)} must be {words}, got ")
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn_configs(KEYS_READ["track"]))
+    def test_track_runs_on_every_drawn_config(self, lines):
+        det = Path(__file__).parent / "data" / "crossing2_seed0_det.txt"
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp, "run.cfg"), Path(tmp, "hyp.txt")
+            cfg.write_text("\n".join(lines) + "\n")
+            argv = ["track", "--det", str(det), "--out", str(out), "--config", str(cfg)]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code == 1:  # only kf_init's noise error, which names the box
+                assert re.fullmatch(r"error: kf\.pos_noise = .* give a non-finite or zero noise variance "
+                                    r"for box size .* \(frame \d+, candidate \d+\)\n", err.getvalue())
+                assert not out.exists()
+                return
+            assert code == 0 and err.getvalue() == ""
+            written = out.read_bytes()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            assert out.read_bytes() == written
+            load_trajectories(out)
 
 
 class TestMotIo:
@@ -670,15 +808,21 @@ class TestCli:
         root = Path(__file__).resolve().parents[1]
         workflow = yaml.safe_load((root / ".github/workflows/tests.yml").read_text())
         (step,) = [s for s in workflow["jobs"]["tests"]["steps"] if s.get("name") == "Console script failures"]
-        commands = [shlex.split(line.replace("$RUNNER_TEMP", str(tmp_path)))[1:]
-                    for line in step["run"].splitlines() if line.startswith("expect_error motrack")]
-        assert [argv[1] for argv in commands] == ["track", "eval", "eval", "track", "sweep", "ablate", "sweep"]
+        lines = [shlex.split(line.replace("$RUNNER_TEMP", str(tmp_path)))
+                 for line in step["run"].splitlines() if line.startswith(("expect_error motrack", "echo "))]
+        assert [words[2] for words in lines if words[0] == "expect_error"] == [
+            "track", "eval", "eval", "track", "sweep", "ablate", "sweep", "track", "track"]
         monkeypatch.chdir(root)
-        for argv in commands:
-            assert self.run_cli(*argv[1:]) == 1, argv
+        for words in lines:
+            if words[0] == "echo":  # echo "<line>" > "<config file>"
+                Path(words[3]).write_text(words[1] + "\n")
+                continue
+            assert self.run_cli(*words[2:]) == 1, words
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1, argv
-        assert list(tmp_path.iterdir()) == []
+            assert err.startswith("error: ") and err.count("\n") == 1, words
+            if "--config" in words:
+                assert f".cfg:1: key '{Path(words[-1]).read_text().split(' = ')[0]}': " in err, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["alpha.cfg", "tau_kf.cfg"]
 
     @pytest.mark.parametrize("argv", [
         ["track", "--det", "d.txt"],

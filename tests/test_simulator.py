@@ -179,9 +179,11 @@ class TestGenerate:
             ("arena", (640.0, float("nan")), r"arena must be finite, got \(640.0, nan\)"),
             ("speed_range", (float("nan"), 5.0), r"speed_range must be finite, got \(nan, 5.0\)"),
             ("speed_range", (1.0, float("inf")), r"speed_range must be finite, got \(1.0, inf\)"),
+            ("n_agents", float("nan"), "n_agents must be >= 1, got nan"),
+            ("n_frames", float("nan"), "n_frames must be >= 1, got nan"),
         ]:
             with pytest.raises(ValueError, match=message):
-                ScenarioConfig(n_agents=2, n_frames=10, **{field: value})
+                ScenarioConfig(**{"n_agents": 2, "n_frames": 10, field: value})
 
 
 class TestStandardSuite:

@@ -179,6 +179,15 @@ class TestMotionQueue:
         with pytest.raises(ValueError):
             q.push([1.0, 2.0])
 
+    @pytest.mark.parametrize("capacity,dim,message", [
+        (0, 3, "capacity must be >= 1, got 0"),
+        (float("nan"), 3, "capacity must be >= 1, got nan"),
+        (3, float("nan"), "dim must be >= 1, got nan"),
+    ])
+    def test_sizes_below_one_or_nan_rejected(self, capacity, dim, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MotionQueue(capacity=capacity, dim=dim)
+
 
 class TestForecast:
     def test_identical_states_forecast_themselves(self):
