@@ -324,10 +324,10 @@ class TrackerConfig:
         "key": "lifecycle.tau_birth", "range": "[0, 1]",
         "doc": "objectness needed for an unmatched candidate to spawn a track"})
     n_init: int = field(default=3, metadata={
-        "key": "lifecycle.n_init", "range": ">= 1",
+        "key": "lifecycle.n_init", "range": "integer >= 1",
         "doc": "consecutive hits before a tentative track confirms"})
     max_age: int = field(default=30, metadata={
-        "key": "lifecycle.max_age", "range": ">= 0", "doc": "coasting frames before a track retires"})
+        "key": "lifecycle.max_age", "range": "integer >= 0", "doc": "coasting frames before a track retires"})
     kinematics: KinematicsConfig = field(default_factory=KinematicsConfig)
 
     def __post_init__(self) -> None:

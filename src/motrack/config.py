@@ -95,7 +95,7 @@ class RunConfig:
 
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     embed_dim: int = field(default=DEFAULT_EMBED_DIM, metadata={
-        "key": "embed.dim", "range": ">= 1", "doc": "embedding dimension used by the simulator"})
+        "key": "embed.dim", "range": "integer >= 1", "doc": "embedding dimension used by the simulator"})
     eval_iou_threshold: float = field(default=DEFAULT_IOU_THRESHOLD, metadata={
         "key": "eval.iou_threshold", "range": "(0, 1)", "name": "iou_threshold",
         "doc": "IoU threshold for CLEAR and identity matching"})

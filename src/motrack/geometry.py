@@ -4,20 +4,29 @@ simulator, and the range checker of every config dataclass."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Any, Callable
 
 import numpy as np
 
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 # The ranges a field's "range" metadata names: each one's test, written in
 # positive form so that NaN fails every range, and the words of its error.
+# An integer range takes only integer types, and not bool: neither 3.0 nor
+# True is a count.
 RANGES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "[0, 1]": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "(0, 1)": (lambda v: 0 < v < 1, "in (0, 1)"),
     "[0, inf)": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
     "(0, inf)": (lambda v: 0 < v < math.inf, "finite and > 0"),
     ">= 0": (lambda v: v >= 0, ">= 0"),
-    ">= 1": (lambda v: v >= 1, ">= 1"),
+    "integer >= 0": (lambda v: _is_count(v) and v >= 0, "an integer >= 0"),
+    "integer >= 1": (lambda v: _is_count(v) and v >= 1, "an integer >= 1"),
 }
 
 

@@ -6,9 +6,11 @@ persist-then-complete frame matching, the global identity metrics
 alpha sweep. All matching uses IoU as the localisation similarity. Every
 (frame, GT, hypothesis) pair is scored once, into flat pair columns shared
 by the three families. Identity's overlap counts and HOTA's counts and
-potential are one reduction each over those columns. Only two loops visit
-frames: CLEAR, whose correspondences carry from frame to frame, and HOTA's
-one assignment per frame.
+potential are one reduction each over those columns. CLEAR and HOTA call
+their assignment only where a GT or hypothesis box holds two candidate
+pairs (IoU at or above CLEAR's threshold, or positive for HOTA); elsewhere
+the candidates are disjoint, each optimal matching takes them all, and
+those frames are matched in bulk.
 """
 
 from __future__ import annotations
@@ -135,10 +137,10 @@ class _FrameTable(NamedTuple):
     Frame k of the union, in increasing order, holds the set rows
     ``g_lo[k]:g_lo[k + 1]`` and ``h_lo[k]:h_lo[k + 1]`` and the pairs
     ``pair_lo[k]:pair_lo[k + 1]``. Its pairs are row-major (GT row, then
-    hypothesis row) in three flat columns: the IoU ``sim``, the identity
-    cell ``g * n_h + h`` of the pair's two positions, and ``hrow``, its
-    hypothesis set row. A sum over all pairs of all frames is then one
-    reduction, not a loop over frames.
+    hypothesis row) in four flat columns: the IoU ``sim``, the identity
+    cell ``g * n_h + h`` of the pair's two positions, and ``grow`` and
+    ``hrow``, its GT and hypothesis set rows. A sum over all pairs of all
+    frames is then one reduction, not a loop over frames.
     """
 
     g_ids: np.ndarray
@@ -150,16 +152,8 @@ class _FrameTable(NamedTuple):
     pair_lo: np.ndarray
     sim: np.ndarray
     cell: np.ndarray
+    grow: np.ndarray
     hrow: np.ndarray
-
-    def per_frame(self):
-        """Per frame, in increasing order: the GT and hypothesis identity
-        positions (sorted) and their IoU matrix, a view of ``sim``."""
-        bounds = zip(self.g_lo.tolist(), self.g_lo[1:].tolist(),
-                     self.h_lo.tolist(), self.h_lo[1:].tolist(), self.pair_lo.tolist())
-        for g0, g1, h0, h1, p0 in bounds:
-            yield (self.g_rows[g0:g1], self.h_rows[h0:h1],
-                   self.sim[p0:p0 + (g1 - g0) * (h1 - h0)].reshape(g1 - g0, h1 - h0))
 
 
 # Pairs per numpy call where scratch arrays grow with the pairs (the frame
@@ -183,6 +177,7 @@ def _frame_table(gt: TrajectorySet, hyp: TrajectorySet) -> _FrameTable:
 
     sim = np.empty(pair_lo[-1])
     cell = np.empty(pair_lo[-1], dtype=np.int64)
+    grow = np.empty(pair_lo[-1], dtype=np.int32)
     hrow = np.empty(pair_lo[-1], dtype=np.int32)
     k0 = 0
     while k0 < len(frames):
@@ -196,9 +191,26 @@ def _frame_table(gt: TrajectorySet, hyp: TrajectorySet) -> _FrameTable:
         h = h_lo[owner] + local % n_h[owner]
         sim[p0:p1] = iou_pairs(g_boxes[g], h_boxes[h])
         cell[p0:p1] = g_rows[g] * len(h_ids) + h_rows[h]
+        grow[p0:p1] = g
         hrow[p0:p1] = h
         k0 = k1
-    return _FrameTable(g_ids, h_ids, g_rows, h_rows, g_lo, h_lo, pair_lo, sim, cell, hrow)
+    return _FrameTable(g_ids, h_ids, g_rows, h_rows, g_lo, h_lo, pair_lo, sim, cell, grow, hrow)
+
+
+def _split_frames(frames: _FrameTable, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frames, by increasing index, where two pairs of ``mask`` share a
+    GT or hypothesis set row, and the pairs of ``mask`` in every other
+    frame, by increasing index. A frame not returned holds disjoint masked
+    pairs, so its matching among them is fixed without an assignment."""
+    pairs = np.flatnonzero(mask)
+    g, h = frames.grow[pairs], frames.hrow[pairs]
+    busy_g = np.flatnonzero(np.bincount(g, minlength=len(frames.g_rows)) > 1)
+    busy_h = np.flatnonzero(np.bincount(h, minlength=len(frames.h_rows)) > 1)
+    contested = np.union1d(np.searchsorted(frames.g_lo, busy_g, side="right") - 1,
+                           np.searchsorted(frames.h_lo, busy_h, side="right") - 1)
+    in_contested = np.zeros(len(frames.pair_lo) - 1, dtype=bool)
+    in_contested[contested] = True
+    return contested, pairs[~np.repeat(in_contested, np.diff(frames.g_lo))[g]]
 
 
 @dataclass(frozen=True)
@@ -226,35 +238,51 @@ def clear_metrics(
     one-to-one matching. A completed match whose ground-truth identity had
     a different last-known correspondence counts as an ID switch. Unmatched
     hypotheses are false positives, unmatched ground truths false negatives.
+    In a frame where no GT or hypothesis row holds two pairs at or above
+    the threshold, persistence and completion both take every such pair, so
+    those frames are matched in bulk; only the others run the per-frame
+    persist-then-complete step and its assignment, in frame order. A
+    persisted match repeats the last correspondence, so the switches are one
+    count over all matches in (GT identity, frame) order.
     ``frames`` is the two sets' frame table when the caller already has it.
     """
     check_range(iou_threshold, "iou_threshold", "(0, 1)")
     if frames is None:
         frames = _frame_table(gt, hyp)
 
-    last: dict[int, int] = {}  # GT index -> hypothesis index last matched
-    fp = fn = ids = 0
-    for gids, hids, sim in frames.per_frame():
-        n_g, n_h = len(gids), len(hids)
-        if not (n_g and n_h):
-            fn += n_g
-            fp += n_h
-            continue
-        g_list = gids.tolist()
-        h_list = hids.tolist()
+    contested, pairs = _split_frames(frames, frames.sim >= iou_threshold)
+    g_rows, h_rows, g_lo = frames.g_rows, frames.h_rows, frames.g_lo
+    match = np.full(len(g_rows), -1)  # per GT set row, the hypothesis position matched
+    match[frames.grow[pairs]] = h_rows[frames.hrow[pairs]]
+    last = np.full(len(frames.g_ids), -1)  # per GT position, the hypothesis last matched
+    done = 0  # GT set rows before this one are in `last`
+    for g0, g1, h0, h1, p0 in zip(g_lo[contested].tolist(), g_lo[contested + 1].tolist(),
+                                  frames.h_lo[contested].tolist(), frames.h_lo[contested + 1].tolist(),
+                                  frames.pair_lo[contested].tolist()):
+        # Each GT identity's last match in the uncontested frames since `done`.
+        rows = done + np.flatnonzero(match[done:g0] >= 0)[::-1]
+        ids_now, first = np.unique(g_rows[rows], return_index=True)
+        last[ids_now] = match[rows[first]]
+        done = g1
+
+        n_g, n_h = g1 - g0, h1 - h0
+        sim = frames.sim[p0:p0 + n_g * n_h].reshape(n_g, n_h)
+        g_list = g_rows[g0:g1].tolist()
+        h_list = h_rows[h0:h1].tolist()
+        last_h = last[g_list].tolist()
         col_of = {h: c for c, h in enumerate(h_list)}
 
-        matched_rows: set[int] = set()
         matched_cols: set[int] = set()
-        for r, g in enumerate(g_list):
-            c = col_of.get(last.get(g))
+        rem_rows = []
+        for r, h in enumerate(last_h):
+            c = col_of.get(h)
             if c is not None and c not in matched_cols and sim[r, c] >= iou_threshold:
-                matched_rows.add(r)
                 matched_cols.add(c)
+                match[g0 + r] = h
+            else:
+                rem_rows.append(r)
 
-        rem_rows = [r for r in range(n_g) if r not in matched_rows]
         rem_cols = [c for c in range(n_h) if c not in matched_cols]
-        n_matched = len(matched_rows)
         if rem_rows and rem_cols:
             rem_sim = sim[np.ix_(rem_rows, rem_cols)]
             admissible = rem_sim >= iou_threshold
@@ -262,16 +290,18 @@ def clear_metrics(
                 np.where(admissible, rem_sim, 0.0), maximize=True
             )
             for r, c in zip(rows, cols):
-                if not admissible[r, c]:
-                    continue
-                g, h = g_list[rem_rows[r]], h_list[rem_cols[c]]
-                if g in last and last[g] != h:
-                    ids += 1
-                last[g] = h
-                n_matched += 1
+                if admissible[r, c]:
+                    h = h_list[rem_cols[c]]
+                    match[g0 + rem_rows[r]] = last[g_list[rem_rows[r]]] = h
 
-        fn += n_g - n_matched
-        fp += n_h - n_matched
+    # Matched GT rows by identity, then frame: a switch is a match whose
+    # identity's previous match had another hypothesis.
+    rows = np.flatnonzero(match >= 0)
+    rows = rows[np.argsort(g_rows[rows], kind="stable")]
+    who, what = g_rows[rows], match[rows]
+    ids = int(np.count_nonzero((who[1:] == who[:-1]) & (what[1:] != what[:-1])))
+    fn = len(g_rows) - len(rows)
+    fp = len(h_rows) - len(rows)
 
     total_gt = gt.total_boxes()
     mota = None if total_gt == 0 else 1.0 - (fp + fn + ids) / total_gt
@@ -390,8 +420,10 @@ def hota(
     The global alignment score of each identity pair is a soft Jaccard of
     their per-frame overlaps; its counts and potential are reductions over
     all pairs of the frame table at once. Each frame is then matched once by
-    maximising alignment-weighted IoU, the only loop over frames; per alpha,
-    matched pairs whose IoU clears alpha count as TP and feed the
+    maximising alignment-weighted IoU: a frame whose positive-IoU pairs are
+    disjoint takes them all, since every optimal matching holds each
+    positive-score pair, and only the other frames call the assignment. Per
+    alpha, matched pairs whose IoU clears alpha count as TP and feed the
     association accuracy AssA, while DetA is the detection Jaccard.
     HOTA_alpha is the geometric mean of the two, and the reported values
     average over alphas. ``frames`` is the two sets' frame table when the
@@ -417,14 +449,14 @@ def hota(
     # One matching per frame that has pairs; each matched pair's IoU then
     # decides, for every alpha at once, whether the pair is a TP at that alpha.
     sim, cell = frames.sim, frames.cell
-    score = alignment.ravel()[cell] * sim
-    matched = [np.zeros(0, dtype=np.int64)]  # pair index of each matched pair
-    with_pairs = np.flatnonzero(np.diff(frames.pair_lo))
-    for p0, p1, width in zip(frames.pair_lo[with_pairs].tolist(), frames.pair_lo[with_pairs + 1].tolist(),
-                             np.diff(frames.h_lo)[with_pairs].tolist()):
-        rows, cols = linear_sum_assignment(score[p0:p1].reshape(-1, width), maximize=True)
+    contested, pairs = _split_frames(frames, sim > 0)
+    matched = [pairs]  # pair index of each matched pair
+    weight = alignment.ravel()
+    for p0, p1, width in zip(frames.pair_lo[contested].tolist(), frames.pair_lo[contested + 1].tolist(),
+                             np.diff(frames.h_lo)[contested].tolist()):
+        score = weight[cell[p0:p1]] * sim[p0:p1]
+        rows, cols = linear_sum_assignment(score.reshape(-1, width), maximize=True)
         matched.append(rows * width + cols + p0)
-    del score
     matched = np.concatenate(matched)
     pair_cells = cell[matched]
     keep = sim[matched] >= np.array(HOTA_ALPHAS)[:, np.newaxis] - _EPS

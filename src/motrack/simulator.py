@@ -38,8 +38,8 @@ DEFAULT_EMBED_DIM = 16  # also the default of the embed.dim config key
 class ScenarioConfig:
     """Full description of one synthetic scenario; the seed pins the output."""
 
-    n_agents: int = field(metadata={"range": ">= 1"})
-    n_frames: int = field(metadata={"range": ">= 1"})
+    n_agents: int = field(metadata={"range": "integer >= 1"})
+    n_frames: int = field(metadata={"range": "integer >= 1"})
     arena: tuple[float, float] = (640.0, 480.0)
     speed_range: tuple[float, float] = (2.0, 6.0)
     turn_rate: float = field(default=0.05, metadata={"range": "[0, 1]"})  # per-frame P(direction change)
@@ -53,7 +53,7 @@ class ScenarioConfig:
     fp_rate: float = field(default=0.0, metadata={"range": "[0, inf)"})  # expected clutter per frame
     miss_rate: float = field(default=0.0, metadata={"range": "[0, 1]"})  # per-detection drop probability
     affinity_fidelity: float = field(default=1.0, metadata={"range": "[0, 1]"})  # P(true agent is closest)
-    embed_dim: int = field(default=DEFAULT_EMBED_DIM, metadata={"range": ">= 1"})
+    embed_dim: int = field(default=DEFAULT_EMBED_DIM, metadata={"range": "integer >= 1"})
     seed: int = 0
 
     def __post_init__(self) -> None:

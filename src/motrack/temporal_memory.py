@@ -141,8 +141,8 @@ class MotionQueue:
     """Bounded FIFO of motion-state vectors; the oldest entry is evicted first."""
 
     def __init__(self, capacity: int, dim: int):
-        check_range(capacity, "capacity", ">= 1")
-        check_range(dim, "dim", ">= 1")
+        check_range(capacity, "capacity", "integer >= 1")
+        check_range(dim, "dim", "integer >= 1")
         self.capacity = capacity
         self.dim = dim
         self._entries: deque[np.ndarray] = deque(maxlen=capacity)

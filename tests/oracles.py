@@ -759,6 +759,17 @@ def hota_potential_loop_oracle(gt, hyp) -> np.ndarray:
     return potential
 
 
+def frame_table_views(table) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per frame of a metrics frame table, in increasing order: the GT and
+    hypothesis identity positions (sorted) and their IoU matrix, a view of
+    the table's ``sim`` column."""
+    bounds = zip(table.g_lo.tolist(), table.g_lo[1:].tolist(),
+                 table.h_lo.tolist(), table.h_lo[1:].tolist(), table.pair_lo.tolist())
+    return [(table.g_rows[g0:g1], table.h_rows[h0:h1],
+             table.sim[p0:p0 + (g1 - g0) * (h1 - h0)].reshape(g1 - g0, h1 - h0))
+            for g0, g1, h0, h1, p0 in bounds]
+
+
 def frame_table_loop_oracle(gt, hyp) -> list[tuple[list[int], list[int], np.ndarray]]:
     """Per frame of the union: GT and hypothesis identity indices and one
     ``iou_matrix`` of that frame's boxes in identity order."""

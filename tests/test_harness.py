@@ -33,7 +33,7 @@ from motrack.mot_io import (
     write_trajectories,
 )
 from motrack.runner import PRESETS, preset_config, run_suite, run_sweep, track_frames
-from motrack.simulator import generate, scenario_by_name
+from motrack.simulator import ScenarioConfig, generate, scenario_by_name
 
 from fixtures import perfect_gt
 
@@ -173,8 +173,8 @@ class TestConfigRegistry:
 
     @pytest.mark.parametrize("key,value,message", [
         ("assoc.alpha", "1.5", "alpha must be in"),
-        ("lifecycle.n_init", "0", "n_init must be >= 1"),
-        ("lifecycle.max_age", "-1", "max_age must be >= 0"),
+        ("lifecycle.n_init", "0", "n_init must be an integer >= 1"),
+        ("lifecycle.max_age", "-1", "max_age must be an integer >= 0"),
         ("assoc.tau_match", "5", "tau_match must be in"),
         ("buffer.tau_gamma", "1.5", "tau_gamma must be in"),
         ("lifecycle.tau_birth", "7", "tau_birth must be in"),
@@ -187,7 +187,7 @@ class TestConfigRegistry:
         ("kf.obs_noise", "inf", "obs_noise must be finite and > 0"),
         ("eval.iou_threshold", "1.5", r"iou_threshold must be in \(0, 1\)"),
         ("eval.iou_threshold", "0", r"iou_threshold must be in \(0, 1\)"),
-        ("embed.dim", "0", "embed_dim must be >= 1"),
+        ("embed.dim", "0", "embed_dim must be an integer >= 1"),
     ])
     def test_out_of_range_value_names_key_and_line(self, tmp_path, capsys, key, value, message):
         with pytest.raises(ConfigError, match=f"key '{key}': {message}"):
@@ -256,14 +256,28 @@ class TestConfigRegistry:
         assert ran == []
 
     @pytest.mark.parametrize("cls,name,bound", [
-        (TrackerConfig, "max_age", ">= 0"),
-        (TrackerConfig, "n_init", ">= 1"),
+        (TrackerConfig, "max_age", "an integer >= 0"),
+        (TrackerConfig, "n_init", "an integer >= 1"),
         (KinematicsConfig, "tau_kf", ">= 0"),
-        (RunConfig, "embed_dim", ">= 1"),
+        (RunConfig, "embed_dim", "an integer >= 1"),
     ])
     def test_nan_fails_the_declared_range(self, cls, name, bound):
         with pytest.raises(ValueError, match=f"^{name} must be {bound}, got nan$"):
             cls(**{name: math.nan})
+
+    @pytest.mark.parametrize("build,name,bound", [
+        (lambda v: TrackerConfig(n_init=v), "n_init", 1),
+        (lambda v: TrackerConfig(max_age=v), "max_age", 0),
+        (lambda v: RunConfig(embed_dim=v), "embed_dim", 1),
+        (lambda v: ScenarioConfig(n_agents=v, n_frames=2), "n_agents", 1),
+        (lambda v: ScenarioConfig(n_agents=2, n_frames=v), "n_frames", 1),
+        (lambda v: ScenarioConfig(n_agents=2, n_frames=2, embed_dim=v), "embed_dim", 1),
+    ], ids=["n_init", "max_age", "run_embed_dim", "n_agents", "n_frames", "scenario_embed_dim"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, math.inf, True])
+    def test_integer_field_rejects_a_non_integer(self, build, name, bound, value):
+        # A count the tracker would round, or the simulator could not range over.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= {bound}, got {value}$"):
+            build(value)
 
     def test_gate_count_beyond_the_float_range_is_a_parse_error(self):
         with pytest.raises(ConfigError, match="key 'kf.tau_kf': expected an integer or 'inf'"):
@@ -275,10 +289,11 @@ NUMERIC_KEYS = [key for key, (_, f) in KEYS.items() if "range" in f.metadata]
 
 def range_bounds(f):
     """(lo, hi, lo_in, hi_in, is_int) of a field's declared range: an integer
-    range ">= n" for the int fields and the gate count, else a float interval."""
+    range, "integer >= n" for the int fields and ">= n" for the gate count,
+    else a float interval."""
     spec = f.metadata["range"]
-    if spec.startswith(">= "):
-        return int(spec[3:]), math.inf, True, True, True
+    if spec.startswith(("integer >= ", ">= ")):
+        return int(spec.rpartition(">= ")[2]), math.inf, True, True, True
     lo, hi = (float(v) for v in spec[1:-1].split(", "))
     return lo, hi, spec[0] == "[", spec[-1] == "]", False
 
@@ -671,20 +686,24 @@ class TestCli:
     def test_ci_console_script_step_in_process(self, tmp_path, capsys):
         """The CI step that runs the installed ``motrack`` script, run here
         line by line through ``main``: simulate reproduces the crossing2 and
-        crowd8_occl20 golden files, track and eval run on crossing2's, and
-        eval's kv report is the golden one, also on CRLF copies of its files
-        that ``awk`` writes with an empty second line."""
+        crowd8_occl20 golden files, track and eval run on both, and eval's
+        kv report is the golden one, for crossing2 also on CRLF copies of its
+        files that ``awk`` writes with an empty second line."""
         root = Path(__file__).resolve().parents[1]
         workflow = yaml.safe_load((root / ".github/workflows/tests.yml").read_text())
         (step,) = [s for s in workflow["jobs"]["tests"]["steps"] if s.get("name") == "Console script end to end"]
         commands = [shlex.split(line.replace("$RUNNER_TEMP", str(tmp_path)))
                     for line in step["run"].splitlines() if line.strip()]
         assert [argv[0] for argv in commands] == (
-            (["motrack"] + ["cmp"] * 3) * 2 + ["motrack"] * 3 + ["cmp"] + ["awk"] * 2 + ["motrack", "cmp"]
-            + ["motrack"] * 2)
+            (["motrack"] + ["cmp"] * 3) * 2 + ["motrack"] * 2 + ["cmp"] + ["motrack"] * 3 + ["cmp"] + ["awk"] * 2
+            + ["motrack", "cmp"] + ["motrack"] * 2)
         assert [argv[1] for argv in commands if argv[0] == "motrack"] == [
-            "simulate", "simulate", "track", "eval", "eval", "eval", "sweep", "ablate"]
+            "simulate", "simulate", "track", "eval", "track", "eval", "eval", "eval", "sweep", "ablate"]
         assert [argv[3] for argv in commands if argv[1] == "simulate"] == ["crossing2", "crowd8_occl20"]
+        crowd_track, crowd_eval, crowd_cmp = commands[8:11]
+        assert crowd_track[3] == commands[6][1] and crowd_eval[3] == commands[5][1]
+        assert crowd_eval[5] == crowd_track[-1] and crowd_eval[-2:] == [">", crowd_cmp[1]]
+        assert crowd_cmp[2] == "tests/data/crowd8_occl20_seed0_eval.kv"
         for at in (-8, -4):
             assert commands[at][-2] == ">" and commands[at + 1][1:] == [commands[at][-1],
                                                                        "tests/data/crossing2_seed0_eval.kv"]

@@ -1,4 +1,5 @@
 from dataclasses import astuple
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,12 +9,15 @@ from hypothesis import strategies as st
 
 from motrack import BoundingBox, TrajectorySet, clear_metrics, evaluate, hota, identity_metrics
 from motrack import metrics
+from motrack.cli import main
 from motrack.metrics import HOTA_ALPHAS, EvalReport, _frame_table
+from motrack.mot_io import load_trajectories
 
 from fixtures import as_records, empty_hyp, gt_box, half_hyp, perfect_gt, perfect_hyp, swap_hyp
 from oracles import (
     clear_loop_oracle,
     frame_table_loop_oracle,
+    frame_table_views,
     hota_loop_oracle,
     hota_oracle,
     hota_potential_loop_oracle,
@@ -276,7 +280,10 @@ def _trajectory_pairs(draw):
 def _dense_pair(rng):
     """GT and hypothesis sets of 3-5 frames of 9-40 boxes each, all piled on
     one small area: IoU rows long enough for numpy's pairwise summation, and
-    mostly non-zero. Frame 1 has one hypothesis, whose column is as long."""
+    mostly non-zero. Frame 1 has one hypothesis, whose column is as long.
+    Before them, frame 0 spreads 9-12 boxes a row apart, each hypothesis a
+    copy of a GT box moved by under a pixel: its pairs are disjoint, at IoU
+    above 0.75, so no assignment is needed to match them."""
     gt, hyp = [], []
     for frame in range(1, int(rng.integers(3, 6)) + 1):
         for records, base in ((gt, 0), (hyp, 100)):
@@ -285,6 +292,12 @@ def _dense_pair(rng):
                 x, y = rng.uniform(0.0, 30.0, 2)
                 w, h = rng.uniform(20.0, 60.0, 2)
                 records.append((frame, base + int(ident), BoundingBox(x, y, w, h)))
+    n = int(rng.integers(9, 13))
+    for i, (g, h) in enumerate(zip(rng.permutation(48)[:n], rng.permutation(48)[:n])):
+        w, hh = rng.uniform(20.0, 60.0, 2)
+        dx, dy = rng.uniform(-0.5, 0.5, 2)
+        gt.append((0, int(g), BoundingBox(100.0 * i, 0.0, w, hh)))
+        hyp.append((0, 100 + int(h), BoundingBox(100.0 * i + dx, dy, w, hh)))
     return TrajectorySet.from_records(gt), TrajectorySet.from_records(hyp)
 
 
@@ -339,7 +352,7 @@ class TestSharedFrameTableDifferential:
         # sums only if summing some row, and some one-hypothesis column, left
         # to right rounds differently from numpy.
         sims = [sim for seed in range(24)
-                for _g, _h, sim in _frame_table(*_dense_pair(np.random.default_rng(seed))).per_frame()]
+                for _g, _h, sim in frame_table_views(_frame_table(*_dense_pair(np.random.default_rng(seed))))]
         rows = [row for sim in sims if sim.shape[1] > 1 for row in sim]
         columns = [sim[:, 0] for sim in sims if sim.shape[1] == 1]
         assert min(map(len, rows + columns)) >= 9
@@ -389,6 +402,105 @@ class TestSharedFrameTableDifferential:
         res = clear_metrics(gt, hyp)
         assert (res.ids, res.fp, res.fn) == (0, 1, 1)
         _assert_equals_loops(gt, hyp, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Frames matched in bulk and frames that call the assignment
+
+DATA = Path(__file__).parent / "data"
+
+
+def _contested_frames(table, admits) -> list[int]:
+    """Indices of the frames where some GT row or hypothesis column of the
+    IoU matrix holds two pairs that ``admits``."""
+    return [k for k, (_g, _h, sim) in enumerate(frame_table_views(table))
+            if sim.size and max(admits(sim).sum(axis=0).max(), admits(sim).sum(axis=1).max()) > 1]
+
+
+def _line_box(left: float, width: float) -> BoundingBox:
+    # Boxes of height 1 on one line: IoUs are ratios of widths.
+    return BoundingBox(left, 0.0, width, 1.0)
+
+
+class TestContestedFrames:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_dense_inputs_hold_both_kinds_of_frame(self, seed):
+        # The dense differential inputs check the bulk matching and the
+        # per-frame assignment only if both kinds of frame occur, for HOTA's
+        # positive pairs and for CLEAR at the input's threshold.
+        table = _frame_table(*_dense_pair(np.random.default_rng(seed)))
+        threshold = (0.05, 0.25, 0.5, 0.75)[seed % 4]
+        n_frames = len(table.pair_lo) - 1
+        for mask, admits in ((table.sim > 0, lambda sim: sim > 0),
+                             (table.sim >= threshold, lambda sim: sim >= threshold)):
+            contested = _contested_frames(table, admits)
+            assert 0 < len(contested) < n_frames
+            assert metrics._split_frames(table, mask)[0].tolist() == contested
+
+    def test_persistence_decides_a_gt_row_with_two_admissible_pairs(self):
+        # Frame 2: gt 1 keeps hyp 101 at IoU 0.6 although 102 overlaps fully.
+        gt = TrajectorySet.from_records([(1, 1, _line_box(0.0, 20.0)), (2, 1, _line_box(0.0, 20.0))])
+        hyp = TrajectorySet.from_records([
+            (1, 101, _line_box(0.0, 20.0)),
+            (2, 101, _line_box(0.0, 12.0)),
+            (2, 102, _line_box(0.0, 20.0)),
+        ])
+        res = clear_metrics(gt, hyp)
+        assert (res.ids, res.fp, res.fn) == (0, 1, 0)
+        _assert_equals_loops(gt, hyp, 0.5)
+
+    def test_switch_in_an_uncontested_run_after_a_contested_frame(self):
+        # Frame 1 (contested) matches gt 1 to 101; frames 2-3 (uncontested)
+        # match it to 102, a switch; in frame 4 (contested) persistence keeps
+        # 102, the last match, over 101 at a higher IoU.
+        box = _line_box(0.0, 20.0)
+        gt = TrajectorySet.from_records([(f, 1, box) for f in range(1, 5)])
+        hyp = TrajectorySet.from_records([
+            (1, 101, box), (1, 102, _line_box(0.0, 14.0)),
+            (2, 102, box),
+            (3, 102, box),
+            (4, 101, box), (4, 102, _line_box(0.0, 12.0)),
+        ])
+        res = clear_metrics(gt, hyp)
+        assert (res.ids, res.fp, res.fn) == (1, 2, 0)
+        _assert_equals_loops(gt, hyp, 0.5)
+
+    def test_admissible_pairs_of_equal_iou(self):
+        # Frame 1: hyps 101 and 102 both at IoU 0.6 to gt 1; frame 2: gt 1
+        # meets 102 alone; frame 3: gts 1 and 2 both at IoU 0.6 to hyp 103.
+        gt = TrajectorySet.from_records([
+            (1, 1, _line_box(0.0, 20.0)),
+            (2, 1, _line_box(0.0, 20.0)),
+            (3, 1, _line_box(0.0, 12.0)), (3, 2, _line_box(8.0, 12.0)),
+        ])
+        hyp = TrajectorySet.from_records([
+            (1, 101, _line_box(0.0, 12.0)), (1, 102, _line_box(8.0, 12.0)),
+            (2, 102, _line_box(0.0, 20.0)),
+            (3, 103, _line_box(0.0, 20.0)),
+        ])
+        table = _frame_table(gt, hyp)
+        assert table.sim[0] == table.sim[1] == table.sim[3] == table.sim[4] == 0.6
+        _assert_equals_loops(gt, hyp, 0.5)
+
+    def test_assignment_runs_once_per_contested_frame_of_the_pinned_crowd(self, tmp_path, monkeypatch):
+        hyp_path = tmp_path / "hyp.txt"
+        assert main(["track", "--det", str(DATA / "crowd8_occl20_seed0_det.txt"), "--out", str(hyp_path)]) == 0
+        gt, hyp = load_trajectories(DATA / "crowd8_occl20_seed0_gt.txt"), load_trajectories(hyp_path)
+        table = _frame_table(gt, hyp)
+        views = frame_table_views(table)
+        hota_frames = _contested_frames(table, lambda sim: sim > 0)
+        clear_frames = _contested_frames(table, lambda sim: sim >= 0.5)
+        assert (len(views), len(hota_frames), len(clear_frames)) == (120, 56, 13)
+
+        shapes = []
+        assign = metrics.linear_sum_assignment
+        monkeypatch.setattr(metrics, "linear_sum_assignment",
+                            lambda cost, **kw: shapes.append(cost.shape) or assign(cost, **kw))
+        hota(gt, hyp, frames=table)
+        assert shapes == [views[k][2].shape for k in hota_frames]
+        del shapes[:]
+        clear_metrics(gt, hyp, frames=table)
+        assert len(shapes) <= len(clear_frames)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +560,8 @@ def _assert_table_equals_loop(gt, hyp):
     assert table.g_ids.tolist() == gt.identities()
     assert table.h_ids.tolist() == hyp.identities()
     want = frame_table_loop_oracle(gt, hyp)
-    # Read through the per-frame view that CLEAR iterates.
-    got = list(table.per_frame())
+    # Read through per-frame views of the flat columns.
+    got = frame_table_views(table)
     assert len(got) == len(want)
     for (gids, hids, sim), (want_g, want_h, want_sim) in zip(got, want):
         assert gids.tolist() == want_g
@@ -458,10 +570,11 @@ def _assert_table_equals_loop(gt, hyp):
         assert sim.tobytes() == want_sim.tobytes()
     # The flat pair columns behind the view, frame by frame.
     n_h = len(table.h_ids)
-    assert table.pair_lo[-1] == len(table.sim) == len(table.cell) == len(table.hrow)
+    assert table.pair_lo[-1] == len(table.sim) == len(table.cell) == len(table.grow) == len(table.hrow)
     for k, (want_g, want_h, _sim) in enumerate(want):
         p0, p1 = table.pair_lo[k], table.pair_lo[k + 1]
         assert table.cell[p0:p1].tolist() == [g * n_h + h for g in want_g for h in want_h]
+        assert table.grow[p0:p1].tolist() == [table.g_lo[k] + i for i in range(len(want_g)) for _h in want_h]
         assert table.hrow[p0:p1].tolist() == [table.h_lo[k] + j for _g in want_g for j in range(len(want_h))]
 
 
@@ -484,13 +597,13 @@ class TestFrameTable:
             _assert_table_equals_loop(*pair)
 
     def test_empty_sets_and_frames_in_one_set_only(self):
-        assert list(_frame_table(TrajectorySet(), TrajectorySet()).per_frame()) == []
+        assert frame_table_views(_frame_table(TrajectorySet(), TrajectorySet())) == []
         rng = np.random.default_rng(3)
         gt = _random_set(rng, [(1, 3), (2, 2), (3, 4)])
         hyp = _random_set(rng, [(3, 2), (4, 3), (6, 1)], id_base=100)
         for a, b in [(gt, TrajectorySet()), (TrajectorySet(), hyp), (gt, hyp), (hyp, gt)]:
             _assert_table_equals_loop(a, b)
-        rows = _frame_table(gt, hyp).per_frame()
+        rows = frame_table_views(_frame_table(gt, hyp))
         assert [sim.shape for _g, _h, sim in rows] == [(3, 0), (2, 0), (4, 2), (0, 3), (0, 1)]
 
     def test_inputs_crossing_block_boundaries(self):

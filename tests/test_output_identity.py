@@ -93,3 +93,15 @@ def test_eval_pair_reload_output_unchanged(tmp_path):
         write_trajectories(second, load_trajectories(first))
         digests[label] = _sha256(second.read_bytes())
     assert digests == RELOAD_DIGESTS
+
+
+def test_pinned_crowd_eval_kv_is_the_golden_one(tmp_path, capsys):
+    # The dense pinned pair, recorded before CLEAR and HOTA matched frames
+    # without competing pairs in bulk: 56 of its 120 frames still call
+    # HOTA's assignment and 13 may call CLEAR's.
+    hyp_path = tmp_path / "hyp.txt"
+    assert main(["track", "--det", str(DATA / "crowd8_occl20_seed0_det.txt"), "--out", str(hyp_path)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--gt", str(DATA / "crowd8_occl20_seed0_gt.txt"), "--hyp", str(hyp_path),
+                 "--format", "kv"]) == 0
+    assert capsys.readouterr().out == (DATA / "crowd8_occl20_seed0_eval.kv").read_text()

@@ -180,9 +180,12 @@ class TestMotionQueue:
             q.push([1.0, 2.0])
 
     @pytest.mark.parametrize("capacity,dim,message", [
-        (0, 3, "capacity must be >= 1, got 0"),
-        (float("nan"), 3, "capacity must be >= 1, got nan"),
-        (3, float("nan"), "dim must be >= 1, got nan"),
+        (0, 3, "capacity must be an integer >= 1, got 0"),
+        (float("nan"), 3, "capacity must be an integer >= 1, got nan"),
+        (3, float("nan"), "dim must be an integer >= 1, got nan"),
+        (2.5, 3, "capacity must be an integer >= 1, got 2.5"),
+        (3, 2.5, "dim must be an integer >= 1, got 2.5"),
+        (True, 3, "capacity must be an integer >= 1, got True"),
     ])
     def test_sizes_below_one_or_nan_rejected(self, capacity, dim, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
