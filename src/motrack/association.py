@@ -340,6 +340,17 @@ def _box_column(boxes: Sequence[BoundingBox | None]) -> np.ndarray:
     return np.array([nan_box if b is None else b.as_tuple() for b in boxes], dtype=float).reshape(-1, OBS_DIM)
 
 
+def _kalman_columns(states: Sequence[KalmanTrackState]) -> dict[str, np.ndarray]:
+    """The gate counter and Kalman blocks of ``TrackRows`` holding these
+    states, in their order; the blocks are views into one array of all fields."""
+    fields = np.array([(*s.state.tolist(), *s.pos_var, *s.vel_var, *s.cross, *s.q, *s.r) for s in states],
+                      dtype=float).reshape(len(states), 8 * OBS_DIM)
+    columns, at = {"counter": np.array([s.counter for s in states], dtype=np.int64)}, 0
+    for name, width in (("x", 8), ("pos_var", 4), ("vel_var", 4), ("cross", 4), ("q", 8), ("r", 4)):
+        columns[name], at = fields[:, at:at + width], at + width
+    return columns
+
+
 class TrackRows:
     """Tracks as columns, one row per track in creation (and id) order.
 
@@ -360,29 +371,24 @@ class TrackRows:
     @classmethod
     def of(cls, tracks: Sequence[Track]) -> "TrackRows":
         """Rows holding copies of the given tracks, in their order."""
-        n = len(tracks)
-        rows = cls()
-        for name, dtype, values in (
-            ("id", np.int64, [t.id for t in tracks]),
-            ("status", np.int8, [_STATUSES.index(t.status) for t in tracks]),
-            ("hits", np.int64, [t.hits for t in tracks]),
-            ("misses", np.int64, [t.misses for t in tracks]),
-            ("counter", np.int64, [t.kalman.counter for t in tracks]),
-        ):
-            setattr(rows, name, np.array(values, dtype=dtype))
-        for name, width in (("state", 2 * OBS_DIM), ("pos_var", OBS_DIM), ("vel_var", OBS_DIM),
-                            ("cross", OBS_DIM), ("q", 2 * OBS_DIM), ("r", OBS_DIM)):
-            column = np.array([getattr(t.kalman, name) for t in tracks], dtype=float)
-            setattr(rows, "x" if name == "state" else name, column.reshape(n, width))
         memories = [t.memory for t in tracks if t.memory is not None]
-        rows.has_memory = np.array([t.memory is not None for t in tracks], dtype=bool)
-        rows.memory = np.zeros((n, *_one_dim(np.shape(m) for m in memories)))
+        has_memory = np.array([t.memory is not None for t in tracks], dtype=bool)
+        memory = np.zeros((len(tracks), *_one_dim(np.shape(m) for m in memories)))
         if memories:
-            rows.memory[rows.has_memory] = memories
-        rows.predicted = _box_column([t.predicted_box for t in tracks])
-        rows.last_box = _box_column([t.last_box for t in tracks])
-        rows.last_score = np.array([math.nan if t.last_score is None else t.last_score for t in tracks],
-                                   dtype=float)
+            memory[has_memory] = memories
+        rows = cls()
+        rows.__dict__.update(
+            _kalman_columns([t.kalman for t in tracks]),
+            id=np.array([t.id for t in tracks], dtype=np.int64),
+            status=np.array([_STATUSES.index(t.status) for t in tracks], dtype=np.int8),
+            hits=np.array([t.hits for t in tracks], dtype=np.int64),
+            misses=np.array([t.misses for t in tracks], dtype=np.int64),
+            memory=memory, has_memory=has_memory,
+            predicted=_box_column([t.predicted_box for t in tracks]),
+            last_box=_box_column([t.last_box for t in tracks]),
+            last_score=np.array([math.nan if t.last_score is None else t.last_score for t in tracks],
+                                dtype=float),
+        )
         return rows
 
     def __len__(self) -> int:
@@ -404,19 +410,19 @@ class TrackRows:
             for i, s, misses, hits, x, pv, vv, c, k, q, r, memory, has, p, box, score in columns
         ]
 
-    def rebuild(self, keep: np.ndarray | None, new: "TrackRows") -> None:
-        """Drop the rows ``keep`` marks False (all kept when None), then append
-        ``new``'s rows. Memories of two dimensions are an error."""
-        if keep is not None:
-            for name in self.ARRAYS:
-                setattr(self, name, getattr(self, name)[keep])
-        if len(new):
-            dim = _one_dim(r.memory.shape[1:] for r in (self, new) if np.count_nonzero(r.has_memory))
-            for part in (self, new):
-                if part.memory.shape[1:] != dim:
-                    part.memory = np.zeros((len(part), *dim))
-            for name in self.ARRAYS:
-                setattr(self, name, np.concatenate([getattr(self, name), getattr(new, name)]))
+    def rebuild(self, keep: np.ndarray | None, new: dict[str, np.ndarray]) -> None:
+        """Drop the rows ``keep`` marks False (all kept when None) and append
+        the rows ``new`` holds, a column per name in ARRAYS (none when empty),
+        in one pass per column. Memories of two dimensions are an error; a
+        part that holds no memory takes the other's memory dimension."""
+        kept = {name: getattr(self, name) if keep is None else getattr(self, name)[keep] for name in self.ARRAYS}
+        if new:
+            dim = _one_dim(p["memory"].shape[1:] for p in (kept, new) if np.count_nonzero(p["has_memory"]))
+            for part in (kept, new):
+                if part["memory"].shape[1:] != dim:
+                    part["memory"] = np.zeros((len(part["has_memory"]), *dim))
+            kept = {name: np.concatenate([column, new[name]]) for name, column in kept.items()}
+        self.__dict__.update(kept)
 
 
 def _as_rows(tracks: TrackRows | Sequence[Track]) -> TrackRows:
@@ -440,13 +446,15 @@ def _appearance_matrix(rows: TrackRows, frame: Frame) -> np.ndarray:
     appearance = np.empty((len(rows), len(frame)))
     no_scalar = np.isnan(frame.s_mask)
     appearance[:] = np.where(no_scalar, 0.0, frame.s_mask)
-    cols = np.flatnonzero(no_scalar & frame.has_embedding)  # candidates compared by cosine
-    if cols.size and np.count_nonzero(rows.has_memory):
-        shapes = sorted({rows.memory.shape[1:], frame.embeddings.shape[1:]})
-        if len(shapes) > 1:
+    cols = (no_scalar & frame.has_embedding).nonzero()[0]  # candidates compared by cosine
+    held = rows.has_memory.nonzero()[0]
+    if cols.size and held.size:
+        if rows.memory.shape[1:] != frame.embeddings.shape[1:]:
+            shapes = sorted({rows.memory.shape[1:], frame.embeddings.shape[1:]})
             raise ValueError(f"buffer/embedding dimension mismatch: {' vs '.join(map(str, shapes))}")
-        held = np.flatnonzero(rows.has_memory)
-        mem, emb = rows.memory[held], frame.embeddings[cols]
+        # ndarray.take gathers rows of a small 2-d array at about a third of
+        # the cost of fancy indexing; the step gathers rows with it throughout.
+        mem, emb = rows.memory.take(held, axis=0), frame.embeddings.take(cols, axis=0)
         # np.linalg.norm(., axis=1)'s own arithmetic, without its argument handling.
         na, nb = np.sqrt(np.add.reduce(mem * mem, axis=1)), np.sqrt(np.add.reduce(emb * emb, axis=1))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -463,23 +471,17 @@ def _appearance_matrix(rows: TrackRows, frame: Frame) -> np.ndarray:
     return appearance
 
 
-def _score_matrices(
-    tracks: TrackRows | Sequence[Track],
-    candidates: Frame | Sequence[DetectionCandidate],
-    alpha: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(fused, motion) score matrices of every (track, candidate) pair, and
-    the candidates' (m, 4) boxes.
+def _score_matrices(rows: TrackRows, frame: Frame, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(fused, motion) score matrices of every (track, candidate) pair.
 
     motion is the IoU of each track's prediction against each candidate
     box; fused is alpha * appearance + (1 - alpha) * motion.
     """
-    rows, frame = _as_rows(tracks), Frame.of(candidates)
     motion = iou_matrix(rows.predicted, frame.boxes)
     fused = alpha * _appearance_matrix(rows, frame) + (1.0 - alpha) * motion
     if np.count_nonzero(np.isfinite(fused)) < fused.size:
         raise ValueError("association scores contain non-finite entries")
-    return fused, motion, frame.boxes
+    return fused, motion
 
 
 def associate_frame(
@@ -497,8 +499,8 @@ def associate_frame(
     (ties to the lower candidate index); when several tracks claim one
     candidate the highest fused score wins and the losers stay unmatched.
     """
-    rows = _as_rows(tracks)
-    fused, motion, boxes = _score_matrices(rows, candidates, config.alpha)
+    rows, frame = _as_rows(tracks), Frame.of(candidates)
+    fused, motion = _score_matrices(rows, frame, config.alpha)
     n_tracks, n_cands = fused.shape
     matched = cols = np.zeros(0, dtype=np.intp)
 
@@ -521,7 +523,7 @@ def associate_frame(
             matched = np.array([i for i, _ in pairs], dtype=np.intp)
             cols = np.array([j for _, j in pairs], dtype=np.intp)
 
-    return AssociationResult(rows.id, matched, cols, boxes[cols], fused[matched, cols],
+    return AssociationResult(rows.id, matched, cols, frame.boxes.take(cols, axis=0), fused[matched, cols],
                              motion[matched, cols], n_cands)
 
 
@@ -533,6 +535,45 @@ class TrackOutput(NamedTuple):
     box: BoundingBox
     status: str
     score: float | None  # fused score of this frame's match; None while coasting
+
+
+class FrameOutputs(Sequence):
+    """One frame's output records as read-only columns, copied from the
+    tracker's rows in increasing id order: ``ids`` (n,), ``status`` (n,)
+    codes indexing the status names, ``boxes`` (n, 4) and ``scores`` (n,),
+    NaN while a track coasts. It is also a sequence of ``TrackOutput``
+    views, built on each read, and equals the list of those records.
+    """
+
+    __slots__ = ("ids", "status", "boxes", "scores")
+
+    def __init__(self, ids: np.ndarray, status: np.ndarray, boxes: np.ndarray, scores: np.ndarray) -> None:
+        for name, column in zip(self.__slots__, (ids, status, boxes, scores)):
+            column = np.array(column)
+            # Not ``column.flags.writeable = False``: under numpy 2.4 that
+            # setter keeps a few kilobytes of small allocations alive, which
+            # the soak test's bound on what a long run leaves allocated sees.
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, j):
+        return list(self)[j]
+
+    def __iter__(self):
+        columns = zip(self.ids.tolist(), self.status.tolist(), self.boxes.tolist(), self.scores.tolist())
+        return (TrackOutput(i, BoundingBox._checked(*box), _STATUSES[s], None if math.isnan(score) else score)
+                for i, s, box, score in columns)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (FrameOutputs, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"FrameOutputs columns are read-only: cannot set {name!r}")
 
 
 @dataclass
@@ -578,29 +619,32 @@ def _update_matched(
     # One more reliable association, or back to zero.
     counter = (rows.counter[matched] + 1) * (frame.s_obj[cols] >= kin.tau_obj)
     rows.counter[matched] = counter
-    fire = counter >= kin.tau_kf
-    if np.count_nonzero(fire):
-        f, x = matched[fire], rows.x
-        x[f, :OBS_DIM], x[f, OBS_DIM:], rows.pos_var[f], rows.vel_var[f], rows.cross[f] = _correct_axis(
-            x[f, :OBS_DIM], x[f, OBS_DIM:], rows.pos_var[f], rows.vel_var[f], rows.cross[f],
-            rows.r[f], result.boxes[fire])
+    fire = (counter >= kin.tau_kf).nonzero()[0]
+    if fire.size:
+        # Each column of the firing rows is gathered once and scattered once.
+        f = matched[fire]
+        x, pos_var, vel_var, cross, r = (c.take(f, axis=0) for c in (rows.x, rows.pos_var, rows.vel_var,
+                                                                       rows.cross, rows.r))
+        x[:, :OBS_DIM], x[:, OBS_DIM:], pos_var, vel_var, cross = _correct_axis(
+            x[:, :OBS_DIM], x[:, OBS_DIM:], pos_var, vel_var, cross, r, result.boxes.take(fire, axis=0))
+        rows.x[f], rows.pos_var[f], rows.vel_var[f], rows.cross[f] = x, pos_var, vel_var, cross
 
-    keyed = frame.has_embedding[cols]
-    if np.count_nonzero(keyed):
-        keys = frame.embeddings[cols[keyed]]
+    keyed = frame.has_embedding[cols].nonzero()[0]
+    if keyed.size:
+        keys = frame.embeddings.take(cols[keyed], axis=0)
         if keys.shape[1:] != rows.memory.shape[1:]:
             held = [rows.memory.shape[1:]] if np.count_nonzero(rows.has_memory) else []
             rows.memory = np.zeros((len(rows), *_one_dim(held + [keys.shape[1:]])))
         k, s_kf = matched[keyed], result.motion_scores[keyed][:, np.newaxis]
-        blended, _ = _ema(rows.memory[k], keys, s_kf, cfg.tau_gamma)
+        blended, _ = _ema(rows.memory.take(k, axis=0), keys, s_kf, cfg.tau_gamma)
         # A row without memory takes the key as it is.
         rows.memory[k] = np.where(rows.has_memory[k][:, np.newaxis], blended, keys)
         rows.has_memory[k] = True
 
-    rows.misses[matched] = 0
-    rows.hits[matched] += 1
+    hits = rows.hits[matched] + 1
+    rows.hits[matched], rows.misses[matched] = hits, 0
     # A match confirms a row unless it is tentative with fewer than n_init hits.
-    rows.status[matched] = (rows.status[matched] != _TENTATIVE) | (rows.hits[matched] >= cfg.n_init)
+    rows.status[matched] = (rows.status[matched] != _TENTATIVE) | (hits >= cfg.n_init)
     rows.last_box[matched] = result.boxes
     rows.last_score[matched] = result.scores
 
@@ -613,18 +657,42 @@ def _coast_unmatched(rows: TrackRows, matched: np.ndarray, cfg: TrackerConfig) -
     unmatched[matched] = False
     rows.misses += unmatched
     retire = unmatched & ((rows.status == _TENTATIVE) | (rows.misses > cfg.max_age))
-    coast = np.flatnonzero(unmatched ^ retire)
+    coast = unmatched ^ retire
     rows.status[coast] = _LOST
-    rows.last_box[coast] = rows.predicted[coast]
+    np.copyto(rows.last_box, rows.predicted, where=coast[:, np.newaxis])
     rows.last_score[coast] = math.nan
     return ~retire if np.count_nonzero(retire) else None
+
+
+def _newborn_rows(frame: Frame, born: np.ndarray, first_id: int, cfg: TrackerConfig,
+                  frame_index: int) -> dict[str, np.ndarray]:
+    """The columns of the tentative (confirmed when n_init <= 1) tracks that
+    the candidates ``born`` start, with ids from ``first_id``: one ``kf_init``
+    per candidate, its fields written straight into the rows."""
+    states = []
+    boxes = frame.boxes.take(born, axis=0)
+    for j, box in zip(born.tolist(), boxes.tolist()):
+        try:
+            states.append(kf_init(BoundingBox._checked(*box), cfg.kinematics))
+        except ValueError as exc:  # the noise scales with the box: name the box
+            raise ValueError(f"{exc} (frame {frame_index}, candidate {j})") from None
+    n, has_memory = len(born), frame.has_embedding[born]
+    return dict(
+        _kalman_columns(states),
+        id=np.arange(first_id, first_id + n, dtype=np.int64),
+        status=np.full(n, _STATUSES.index(CONFIRMED if cfg.n_init <= 1 else TENTATIVE), dtype=np.int8),
+        hits=np.ones(n, dtype=np.int64), misses=np.zeros(n, dtype=np.int64),
+        memory=np.where(has_memory[:, np.newaxis], frame.embeddings.take(born, axis=0), 0.0),
+        has_memory=has_memory, predicted=np.full((n, OBS_DIM), math.nan), last_box=boxes,
+        last_score=np.full(n, math.nan),
+    )
 
 
 def step_tracker(
     state: TrackerState,
     frame: Frame | Sequence[DetectionCandidate],
     frame_index: int | None = None,
-) -> tuple[TrackerState, list[TrackOutput]]:
+) -> tuple[TrackerState, FrameOutputs]:
     """Advance the tracker by one frame of candidates, a Frame or a list of
     candidates (converted once).
 
@@ -632,14 +700,16 @@ def step_tracker(
     matches, then lifecycle: unmatched candidates above tau_birth spawn
     tentative tracks, tentative tracks confirm after n_init consecutive
     hits, tracks whose misses exceed max_age retire, and the rest coast as
-    lost on their predictions. Each stage runs once over all rows; the
-    outputs come in increasing track id order.
+    lost on their predictions. Each stage runs once over all rows, and a
+    newborn's row is written from its ``kf_init`` state without a ``Track``.
 
     frame_index defaults to the next frame; passing an explicit index that
     does not advance time raises ValueError. The state is mutated in place
-    and returned alongside this frame's output records. The appearance
-    buffers hold one dimension: a frame whose embeddings would add a second
-    one raises ValueError.
+    and returned alongside this frame's output records: a ``FrameOutputs``
+    holding copies of the rows' id, status, box and score columns, in
+    increasing track id order, which later steps leave unchanged. The
+    appearance buffers hold one dimension: a frame whose embeddings would
+    add a second one raises ValueError.
     """
     cfg = state.config
     if frame_index is None:
@@ -659,23 +729,8 @@ def step_tracker(
     keep = _coast_unmatched(rows, result.rows, cfg) if len(result.rows) < len(rows) else None
     birth = frame.s_obj >= cfg.tau_birth
     birth[result.cols] = False  # a matched candidate spawns nothing
-    born = np.flatnonzero(birth).tolist()
-    if keep is not None or born:
-        status = CONFIRMED if cfg.n_init <= 1 else TENTATIVE
-        tracks = []
-        for j, box in zip(born, frame.boxes[born].tolist()):
-            box = BoundingBox._checked(*box)
-            try:
-                kf = kf_init(box, cfg.kinematics)
-            except ValueError as exc:  # the noise scales with the box: name the box
-                raise ValueError(f"{exc} (frame {frame_index}, candidate {j})") from None
-            tracks.append(Track(state.next_id + len(tracks), kf, status,
-                                memory=frame.embeddings[j] if frame.has_embedding[j] else None, last_box=box))
-        rows.rebuild(keep, TrackRows.of(tracks))
-        state.next_id += len(born)
-
-    return state, [
-        TrackOutput(i, BoundingBox._checked(*box), _STATUSES[s], None if math.isnan(score) else score)
-        for i, s, box, score in zip(rows.id.tolist(), rows.status.tolist(), rows.last_box.tolist(),
-                                    rows.last_score.tolist())
-    ]
+    born = birth.nonzero()[0]
+    if keep is not None or born.size:
+        rows.rebuild(keep, _newborn_rows(frame, born, state.next_id, cfg, frame_index) if born.size else {})
+        state.next_id += born.size
+    return state, FrameOutputs(rows.id, rows.status, rows.last_box, rows.last_score)

@@ -9,7 +9,10 @@ from typing import Iterable, Mapping, Sequence
 
 from dataclasses import replace
 
-from .association import CONFIRMED, LOST, TENTATIVE, DetectionCandidate, Frame, TrackerState, step_tracker
+import numpy as np
+
+from .association import (_STATUSES, CONFIRMED, LOST, TENTATIVE, DetectionCandidate, Frame, TrackerState,
+                          step_tracker)
 from .config import RunConfig
 from .metrics import EvalReport, TrajectorySet, evaluate, format_metric
 from .simulator import ScenarioConfig, generate, standard_suite
@@ -33,33 +36,31 @@ def track_frames(
 
     Mapping input is keyed by frame number (gaps become empty frames); a
     sequence holds frame i+1 at position i. Each frame is a ``Frame`` or a
-    list of candidates. Which lifecycle states reach
-    the output is controlled by output.include_lost / include_tentative.
-    Each frame's outputs come in increasing id order, so the collected
-    columns are already sorted as ``TrajectorySet.from_columns`` checks.
+    list of candidates. Which lifecycle states reach the output is
+    controlled by output.include_lost / include_tentative. ``step_tracker``
+    runs once per frame and returns its outputs as columns in increasing id
+    order; one status-code mask per frame keeps the included rows, and their
+    concatenation is already sorted as ``TrajectorySet.from_columns`` checks.
     """
     if isinstance(frames, Mapping):
         numbers = range(min(frames), max(frames) + 1) if frames else ()
         stream = [(f, frames.get(f, [])) for f in numbers]
     else:
         stream = list(enumerate(frames, start=1))
+    if not stream:
+        return TrajectorySet()
 
-    included = {CONFIRMED}
-    if run_cfg.output_include_lost:
-        included.add(LOST)
-    if run_cfg.output_include_tentative:
-        included.add(TENTATIVE)
-
+    included = {CONFIRMED: True, LOST: run_cfg.output_include_lost, TENTATIVE: run_cfg.output_include_tentative}
+    included = np.array([included[name] for name in _STATUSES])  # indexed by status code
     state = TrackerState(config=run_cfg.tracker)
-    frame_col, id_col, box_col = [], [], []  # box_col: x, y, w, h of each box in turn
+    ids, boxes = [], []
     for frame, candidates in stream:
-        state, outputs = step_tracker(state, candidates, frame_index=frame)
-        for out in outputs:  # in increasing id order
-            if out.status in included:
-                frame_col.append(frame)
-                id_col.append(out.track_id)
-                box_col.extend(out.box.as_tuple())
-    return TrajectorySet.from_columns(frame_col, id_col, box_col)
+        outputs = step_tracker(state, candidates, frame_index=frame)[1]
+        keep = included[outputs.status]
+        ids.append(outputs.ids[keep])
+        boxes.append(outputs.boxes[keep])
+    frame_col = np.repeat([frame for frame, _ in stream], [len(i) for i in ids])
+    return TrajectorySet.from_columns(frame_col, np.concatenate(ids), np.concatenate(boxes))
 
 
 def run_scenario(

@@ -481,6 +481,22 @@ def step_tracker_oracle(
     return state, outputs
 
 
+def track_frames_oracle(frames: list[list[DetectionCandidate]], run_cfg) -> TrajectorySet:
+    """The per-output ``track_frames``: ``step_tracker_oracle`` on frame i+1
+    at position i, keeping each output whose status the run config includes,
+    unchanged from before the step returned its outputs as columns."""
+    included = {CONFIRMED}
+    if run_cfg.output_include_lost:
+        included.add(LOST)
+    if run_cfg.output_include_tentative:
+        included.add(TENTATIVE)
+    state, records = OracleTrackerState(config=run_cfg.tracker), []
+    for number, candidates in enumerate(frames, start=1):
+        state, outputs = step_tracker_oracle(state, candidates, frame_index=number)
+        records += [(number, out.track_id, out.box) for out in outputs if out.status in included]
+    return TrajectorySet.from_records(records)
+
+
 # ---------------------------------------------------------------------------
 # HOTA
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -14,10 +15,13 @@ from motrack import (
     TENTATIVE,
     BoundingBox,
     DetectionCandidate,
+    FrameOutputs,
     KinematicsConfig,
+    RunConfig,
     Track,
     TrackerConfig,
     TrackerState,
+    TrackOutput,
     associate_frame,
     generate,
     iou,
@@ -27,7 +31,8 @@ from motrack import (
     step_tracker,
     temporal_buffer_update,
 )
-from motrack.association import MODES, _score_matrices
+from motrack.association import MODES, Frame, TrackRows, _score_matrices
+from motrack.runner import track_frames
 
 from oracles import (
     OracleTrackerState,
@@ -39,6 +44,7 @@ from oracles import (
     fused_score,
     motion_consistency_score,
     step_tracker_oracle,
+    track_frames_oracle,
 )
 
 
@@ -48,6 +54,11 @@ def make_track(track_id, box, config=None, predicted=True):
     if predicted:
         track.kalman, track.predicted_box = kf_predict(track.kalman)
     return track
+
+
+def score_matrices(tracks, candidates, alpha):
+    """``_score_matrices`` over a list of predicted tracks and one of candidates."""
+    return _score_matrices(TrackRows.of(tracks), Frame.of(candidates), alpha)
 
 
 def cand(box, s_obj=0.9, s_mask=None, embedding=None):
@@ -233,7 +244,7 @@ class TestScoreMatrices:
     @given(scoring_frames())
     def test_matches_per_pair_scalar_path(self, frame):
         tracks, candidates, alpha = frame
-        fused, motion, _ = _score_matrices(tracks, candidates, alpha)
+        fused, motion = score_matrices(tracks, candidates, alpha)
         assert fused.shape == motion.shape == (len(tracks), len(candidates))
         for i, t in enumerate(tracks):
             for j, c in enumerate(candidates):
@@ -246,13 +257,13 @@ class TestScoreMatrices:
         track = make_track(1, (0, 0, 10, 10))
         track.memory = np.ones(3)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            _score_matrices([track], [cand((0, 0, 10, 10), embedding=np.ones(2))], 0.5)
+            score_matrices([track], [cand((0, 0, 10, 10), embedding=np.ones(2))], 0.5)
 
     def test_mismatch_ignored_where_scalar_mask_decides(self):
         track = make_track(1, (0, 0, 10, 10))
         track.memory = np.ones(3)
         candidates = [cand((0, 0, 10, 10), s_mask=0.25, embedding=np.ones(2))]
-        fused, _, _ = _score_matrices([track], candidates, 1.0)
+        fused, _ = score_matrices([track], candidates, 1.0)
         assert fused.tolist() == [[0.25]]
 
     def test_mismatch_rejected_where_mapping_decides(self):
@@ -262,14 +273,14 @@ class TestScoreMatrices:
         track.memory = np.ones(3)
         mapped = cand((0, 0, 10, 10), s_mask={1: 0.75}, embedding=np.ones(2))
         with pytest.raises(ValueError, match=r"^buffer/embedding dimension mismatch: \(2,\) vs \(3,\)"):
-            _score_matrices([track], [mapped], 1.0)
+            score_matrices([track], [mapped], 1.0)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_scores_rejected(self):
         track = make_track(1, (0, 0, 10, 10))
         track.memory = np.full(2, 1e200)
         with pytest.raises(ValueError, match="non-finite"):
-            _score_matrices([track], [cand((0, 0, 10, 10), embedding=np.full(2, 1e200))], 0.5)
+            score_matrices([track], [cand((0, 0, 10, 10), embedding=np.full(2, 1e200))], 0.5)
 
 
 def _pairs(result) -> list[tuple[int, int]]:
@@ -698,6 +709,83 @@ class TestColumnsMatchPerTrackOracle:
         state.rows.x[0, 4] = math.inf  # x velocity
         with pytest.raises(ValueError, match="box field 'x' must be finite, got inf"):
             step_tracker(state, [])
+
+
+class TestFrameOutputs:
+    """The step's outputs: read-only copies of the rows' columns that read as
+    a list of ``TrackOutput``s."""
+
+    def three_outputs(self):
+        """Frame 3 of a stream that leaves a matched, a coasting and a newborn track."""
+        state = TrackerState(config=TrackerConfig(n_init=2))
+        for frame in ([cand((0, 0, 20, 20)), cand((100, 0, 20, 20))],
+                      [cand((1, 0, 20, 20)), cand((101, 0, 20, 20))]):
+            state, _ = step_tracker(state, frame)
+        state, outputs = step_tracker(state, [cand((2, 0, 20, 20)), cand((300, 0, 20, 20))])
+        return state, outputs
+
+    def test_sequence_of_track_outputs(self):
+        _, outputs = self.three_outputs()
+        records = list(outputs)
+        assert isinstance(outputs, FrameOutputs) and len(outputs) == 3
+        assert [(o.track_id, o.status) for o in records] == [(1, CONFIRMED), (2, LOST), (3, TENTATIVE)]
+        assert all(type(o) is TrackOutput and type(o.track_id) is int for o in records)
+        assert type(records[0].score) is float and records[1].score is None and records[2].score is None
+        assert records[2].box == BoundingBox(300, 0, 20, 20)
+        assert [outputs[i] for i in (0, 1, 2, -1, -2, -3)] == records + records[::-1]
+        for bad in (3, -4):
+            with pytest.raises(IndexError):
+                outputs[bad]
+        assert outputs[1:] == records[1:] and outputs[::-2] == records[::-2] and outputs[5:] == []
+        assert [o.track_id for o in reversed(outputs)] == [3, 2, 1] and outputs.index(records[1]) == 1
+
+    def test_equals_the_list_of_its_records(self):
+        state, outputs = self.three_outputs()
+        records = list(outputs)
+        assert outputs == records and records == outputs and outputs == outputs
+        assert outputs != records[:2] and outputs != records[::-1] and outputs != []
+        assert outputs != tuple(records)  # only a list or another FrameOutputs compares
+        _, empty = step_tracker(TrackerState(), [])
+        assert empty == [] and [] == empty and len(empty) == 0 and not empty
+        with pytest.raises(TypeError):
+            hash(outputs)
+
+    def test_columns_are_read_only(self):
+        _, outputs = self.three_outputs()
+        for name in ("ids", "status", "boxes", "scores"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(outputs, name)[0] = 0
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(outputs, name, np.zeros(3))
+        assert math.isnan(outputs.scores[1]) and outputs.boxes.shape == (3, 4)
+
+    def test_later_steps_leave_earlier_outputs_unchanged(self):
+        state, outputs = self.three_outputs()
+        before = list(outputs)
+        columns = [getattr(outputs, name).tobytes() for name in outputs.__slots__]
+        rows = state.rows
+        assert not any(np.shares_memory(getattr(outputs, a), getattr(rows, b))
+                       for a, b in (("ids", "id"), ("status", "status"), ("boxes", "last_box"),
+                                    ("scores", "last_score")))
+        for f in range(4):  # matches, coasts, a retirement and a birth
+            state, _ = step_tracker(state, [cand((3.0 + f, 0, 20, 20)), cand((500, 0, 20, 20))])
+        assert [getattr(outputs, name).tobytes() for name in outputs.__slots__] == columns
+        assert list(outputs) == before
+
+
+class TestTrackFramesIncludeFlags:
+    @settings(max_examples=60, deadline=None)
+    @given(tracker_streams())
+    def test_status_mask_matches_per_output_filter(self, stream):
+        """``track_frames`` keeps rows by one status-code mask; under each of
+        the four include settings it equals the per-output filter over the
+        per-track step, column by column and bit for bit."""
+        config, frames = stream
+        for lost, tentative in itertools.product((False, True), repeat=2):
+            run_cfg = RunConfig(tracker=config, output_include_lost=lost, output_include_tentative=tentative)
+            got, expected = track_frames(frames, run_cfg), track_frames_oracle(frames, run_cfg)
+            assert [c.dtype for c in got.columns()] == [c.dtype for c in expected.columns()]
+            assert [c.tobytes() for c in got.columns()] == [c.tobytes() for c in expected.columns()]
 
 
 class TestSoak:

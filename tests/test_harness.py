@@ -683,27 +683,33 @@ class TestCli:
         )
         assert float(kv["idf1"]) > 0.8
 
-    def test_ci_console_script_step_in_process(self, tmp_path, capsys):
+    def test_ci_console_script_step_in_process(self, tmp_path, capsys, monkeypatch):
         """The CI step that runs the installed ``motrack`` script, run here
-        line by line through ``main``: simulate reproduces the crossing2 and
-        crowd8_occl20 golden files, track and eval run on both, and eval's
-        kv report is the golden one, for crossing2 also on CRLF copies of its
-        files that ``awk`` writes with an empty second line."""
+        line by line through ``main`` from the checkout root: simulate
+        reproduces the crossing2 and crowd8_occl20 golden files, track and
+        eval run on both, and eval's kv report is the golden one, for
+        crossing2 also on CRLF copies of its files that ``awk`` writes with an
+        empty second line; crowd8_occl20's track with lost and tentative
+        tracks included writes the golden hypothesis."""
         root = Path(__file__).resolve().parents[1]
+        monkeypatch.chdir(root)
         workflow = yaml.safe_load((root / ".github/workflows/tests.yml").read_text())
         (step,) = [s for s in workflow["jobs"]["tests"]["steps"] if s.get("name") == "Console script end to end"]
         commands = [shlex.split(line.replace("$RUNNER_TEMP", str(tmp_path)))
                     for line in step["run"].splitlines() if line.strip()]
         assert [argv[0] for argv in commands] == (
-            (["motrack"] + ["cmp"] * 3) * 2 + ["motrack"] * 2 + ["cmp"] + ["motrack"] * 3 + ["cmp"] + ["awk"] * 2
-            + ["motrack", "cmp"] + ["motrack"] * 2)
+            (["motrack"] + ["cmp"] * 3) * 2 + ["motrack"] * 2 + ["cmp"] + ["motrack", "cmp"] + ["motrack"] * 3
+            + ["cmp"] + ["awk"] * 2 + ["motrack", "cmp"] + ["motrack"] * 2)
         assert [argv[1] for argv in commands if argv[0] == "motrack"] == [
-            "simulate", "simulate", "track", "eval", "track", "eval", "eval", "eval", "sweep", "ablate"]
+            "simulate", "simulate", "track", "eval", "track", "track", "eval", "eval", "eval", "sweep", "ablate"]
         assert [argv[3] for argv in commands if argv[1] == "simulate"] == ["crossing2", "crowd8_occl20"]
-        crowd_track, crowd_eval, crowd_cmp = commands[8:11]
+        crowd_track, crowd_eval, crowd_cmp, all_track, all_cmp = commands[8:13]
         assert crowd_track[3] == commands[6][1] and crowd_eval[3] == commands[5][1]
         assert crowd_eval[5] == crowd_track[-1] and crowd_eval[-2:] == [">", crowd_cmp[1]]
         assert crowd_cmp[2] == "tests/data/crowd8_occl20_seed0_eval.kv"
+        assert all_track[1:] == ["track", "--det", crowd_track[3], "--config",
+                                 "tests/data/crowd8_occl20_seed0_hyp_all.cfg", "--out", all_cmp[1]]
+        assert all_cmp[2] == "tests/data/crowd8_occl20_seed0_hyp_all.txt"
         for at in (-8, -4):
             assert commands[at][-2] == ">" and commands[at + 1][1:] == [commands[at][-1],
                                                                        "tests/data/crossing2_seed0_eval.kv"]

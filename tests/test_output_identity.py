@@ -63,6 +63,16 @@ def test_golden_track_output_unchanged(det_name, tmp_path, capsys):
     assert _sha256(out.read_bytes()) == TRACK_DIGESTS[det_name]
 
 
+def test_golden_track_output_with_every_status(tmp_path, capsys):
+    """`motrack track` with lost and tentative tracks in the output: the
+    golden hypothesis, recorded while each step still built one
+    ``TrackOutput`` per row and the run filtered them one by one."""
+    out = tmp_path / "hyp.txt"
+    assert main(["track", "--det", str(DATA / "crowd8_occl20_seed0_det.txt"),
+                 "--config", str(DATA / "crowd8_occl20_seed0_hyp_all.cfg"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "crowd8_occl20_seed0_hyp_all.txt").read_bytes()
+
+
 def test_standard_suite_reports_unchanged():
     reports = run_suite(RunConfig(), seeds=SUITE_SEEDS)
     lines: dict[str, list[str]] = {}
