@@ -103,7 +103,8 @@ class Frame(Sequence):
     ``embeddings`` (n, d) holds the embeddings of the rows ``has_embedding``
     marks, all of one dimension d. The constructor copies the columns and
     checks them once, with the messages ``BoundingBox`` and
-    ``DetectionCandidate`` give. A Frame is also a sequence of
+    ``DetectionCandidate`` give; it builds every Frame, and ``_split`` cuts a
+    whole sequence's into per-frame views. A Frame is also a sequence of
     ``DetectionCandidate`` views, built on each read.
     """
 
@@ -124,41 +125,32 @@ class Frame(Sequence):
                                 bool, (n,), "has_embedding")
         mapped = {int(j): {tid: _check_score(v, f"s_mask[{tid}]") for tid, v in m.items()}
                   for j, m in sorted((mapped or {}).items())}
-        self._store(boxes, s_obj, s_mask, embeddings, has_embedding, mapped)
-        self._check()
-
-    def _check(self) -> None:
-        """Check the columns' values once, with the messages ``BoundingBox`` and ``DetectionCandidate`` give."""
-        bad = invalid_boxes(self.boxes)
+        bad = invalid_boxes(boxes)
         if np.count_nonzero(bad):
-            BoundingBox(*self.boxes[np.argmax(bad)].tolist())
-        for name, column, bad in (("s_obj", self.s_obj, ~((self.s_obj >= 0.0) & (self.s_obj <= 1.0))),
-                                  ("s_mask", self.s_mask, (self.s_mask < 0.0) | (self.s_mask > 1.0))):
+            BoundingBox(*boxes[np.argmax(bad)].tolist())
+        for name, column, bad in (("s_obj", s_obj, ~((s_obj >= 0.0) & (s_obj <= 1.0))),
+                                  ("s_mask", s_mask, (s_mask < 0.0) | (s_mask > 1.0))):
             if np.count_nonzero(bad):
                 _check_score(column[np.argmax(bad)], name)
-        for j in self.mapped:
-            if not 0 <= j < len(self) or not math.isnan(self.s_mask[j]):
+        for j in mapped:
+            if not 0 <= j < n or not math.isnan(s_mask[j]):
                 raise ValueError(f"mapped candidate {j} is not a candidate without a scalar s_mask")
-        if np.count_nonzero(self.has_embedding):
-            if not self.embeddings.shape[1]:
+        if np.count_nonzero(has_embedding):
+            if not embeddings.shape[1]:
                 raise ValueError("embedding must be a non-empty vector, got shape (0,)")
-            if not np.isfinite(self.embeddings[self.has_embedding]).all():
+            if not np.isfinite(embeddings[has_embedding]).all():
                 raise ValueError("embedding contains non-finite entries")
+        self._store(boxes, s_obj, s_mask, embeddings, has_embedding, mapped)
 
-    @classmethod
-    def _checked(cls, boxes, s_obj, s_mask, embeddings, has_embedding) -> "Frame":
-        """A Frame over columns of the right shapes, which become read-only and
-        are not copied; their values are checked already, or by ``_check``."""
-        frame = object.__new__(cls)
-        frame._store(boxes, s_obj, s_mask, embeddings, has_embedding, {})
-        return frame
-
-    def _split(self, counts: Sequence[int]) -> list["Frame"]:
+    def _split(self, ends: Sequence[int]) -> list["Frame"]:
         """A sequence's frames: this Frame's rows, which hold no per-track
-        mapping, cut into consecutive read-only views of ``counts[k]`` rows."""
+        mapping, cut into consecutive read-only views, view k ending before
+        row ``ends[k]``. The rows are checked already, so the views are not."""
         columns = (self.boxes, self.s_obj, self.s_mask, self.embeddings, self.has_embedding)
-        ends = np.cumsum(counts).tolist()
-        return [Frame._checked(*(c[a:b] for c in columns)) for a, b in zip([0, *ends], ends)]
+        views = [object.__new__(Frame) for _ in ends]
+        for view, a, b in zip(views, [0, *ends], ends):
+            view._store(*(c[a:b] for c in columns), {})
+        return views
 
     def _store(self, boxes, s_obj, s_mask, embeddings, has_embedding, mapped) -> None:
         for name, column in (("boxes", boxes), ("s_obj", s_obj), ("s_mask", s_mask),

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
@@ -74,16 +73,14 @@ class _Columns(NamedTuple):
 
 def _loadtxt(lines: list[str], dtype, usecols=None) -> np.ndarray | None:
     """One pass of numpy's C reader over comma-separated lines, which skips
-    empty lines; None where it raises or warns, so the caller falls back.
-    It swaps the process-wide warning filters, so it is not thread-safe."""
-    with warnings.catch_warnings():
-        # Any warning refuses: numpy 1.24-1.26 parse "1.0" into an int column
-        # with only a DeprecationWarning.
-        warnings.simplefilter("error")
-        try:
-            return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
-        except (ValueError, Warning):
-            return None
+    empty lines; None where it raises, so the caller falls back, and where no
+    line has data, which the reader would warn about."""
+    if not any(lines):
+        return None
+    try:
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
+    except ValueError:
+        return None
 
 
 def _parse_columns(path: str | Path) -> _Columns:
@@ -160,8 +157,8 @@ def load_detections(
 ) -> dict[int, Frame]:
     """Read a detection file into one ``Frame`` per frame, keyed by frame
     number in order of first appearance; candidates keep their file order.
-    The file's rows are checked once, as one column set, and each Frame is a
-    read-only view of that frame's rows.
+    The file's rows, grouped by frame, are built into one ``Frame``, which
+    checks them once, and each frame's Frame is a read-only view of its rows.
 
     The id column is ignored, conf becomes the objectness score (clamped to
     [0, 1]), and frames are numbered from 1. The sidecar, an explicit path
@@ -199,7 +196,7 @@ def load_detections(
         at = first[group] + side.cand
         s_mask[at], has_embedding[at] = side.s_mask, side.has_embedding
         embeddings[at[side.has_embedding]] = side.embeddings
-    views = Frame._checked(rows.boxes[order], s_obj, s_mask, embeddings, has_embedding)._split(count)
+    views = Frame(rows.boxes[order], s_obj, s_mask, embeddings, has_embedding)._split((first + count).tolist())
     return {numbers[k]: views[k] for k in np.argsort(order[first], kind="stable").tolist()}
 
 
@@ -213,9 +210,9 @@ def _mot_text(rows: Iterable[tuple]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def trajectory_lines(records: Iterable[tuple[int, int, BoundingBox]], conf: float = 1.0) -> str:
-    c = repr(float(conf))
-    return _mot_text((f, i, box.x, box.y, box.w, box.h, c) for f, i, box in records)
+def trajectory_lines(records: Iterable[tuple[int, int, BoundingBox]]) -> str:
+    """MOT lines of (frame, id, box) records, with conf 1.0 as ``write_trajectories`` writes."""
+    return _mot_text((f, i, box.x, box.y, box.w, box.h, "1.0") for f, i, box in records)
 
 
 def write_trajectories(path: str | Path, ts: TrajectorySet) -> None:

@@ -3,6 +3,7 @@ the ablation presets. Shared by the CLI and the acceptance tests."""
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from typing import Iterable, Mapping, Sequence
@@ -34,32 +35,37 @@ def track_frames(
 ) -> TrajectorySet:
     """Run the tracker over a frame stream and collect the hypothesis set.
 
-    Mapping input is keyed by frame number (gaps become empty frames); a
+    Mapping input is keyed by frame number and stepped in order; a frame it
+    lacks is stepped as an empty one while a track is alive, and skipped
+    while none is, as it would change nothing but the frame index. A
     sequence holds frame i+1 at position i. Each frame is a ``Frame`` or a
     list of candidates. Which lifecycle states reach the output is
     controlled by output.include_lost / include_tentative. ``step_tracker``
-    runs once per frame and returns its outputs as columns in increasing id
-    order; one status-code mask per frame keeps the included rows, and their
+    returns each frame's outputs as columns in increasing id order; one
+    status-code mask per frame keeps the included rows, and their
     concatenation is already sorted as ``TrajectorySet.from_columns`` checks.
     """
-    if isinstance(frames, Mapping):
-        numbers = range(min(frames), max(frames) + 1) if frames else ()
-        stream = [(f, frames.get(f, [])) for f in numbers]
-    else:
-        stream = list(enumerate(frames, start=1))
-    if not stream:
-        return TrajectorySet()
+    state = TrackerState(config=run_cfg.tracker)
 
+    def numbered():  # reads the state, which each step advances before the next frame is drawn
+        for number in sorted(frames):
+            while len(state.rows) and state.frame_index + 1 < number:
+                yield state.frame_index + 1, []
+            yield operator.index(number), frames[number]
+
+    stream = numbered() if isinstance(frames, Mapping) else enumerate(frames, start=1)
     included = {CONFIRMED: True, LOST: run_cfg.output_include_lost, TENTATIVE: run_cfg.output_include_tentative}
     included = np.array([included[name] for name in _STATUSES])  # indexed by status code
-    state = TrackerState(config=run_cfg.tracker)
-    ids, boxes = [], []
+    numbers, ids, boxes = [], [], []
     for frame, candidates in stream:
         outputs = step_tracker(state, candidates, frame_index=frame)[1]
         keep = included[outputs.status]
+        numbers.append(frame)
         ids.append(outputs.ids[keep])
         boxes.append(outputs.boxes[keep])
-    frame_col = np.repeat([frame for frame, _ in stream], [len(i) for i in ids])
+    if not numbers:
+        return TrajectorySet()
+    frame_col = np.repeat(numbers, [len(i) for i in ids])
     return TrajectorySet.from_columns(frame_col, np.concatenate(ids), np.concatenate(boxes))
 
 

@@ -195,8 +195,8 @@ def generate(config: ScenarioConfig) -> tuple[TrajectorySet, list[Frame]]:
         (gt, frames) where gt maps every frame and agent (ids 1..n_agents)
         to its true box, and frames[t] is the ``Frame`` of frame t+1: every
         candidate has an embedding and no s_mask. The candidates of all
-        frames are filled into one column set, checked once, and handed out
-        as per-frame read-only views of it.
+        frames are gathered into lists and built into one ``Frame``, which
+        checks them once and is handed out as per-frame read-only views.
     """
     rng = np.random.default_rng(config.seed)
     arena = np.asarray(config.arena)
@@ -216,9 +216,8 @@ def generate(config: ScenarioConfig) -> tuple[TrajectorySet, list[Frame]]:
     far = arena - half  # the largest center that keeps a box inside
     truth = np.empty((config.n_frames, config.n_agents, 4))  # frame-major, agents in id order
     truth[:, :, 2:] = sizes
-    room = config.n_agents * config.n_frames  # one candidate per agent and frame; clutter can need more
-    boxes, s_obj, embeddings = np.empty((room, 4)), np.empty(room), np.empty((room, config.embed_dim))
-    counts, n = [], 0  # candidates per frame, and in all
+    boxes, s_obj, embeddings = [], [], []  # one entry per candidate, frame after frame
+    ends = []  # per frame, the end of its candidates in those lists
 
     for t in range(config.n_frames):
         # Advance motion (frame 1 uses the spawn state as-is).
@@ -247,7 +246,6 @@ def generate(config: ScenarioConfig) -> tuple[TrajectorySet, list[Frame]]:
         else:
             clusters = [[i] for i in visible]
 
-        frame_boxes, frame_s_obj, frame_embeddings = [], [], []  # one entry per candidate
         for cluster in clusters:
             if len(cluster) == 1:
                 i = cluster[0]
@@ -268,34 +266,24 @@ def generate(config: ScenarioConfig) -> tuple[TrajectorySet, list[Frame]]:
                 box = _union_box(rows[cluster])
                 sig = _unit(signatures[cluster].mean(axis=0))
                 sobj_range = MERGED_SOBJ
-            frame_boxes.append(box)
-            frame_embeddings.append(_unit(sig + EMBED_NOISE * rng.normal(size=config.embed_dim)))
-            frame_s_obj.append(rng.uniform(*sobj_range))
+            boxes.append(box)
+            embeddings.append(_unit(sig + EMBED_NOISE * rng.normal(size=config.embed_dim)))
+            s_obj.append(rng.uniform(*sobj_range))
 
         if config.fp_rate > 0:
             for _ in range(int(rng.poisson(config.fp_rate))):
                 size = rng.uniform(*config.box_size_range, size=2)
-                frame_boxes.append(np.concatenate([rng.uniform(0.0, arena - size), size]))
-                frame_embeddings.append(_unit(rng.normal(size=config.embed_dim)))
-                frame_s_obj.append(rng.uniform(*CLUTTER_SOBJ))
-
-        k = len(frame_s_obj)
-        if n + k > len(s_obj):
-            for column in (boxes, s_obj, embeddings):  # in place, as no view of them is alive
-                column.resize((2 * (n + k), *column.shape[1:]), refcheck=False)
-        if k:
-            boxes[n:n + k], s_obj[n:n + k], embeddings[n:n + k] = frame_boxes, frame_s_obj, frame_embeddings
-        counts.append(k)
-        n += k
+                boxes.append(np.concatenate([rng.uniform(0.0, arena - size), size]))
+                embeddings.append(_unit(rng.normal(size=config.embed_dim)))
+                s_obj.append(rng.uniform(*CLUTTER_SOBJ))
+        ends.append(len(s_obj))
 
     frame = np.repeat(np.arange(1, config.n_frames + 1), config.n_agents)
     ident = np.tile(np.arange(1, config.n_agents + 1), config.n_frames)
-    # The filled rows, trimmed in place, are the one column set: checked once, then cut.
-    for column in (boxes, s_obj, embeddings):
-        column.resize((n, *column.shape[1:]), refcheck=False)
-    candidates = Frame._checked(boxes, s_obj, np.full(n, math.nan), embeddings, np.ones(n, dtype=bool))
-    candidates._check()
-    return TrajectorySet.from_columns(frame, ident, truth), candidates._split(counts)
+    # Every frame's candidates are one column set, checked once, then cut; with
+    # no candidate at all its embeddings still have embed_dim columns.
+    candidates = Frame(boxes, s_obj, embeddings=embeddings or np.zeros((0, config.embed_dim)))
+    return TrajectorySet.from_columns(frame, ident, truth), candidates._split(ends)
 
 
 def standard_suite() -> list[tuple[str, ScenarioConfig]]:

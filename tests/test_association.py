@@ -788,6 +788,27 @@ class TestTrackFramesIncludeFlags:
             assert [c.tobytes() for c in got.columns()] == [c.tobytes() for c in expected.columns()]
 
 
+class TestSparseFrameNumbers:
+    @settings(max_examples=60, deadline=None)
+    @given(tracker_streams(), st.data())
+    def test_mapping_with_gaps_matches_the_gap_filled_list(self, stream, data):
+        """A mapping whose frame numbers leave random gaps, some longer than
+        max_age, with its keys out of order, gives what ``track_frames`` gives
+        on the list with an empty frame in each gap, under each of the four
+        include settings, bit for bit: skipping a gap while no track lives
+        changes nothing."""
+        config, frames = stream
+        gaps = data.draw(st.lists(st.integers(0, 10), min_size=len(frames), max_size=len(frames)))
+        numbers = np.cumsum(np.add(gaps, 1)).tolist()
+        mapping = dict(zip(numbers[::-1], frames[::-1]))
+        filled = [mapping.get(f, []) for f in range(1, numbers[-1] + 1)]
+        for lost, tentative in itertools.product((False, True), repeat=2):
+            run_cfg = RunConfig(tracker=config, output_include_lost=lost, output_include_tentative=tentative)
+            got, expected = track_frames(mapping, run_cfg), track_frames(filled, run_cfg)
+            assert [c.dtype for c in got.columns()] == [c.dtype for c in expected.columns()]
+            assert [c.tobytes() for c in got.columns()] == [c.tobytes() for c in expected.columns()]
+
+
 class TestSoak:
     def test_rows_stay_the_live_tracks_and_memory_stays_bounded(self):
         """A 4-agent stream replayed for 10 000 frames. On every frame the

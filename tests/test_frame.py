@@ -271,8 +271,8 @@ class TestGenerateAgainstOracle:
             assert_frame_holds(frame, old)
 
     def test_clutter_outgrows_one_candidate_per_agent_and_frame(self):
-        # generate fills room for one candidate per agent and frame, and
-        # grows it when clutter brings more.
+        # Clutter brings more candidates than one per agent and frame, all
+        # gathered into the one column set that is cut into the frames.
         config = ScenarioConfig(n_agents=2, n_frames=40, fp_rate=3.0, embed_dim=3, seed=5)
         _, frames = generate(config)
         _, cands = generate_oracle(config)

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from dataclasses import fields, is_dataclass
 from functools import reduce
@@ -622,6 +623,23 @@ class TestTrackFrames:
         hyp = track_frames(frames, RunConfig())
         assert hyp.total_boxes() == 0
 
+    def test_sparse_frame_numbers_cost_no_step_per_missing_frame(self, tmp_path):
+        """Frames 1-3 and 10**12 to 10**12 + 2: the missing frames are stepped
+        only while the first track lives, so track finishes at once and
+        writes the golden hypothesis. With lost and tentative tracks
+        included, the first track coasts max_age = 30 frames and retires."""
+        data = Path(__file__).parent / "data"
+        det, out = data / "sparse_frames_det.txt", tmp_path / "hyp.txt"
+        start = time.perf_counter()
+        assert main(["track", "--det", str(det), "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert out.read_bytes() == (data / "sparse_frames_hyp.txt").read_bytes()
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("output.include_lost = true\noutput.include_tentative = true\n")
+        assert main(["track", "--det", str(det), "--config", str(cfg), "--out", str(out)]) == 0
+        frames = [int(line.split(",")[0]) for line in out.read_text().splitlines()]
+        assert frames == [*range(1, 34), *range(10**12, 10**12 + 3)]
+
     def test_crossing_occlusion_resumes_identity_ids_zero(self):
         # the crossing fixture occludes both agents mid-sequence (merged
         # detections); the default config re-acquires each on its prediction
@@ -690,7 +708,8 @@ class TestCli:
         eval run on both, and eval's kv report is the golden one, for
         crossing2 also on CRLF copies of its files that ``awk`` writes with an
         empty second line; crowd8_occl20's track with lost and tentative
-        tracks included writes the golden hypothesis."""
+        tracks included writes the golden hypothesis, and so does track on
+        the detections whose frame numbers jump from 3 to 10**12."""
         root = Path(__file__).resolve().parents[1]
         monkeypatch.chdir(root)
         workflow = yaml.safe_load((root / ".github/workflows/tests.yml").read_text())
@@ -698,10 +717,11 @@ class TestCli:
         commands = [shlex.split(line.replace("$RUNNER_TEMP", str(tmp_path)))
                     for line in step["run"].splitlines() if line.strip()]
         assert [argv[0] for argv in commands] == (
-            (["motrack"] + ["cmp"] * 3) * 2 + ["motrack"] * 2 + ["cmp"] + ["motrack", "cmp"] + ["motrack"] * 3
+            (["motrack"] + ["cmp"] * 3) * 2 + ["motrack"] * 2 + ["cmp"] + ["motrack", "cmp"] * 2 + ["motrack"] * 3
             + ["cmp"] + ["awk"] * 2 + ["motrack", "cmp"] + ["motrack"] * 2)
         assert [argv[1] for argv in commands if argv[0] == "motrack"] == [
-            "simulate", "simulate", "track", "eval", "track", "track", "eval", "eval", "eval", "sweep", "ablate"]
+            "simulate", "simulate", "track", "eval", "track", "track", "track", "eval", "eval", "eval", "sweep",
+            "ablate"]
         assert [argv[3] for argv in commands if argv[1] == "simulate"] == ["crossing2", "crowd8_occl20"]
         crowd_track, crowd_eval, crowd_cmp, all_track, all_cmp = commands[8:13]
         assert crowd_track[3] == commands[6][1] and crowd_eval[3] == commands[5][1]
@@ -710,6 +730,9 @@ class TestCli:
         assert all_track[1:] == ["track", "--det", crowd_track[3], "--config",
                                  "tests/data/crowd8_occl20_seed0_hyp_all.cfg", "--out", all_cmp[1]]
         assert all_cmp[2] == "tests/data/crowd8_occl20_seed0_hyp_all.txt"
+        sparse_track, sparse_cmp = commands[13:15]
+        assert sparse_track[1:] == ["track", "--det", "tests/data/sparse_frames_det.txt", "--out", sparse_cmp[1]]
+        assert sparse_cmp[2] == "tests/data/sparse_frames_hyp.txt"
         for at in (-8, -4):
             assert commands[at][-2] == ">" and commands[at + 1][1:] == [commands[at][-1],
                                                                        "tests/data/crossing2_seed0_eval.kv"]

@@ -5,6 +5,7 @@ write byte identity of trajectory and detection files."""
 
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -225,6 +226,7 @@ def golden_mutations(draw):
     return suffix, "\n".join(lines) + "\n"
 
 
+@pytest.mark.filterwarnings("error")
 class TestLoaderFuzzing:
     @settings(max_examples=200, deadline=None)
     @given(golden_mutations())
@@ -278,6 +280,7 @@ def _assert_bulk_matches_per_line(load, path):
 _TAIL = "0,0,10,10,1"  # box and conf fields
 
 
+@pytest.mark.filterwarnings("error")
 class TestBulkAgainstPerLineParsing:
     @settings(max_examples=300, deadline=None)
     @given(mot_texts(detections=False))
@@ -311,6 +314,23 @@ class TestBulkAgainstPerLineParsing:
             else:
                 _assert_bulk_matches_per_line(load_sidecar, paths["_det.aff"])
                 _assert_bulk_matches_per_line(load_detections, paths["_det.txt"])
+
+    def test_bulk_read_leaves_the_warning_filters_alone(self, tmp_path):
+        """While numpy reads, ``warnings.filters`` is still the caller's own
+        list, so files can load on several threads at once; a file with no
+        data line never reaches the reader, which would warn about it."""
+        read, filters, seen = np.loadtxt, warnings.filters, []
+
+        def spy(*args, **kwargs):
+            seen.append(warnings.filters is filters)
+            return read(*args, **kwargs)
+
+        (tmp_path / "gt.txt").write_text(f"1,1,{_TAIL}\n")
+        (tmp_path / "empty.txt").write_text("\n\n")
+        with mock.patch.object(np, "loadtxt", spy):
+            assert load_trajectories(tmp_path / "gt.txt").total_boxes() == 1
+            assert load_trajectories(tmp_path / "empty.txt").total_boxes() == 0
+        assert seen == [True]
 
     def test_well_formed_files_parse_in_bulk(self, tmp_path):
         """The golden files, and a copy with CRLF line ends and an empty line,
